@@ -16,10 +16,6 @@ from fractions import Fraction
 from functools import total_ordering
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 _ANGLE_RE = re.compile(
     r"""^\s*
     (?:(?P<num>\d+)\s*\*?\s*)?     # optional integer numerator
@@ -96,7 +92,7 @@ class Angle:
         N = lcm(4, 2n): the half-turn denominator doubles to a full-turn
         one and the factor 4 accommodates the i in the sine formula.
         """
-        return _lcm(4, 2 * self.denominator)
+        return math.lcm(4, 2 * self.denominator)
 
     def __str__(self) -> str:
         if self.numerator == 0:

@@ -665,25 +665,28 @@ def compare_exact(a: CyclotomicReal, b: CyclotomicReal) -> int:
 def rewrite_in_conductor(x: CyclotomicReal, n: int) -> "CyclotomicReal | None":
     """Rewrite x on the basis of Q(zeta_n) if x lies in that field.
 
-    Returns None when x is provably outside Q(zeta_n): the candidate
-    basis is promoted into the compositum and a rational solve decides
-    span membership exactly.
+    Returns None when x is provably outside Q(zeta_n).  Inside Q(zeta_c),
+    c the conductor of x, the field Q(zeta_n) meets Q(zeta_c) in
+    Q(zeta_g) with g = gcd(c, n) (Washington, GTM 83, ch. 2), so a
+    rational solve against the basis of Q(zeta_g) promoted to c decides
+    membership without building the compositum.
     """
     from .linalg import RowSpace
 
-    if x.conductor == n:
+    c = x.conductor
+    if c == n:
         return x
-    if n % x.conductor == 0:
+    if n % c == 0:
         return x.to_conductor(n)
-    big = math.lcm(x.conductor, n)
-    span = RowSpace(euler_phi(big))
-    for j in range(euler_phi(n)):
-        basis_vec = [0] * euler_phi(n)
+    g = math.gcd(c, n)
+    span = RowSpace(euler_phi(c))
+    for j in range(euler_phi(g)):
+        basis_vec = [0] * euler_phi(g)
         basis_vec[j] = 1
-        element = CyclotomicReal._make(n, basis_vec, 1).to_conductor(big)
-        span.add(element.coefficients())
-    coords = span.coordinates(x.to_conductor(big).coefficients())
+        span.add(CyclotomicReal._make(g, basis_vec, 1).to_conductor(c).coefficients())
+    coords = span.coordinates(x.coefficients())
     if coords is None:
         return None
-    den = math.lcm(*(c.denominator for c in coords))
-    return CyclotomicReal._make(n, [int(c * den) for c in coords], den)
+    den = math.lcm(*(q.denominator for q in coords))
+    small = CyclotomicReal._make(g, [int(q * den) for q in coords], den)
+    return small.to_conductor(n)

@@ -7,15 +7,17 @@ Two small engines drive everything here:
   generators that were added.  It powers minimal polynomials (first
   linear relation among powers) and rational span tests.
 
-* IntegerLattice keeps a Z-basis in row echelon form using gcd pivots,
-  again with tracking, deciding membership of integer vectors in the
-  Z-span of the generators and returning the integer combination.
+* IntegerLattice keeps a Z-basis in Hermite normal form, again with
+  tracking, deciding membership of integer vectors in the Z-span of the
+  generators and returning the integer combination.  Reducing the
+  entries above each pivot keeps both the rows and their tracked
+  combinations small (Cohen, GTM 138, section 2.4).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 
@@ -78,11 +80,13 @@ class RowSpace:
 
 
 class IntegerLattice:
-    """Row echelon Z-basis with gcd pivots and combination tracking.
+    """Z-basis in Hermite normal form with combination tracking.
 
     Rows are indexed by pivot column; an incoming vector is swept left
     to right, so every gcd combination only ever touches columns at or
-    after the current one and the echelon shape is preserved.
+    after the current one and the echelon shape is preserved.  After
+    each add every pivot is positive and every entry above a pivot lies
+    in [0, pivot), the same row operations applied to the combinations.
     """
 
     def __init__(self, dimension: int):
@@ -113,7 +117,7 @@ class IntegerLattice:
             hit = self._pivots.get(col)
             if hit is None:
                 self._pivots[col] = (vec, combo)
-                return
+                break
             row, row_combo = hit
             a, b = row[col], vec[col]
             if b % a == 0:
@@ -134,6 +138,29 @@ class IntegerLattice:
                     qa * combo[i] - qb * row_combo[i] for i in range(self._count)
                 ]
                 self._pivots[col] = (new_row, new_combo)
+        self._hermite_reduce()
+
+    def _hermite_reduce(self) -> None:
+        """Make pivots positive and reduce the entries above them.
+
+        Columns go left to right: reducing at a column only changes the
+        entries at or after it, so earlier columns stay reduced.
+        """
+        cols = sorted(self._pivots)
+        for k, col in enumerate(cols):
+            row, combo = self._pivots[col]
+            if row[col] < 0:
+                row[col:] = [-c for c in row[col:]]
+                combo[:] = [-c for c in combo]
+            pivot = row[col]
+            for above in cols[:k]:
+                upper, upper_combo = self._pivots[above]
+                q = upper[col] // pivot
+                if q:
+                    for i in range(col, self.dimension):
+                        upper[i] -= q * row[i]
+                    for i in range(self._count):
+                        upper_combo[i] -= q * combo[i]
 
     def membership(self, vector: Sequence[int]) -> Optional[list[int]]:
         """Integer coordinates of vector over the added generators, or None."""
@@ -195,10 +222,3 @@ def lattice_member(
     if coeffs is None:
         return False, None
     return True, coeffs
-
-
-def gcd_many(values: Sequence[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

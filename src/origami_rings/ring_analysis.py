@@ -21,6 +21,7 @@ Unknown reports exhaustion without claiming anything.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -384,11 +385,7 @@ class _MonomialLattice:
                     value = value * v**e
             self.exponents.append(exps)
             vectors.append(value)
-        self.common_den = 1
-        for v in vectors:
-            self.common_den = self.common_den * v._den // _gcd(
-                self.common_den, v._den
-            )
+        self.common_den = math.lcm(*(v._den for v in vectors))
         dim = len(vectors[0]._num)
         self.lattice = IntegerLattice(dim)
         for v in vectors:
@@ -401,14 +398,11 @@ class _MonomialLattice:
         self._kernel_star: list[tuple[list[Fraction], Fraction]] = []
         if count == 1:
             from .cyclotomic import minimal_polynomial
-            from math import lcm as _lcm
 
             mp = minimal_polynomial(self.values[0])
-            den = _lcm(*(c.denominator for c in mp.coefficients))
+            den = math.lcm(*(c.denominator for c in mp.coefficients))
             ints = [int(c * den) for c in mp.coefficients]
-            content = 0
-            for c in ints:
-                content = _gcd(content, c)
+            content = math.gcd(*ints)
             relation = [c // content for c in ints]
             length = len(self.exponents)
             for j in range(length - len(relation) + 1):
@@ -448,12 +442,6 @@ class _MonomialLattice:
         return [
             (c, self.exponents[i]) for i, c in enumerate(combo) if c
         ]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 _lattice_cache: dict = {}

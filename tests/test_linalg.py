@@ -94,6 +94,68 @@ def test_integer_lattice_random_soundness():
         assert rebuilt == target
 
 
+def _hermite_invariants(lat, gens):
+    rows = sorted(lat._pivots.items())
+    for k, (col, (row, combo)) in enumerate(rows):
+        assert all(c == 0 for c in row[:col])
+        assert row[col] > 0
+        for _, (upper, _) in rows[:k]:
+            assert 0 <= upper[col] < row[col]
+        rebuilt = [
+            sum(c * g[j] for c, g in zip(combo, gens)) for j in range(lat.dimension)
+        ]
+        assert rebuilt == row
+
+
+def test_integer_lattice_hermite_invariants():
+    rng = random.Random(20261018)
+    bound = 2
+    for _ in range(30):
+        dim = rng.randint(1, 4)
+        gens = [
+            [rng.randint(-9, 9) for _ in range(dim)]
+            for _ in range(rng.randint(1, 5))
+        ]
+        lat = IntegerLattice(dim)
+        for i, g in enumerate(gens):
+            lat.add(g)
+            _hermite_invariants(lat, gens[: i + 1])
+        reachable = {
+            tuple(sum(m * g[j] for m, g in zip(mix, gens)) for j in range(dim))
+            for mix in itertools.product(range(-bound, bound + 1), repeat=len(gens))
+        }
+        targets = [list(t) for t in rng.sample(sorted(reachable), min(6, len(reachable)))]
+        targets += [[rng.randint(-12, 12) for _ in range(dim)] for _ in range(6)]
+        for target in targets:
+            combo = lat.membership(target)
+            if tuple(target) in reachable:
+                assert combo is not None
+            if combo is None:
+                assert tuple(target) not in reachable
+            else:
+                rebuilt = [
+                    sum(c * g[j] for c, g in zip(combo, gens)) for j in range(dim)
+                ]
+                assert rebuilt == target
+
+
+def test_integer_lattice_hermite_form_is_canonical():
+    # the Hermite normal form depends on the lattice, not on the order
+    # in which its generators arrive
+    rng = random.Random(77)
+    for _ in range(10):
+        dim = rng.randint(2, 4)
+        gens = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(5)]
+        forms = set()
+        for _ in range(3):
+            rng.shuffle(gens)
+            lat = IntegerLattice(dim)
+            for g in gens:
+                lat.add(g)
+            forms.add(tuple(tuple(row) for _, (row, _) in sorted(lat._pivots.items())))
+        assert len(forms) == 1
+
+
 def test_lattice_member_clears_denominators():
     gens = [
         [Fraction(1, 2), Fraction(0)],

@@ -1,19 +1,25 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from origami_rings.angles import Angle
+from origami_rings import cyclotomic
 from origami_rings.cyclotomic import (
     CyclotomicReal,
+    euler_phi,
     minimal_polynomial,
+    rewrite_in_conductor,
     sqrt_rational,
 )
+from origami_rings.linalg import RowSpace
 from origami_rings.polynomials import RationalPolynomial
 from origami_rings.ring_analysis import (
     MembershipKind,
     RingStatus,
     SearchBounds,
     SetKind,
+    _monomial_lattice,
     classify,
     delta_set,
     e_closed_form,
@@ -224,3 +230,73 @@ def test_search_bounds_validation():
         SearchBounds(max_den_exp=-1)
     with pytest.raises(ValueError):
         SearchBounds(max_num_deg=0)
+
+
+def test_pentagon_lattice_stays_small(pentagon):
+    # Hermite reduction keeps rows at 12 bits and combinations at
+    # 2,694 bits here; unreduced they grow past 100,000
+    lattice = _monomial_lattice(pentagon, SearchBounds()).lattice
+    rows = lattice._pivots.values()
+    assert max(abs(c).bit_length() for row, _ in rows for c in row) <= 64
+    assert max(abs(c).bit_length() for _, combo in rows for c in combo) <= 4096
+
+
+def _two_cos(d: int, c: int) -> CyclotomicReal:
+    """2*cos(2*pi/d) written on the power basis of Q(zeta_c), d | c."""
+    rows = cyclotomic._zeta_power_rows(d)
+    coeffs = [a + b for a, b in zip(rows[1 % d], rows[(d - 1) % d])]
+    return CyclotomicReal.from_coeffs(d, coeffs).to_conductor(c)
+
+
+def _rewrite_through_compositum(xs, n):
+    """The reference route: solve inside Q(zeta_lcm) for each x."""
+    big = math.lcm(xs[0].conductor, n)
+    span = RowSpace(euler_phi(big))
+    for j in range(euler_phi(n)):
+        basis_vec = [0] * euler_phi(n)
+        basis_vec[j] = 1
+        span.add(CyclotomicReal._make(n, basis_vec, 1).to_conductor(big).coefficients())
+    out = []
+    for x in xs:
+        coords = span.coordinates(x.to_conductor(big).coefficients())
+        out.append(None if coords is None else CyclotomicReal.from_coeffs(n, coords))
+    return out
+
+
+def test_rewrite_in_conductor_matches_compositum_route():
+    # conductor pairs up to 60 whose compositum stays small enough for
+    # the reference solve; n a multiple of c takes the promotion path
+    inside = outside = 0
+    for c in range(1, 61):
+        for n in range(1, 61):
+            if n % c == 0 or math.lcm(c, n) > 120:
+                continue
+            xs = [_two_cos(c, c), _two_cos(math.gcd(c, n), c)]
+            for x, expected in zip(xs, _rewrite_through_compositum(xs, n)):
+                got = rewrite_in_conductor(x, n)
+                if expected is None:
+                    assert got is None
+                    outside += 1
+                else:
+                    assert got.conductor == n
+                    assert (got._num, got._den) == (expected._num, expected._den)
+                    inside += 1
+    assert inside and outside
+
+
+def test_outside_query_builds_no_compositum_table(pentagon, monkeypatch):
+    # sqrt(19) has conductor 76 and the pentagon works at 120: the
+    # compositum table at their lcm 2280 would hold over 10 MB
+    x = sqrt_rational(19)
+    big = math.lcm(x.conductor, pentagon.working_conductor)
+    built = []
+    original = cyclotomic._zeta_power_rows
+
+    def recording(n):
+        built.append(n)
+        return original(n)
+
+    monkeypatch.setattr(cyclotomic, "_zeta_power_rows", recording)
+    v = membership_in_MR(x, pentagon)
+    assert v.kind is MembershipKind.PROVEN_NOT_IN
+    assert big == 2280 and big not in built
