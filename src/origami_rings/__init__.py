@@ -14,7 +14,6 @@ from .cyclotomic import (
     CyclotomicReal,
     cos_of,
     minimal_polynomial,
-    sign,
     sin_of,
     sqrt_rational,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "product_e",
     "ratio_elements",
     "ring_check",
-    "sign",
     "sin_of",
     "sqrt_rational",
     "to_json_document",

@@ -25,6 +25,7 @@ from .angles import Angle
 from .construction import DEFAULT_POINT_CAP, generate
 from .export import (
     DEFAULT_PRECISION,
+    SCHEMA_VERSION,
     csv_text,
     json_text,
     text_table,
@@ -47,7 +48,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
-SCHEMA_VERSION = 1
 
 CONFIG_KEYS = frozenset(
     {

@@ -13,11 +13,12 @@ returns the same prefix.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional, Sequence
 
 from .angles import Angle
 from .cyclotomic import CyclotomicReal, rewrite_in_conductor
-from .geometry import PlanePoint
+from .geometry import PlanePoint, meet
 from .slopes import SlopeSet
 
 DEFAULT_POINT_CAP = 50_000
@@ -74,15 +75,16 @@ def generate(
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    if point_cap is not None and point_cap < 2:
+        raise ValueError("point_cap must be at least 2, the size of level 0")
     cap = point_cap if point_cap is not None else float("inf")
     frame = u.frame
     n = u.working_conductor
     table = u.p_table
-    inverse_gaps = {}
-    nonzero = list(u.nonzero_slopes)
-    for i, g in enumerate(nonzero):
-        for d in nonzero[i + 1 :]:
-            inverse_gaps[(g, d)] = (table[g] - table[d]).inv()
+    inverse_gaps = {
+        (g, d): (table[g] - table[d]).inv()
+        for g, d in itertools.combinations(u.nonzero_slopes, 2)
+    }
 
     zero = CyclotomicReal.from_rational(0, n)
     one = CyclotomicReal.from_rational(1, n)
@@ -99,38 +101,27 @@ def generate(
         for pt in current.values():
             gap = pt.s - pt.r
             for g in u.slopes:
-                if g.is_zero:
-                    v = gap
-                else:
-                    v = pt.r + gap * table[g]
+                v = gap if g.is_zero else pt.r + gap * table[g]
                 line_values[g].setdefault(_key(v), v)
 
         new_points = dict(current)
         truncated = len(new_points) >= cap
-        for i, g in enumerate(u.slopes):
+        for g, d in itertools.combinations(u.slopes, 2):
             if truncated:
                 break
-            for d in u.slopes[i + 1 :]:
+            p1 = None if g.is_zero else table[g]
+            gap_inv = inverse_gaps.get((g, d))
+            for v1 in line_values[g].values():
                 if truncated:
                     break
-                for v1 in line_values[g].values():
-                    if truncated:
-                        break
-                    for v2 in line_values[d].values():
-                        if g.is_zero:
-                            # horizontal line: v1 is the height coordinate
-                            r = v2 - v1 * table[d]
-                            s = r + v1
-                        else:
-                            gap = (v1 - v2) * inverse_gaps[(g, d)]
-                            r = v1 - gap * table[g]
-                            s = r + gap
-                        key = (_key(r), _key(s))
-                        if key not in new_points:
-                            new_points[key] = PlanePoint(r, s, frame)
-                            if len(new_points) >= cap:
-                                truncated = True
-                                break
+                for v2 in line_values[d].values():
+                    r, s = meet(v1, v2, p1, table[d], gap_inv)
+                    key = (_key(r), _key(s))
+                    if key not in new_points:
+                        new_points[key] = PlanePoint(r, s, frame)
+                        if len(new_points) >= cap:
+                            truncated = True
+                            break
         current = new_points
         levels.append(LevelSet(level, list(current.values()), truncated))
     return levels

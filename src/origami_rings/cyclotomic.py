@@ -450,10 +450,6 @@ class CyclotomicReal:
         a, b, _ = self._common(o)
         return a._num == b._num and a._den == b._den
 
-    def equals(self, other) -> bool:
-        """Exact equality (alias for ==)."""
-        return bool(self == other)
-
     def __hash__(self):
         # conductor-independent invariants: normalized traces of x and x^2
         phi = euler_phi(self.conductor)
@@ -479,17 +475,21 @@ class CyclotomicReal:
                     lo, hi = lo + c * chi, hi + c * clo
         return Interval(lo / self._den, hi / self._den)
 
+    def _refine(self, done) -> Interval:
+        """Enclosures at doubling precision until done(box) holds."""
+        prec = 64
+        while True:
+            box = self._enclosure_at(prec)
+            if done(box):
+                return box
+            prec *= 2
+
     def interval(self, max_width: Rational = Fraction(1, 10**15)) -> Interval:
         """A certified enclosure no wider than max_width."""
         max_width = Fraction(max_width)
         if max_width <= 0:
             raise ValueError("max_width must be positive")
-        prec = 64
-        while True:
-            box = self._enclosure_at(prec)
-            if box.width <= max_width:
-                return box
-            prec *= 2
+        return self._refine(lambda box: box.width <= max_width)
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1."""
@@ -497,18 +497,16 @@ class CyclotomicReal:
             return 0
         if self.is_rational:
             return -1 if self._num[0] < 0 else 1
-        prec = 64
-        while True:
-            box = self._enclosure_at(prec)
-            if not box.contains_zero():
-                return 1 if box.lo > 0 else -1
-            prec *= 2
+        box = self._refine(lambda box: not box.contains_zero())
+        return 1 if box.lo > 0 else -1
 
     def __float__(self) -> float:
         return float(self.interval(Fraction(1, 10**17)).midpoint)
 
     def decimal(self, digits: int = 12) -> str:
         """Decimal string certified to the requested number of digits."""
+        if digits < 0:
+            raise ValueError("digits must be nonnegative")
         box = self.interval(Fraction(1, 10 ** (digits + 2)))
         mid = box.midpoint
         sign = "-" if mid < 0 else ""
@@ -532,10 +530,6 @@ class CyclotomicReal:
 
     def __bool__(self) -> bool:
         return not self.is_zero
-
-
-ZERO = CyclotomicReal.from_rational(0)
-ONE = CyclotomicReal.from_rational(1)
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +627,6 @@ def sqrt_rational(value: Rational) -> CyclotomicReal:
     return result
 
 
-def sign(x: CyclotomicReal) -> int:
-    """Exact sign of x (module-level convenience)."""
-    return x.sign()
-
-
 def minimal_polynomial(x: CyclotomicReal):
     """Monic minimal polynomial of x over Q.
 
@@ -655,11 +644,6 @@ def minimal_polynomial(x: CyclotomicReal):
         if coords is not None:
             return RationalPolynomial([-c for c in coords] + [1])
         power = power * x
-
-
-def compare_exact(a: CyclotomicReal, b: CyclotomicReal) -> int:
-    """Exact three-way comparison via the sign of the difference."""
-    return (a - b).sign()
 
 
 def rewrite_in_conductor(x: CyclotomicReal, n: int) -> "CyclotomicReal | None":

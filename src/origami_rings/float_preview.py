@@ -47,6 +47,10 @@ def generate_float(
     array in deterministic order.  Needs at least three distinct folded
     slopes including (approximately) the horizontal one.
     """
+    if point_cap < 2:
+        raise ValueError("point_cap must be at least 2, the size of level 0")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     folded = sorted(
         {0.0 if math.pi - _fold(t) <= eps else _fold(t) for t in slopes}
     )

@@ -238,10 +238,7 @@ def from_frame(
         return PlanePoint(r, s, frame)
     P = frame.p_value(gamma)
     Q = frame.p_value(delta)
-    gap_inv = _inverse_p_gap(frame, gamma, delta)
-    new_r = (s * P - r * Q) * gap_inv
-    new_s = new_r + (r - s) * gap_inv
-    return PlanePoint(new_r, new_s, frame)
+    return PlanePoint(*meet(r, s, P, Q, _inverse_p_gap(frame, gamma, delta)), frame)
 
 
 class Line:
@@ -280,6 +277,20 @@ class Line:
         return f"Line(through={self.through!r}, slope={self.slope})"
 
 
+def meet(v1, v2, p1, p2, gap_inv) -> tuple[CyclotomicReal, CyclotomicReal]:
+    """Coordinates (r, s) where lines of directions gamma != delta meet.
+
+    v1, v2 are the line invariants, p1 = p(gamma), p2 = p(delta) and
+    gap_inv = 1/(p1 - p2); a horizontal first line passes None for both.
+    """
+    if p1 is None:
+        r = v2 - v1 * p2
+        return r, r + v1
+    gap = (v1 - v2) * gap_inv
+    r = v1 - gap * p1
+    return r, r + gap
+
+
 def intersect(first: Line, second: Line) -> PlanePoint:
     """The unique common point of two lines of distinct directions.
 
@@ -292,15 +303,12 @@ def intersect(first: Line, second: Line) -> PlanePoint:
             f"lines of equal direction {first.slope} do not meet in one point"
         )
     frame = first.through.frame
+    if second.slope.is_zero:
+        first, second = second, first
     gamma, delta = first.slope, second.slope
-    v1 = first.invariant()
-    v2 = Line(second.through.in_frame(frame), second.slope).invariant()
-    if gamma.is_zero:
-        r = v2 - v1 * frame.p_value(delta)
-        return PlanePoint(r, r + v1, frame)
-    if delta.is_zero:
-        r = v1 - v2 * frame.p_value(gamma)
-        return PlanePoint(r, r + v2, frame)
-    gap = (v1 - v2) * _inverse_p_gap(frame, gamma, delta)
-    r = v1 - gap * frame.p_value(gamma)
-    return PlanePoint(r, r + gap, frame)
+    v1 = Line(first.through.in_frame(frame), gamma).invariant()
+    v2 = Line(second.through.in_frame(frame), delta).invariant()
+    p1 = gap_inv = None
+    if not gamma.is_zero:
+        p1, gap_inv = frame.p_value(gamma), _inverse_p_gap(frame, gamma, delta)
+    return PlanePoint(*meet(v1, v2, p1, frame.p_value(delta), gap_inv), frame)

@@ -17,7 +17,6 @@ Two small engines drive everything here:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 
@@ -194,31 +193,3 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
-
-
-def lattice_member(
-    vector: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
-) -> tuple[bool, Optional[list[int]]]:
-    """Decide membership of vector in the Z-span of the generators.
-
-    All inputs are rational vectors of equal length; denominators are
-    cleared by a common multiplier first, which does not change the
-    Z-span relation.  Returns (flag, coefficients) where coefficients
-    give vector = sum coefficients[i] * generators[i] when flag is True.
-    """
-    vecs = [[Fraction(c) for c in g] for g in generators]
-    target = [Fraction(c) for c in vector]
-    dim = len(target)
-    if any(len(g) != dim for g in vecs):
-        raise ValueError("generator dimensions do not match the vector")
-    denominator = 1
-    for g in vecs + [target]:
-        for c in g:
-            denominator = lcm(denominator, c.denominator)
-    lattice = IntegerLattice(dim)
-    for g in vecs:
-        lattice.add([int(c * denominator) for c in g])
-    coeffs = lattice.membership([int(c * denominator) for c in target])
-    if coeffs is None:
-        return False, None
-    return True, coeffs

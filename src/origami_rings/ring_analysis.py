@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
@@ -36,7 +36,7 @@ from .cyclotomic import (
     sin_of,
     cos_of,
 )
-from .geometry import Frame, PlanePoint, ZeroSlopeError, signed_sin
+from .geometry import PlanePoint, ZeroSlopeError, _as_cyclotomic, signed_sin
 from .linalg import IntegerLattice, RowSpace
 from .slopes import SlopeSet
 
@@ -45,12 +45,6 @@ Scalar = Union[int, Fraction, CyclotomicReal]
 DEFAULT_MAX_DEN_EXP = 8
 DEFAULT_MAX_NUM_DEG = 32
 DEFAULT_MAX_CANDIDATES = 2000
-
-
-def _as_cyclotomic(value: Scalar) -> CyclotomicReal:
-    if isinstance(value, CyclotomicReal):
-        return value
-    return CyclotomicReal.from_rational(value)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +193,19 @@ class MembershipVerdict:
         if self.witness is not None:
             text += f" [{self.witness}]"
         return text
+
+
+def _integer_verdict(x: CyclotomicReal) -> MembershipVerdict:
+    """ProvenIn for an integer x, with x itself as the witness."""
+    witness = MembershipWitness(
+        generator_names=(),
+        generator_values=(),
+        numerator_terms=((int(x.as_rational()), ()),) if not x.is_zero else (),
+        denominator_factors=(),
+    )
+    return MembershipVerdict(
+        MembershipKind.PROVEN_IN, reason="integer", witness=witness
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +502,7 @@ def membership_in_MR(
     bounds = bounds or SearchBounds()
     x = _as_cyclotomic(x)
     if x.is_integer:
-        witness = MembershipWitness(
-            generator_names=(),
-            generator_values=(),
-            numerator_terms=((int(x.as_rational()), ()),) if not x.is_zero else (),
-            denominator_factors=(),
-        )
-        return MembershipVerdict(
-            MembershipKind.PROVEN_IN, reason="integer", witness=witness
-        )
+        return _integer_verdict(x)
     if u.size == 3:
         if x.is_rational:
             reason = f"{x.as_rational()} is not an integer"
@@ -575,6 +574,19 @@ class RingStatus(Enum):
     UNKNOWN = "Unknown"
 
 
+def _ring_status(verdicts: Sequence[MembershipVerdict]) -> RingStatus:
+    """NotRing on any ProvenNotIn, Ring when all are ProvenIn, else Unknown."""
+    if any(v.is_proven_not_in for v in verdicts):
+        return RingStatus.NOT_RING
+    if all(v.is_proven_in for v in verdicts):
+        return RingStatus.RING
+    return RingStatus.UNKNOWN
+
+
+QA_LABEL = "sin(alpha)^2/sin(alpha-beta)^2"
+QB_LABEL = "sin(beta)^2/sin(alpha-beta)^2"
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     """One equivalent ring criterion evaluated on labelled elements."""
@@ -586,11 +598,7 @@ class CriterionResult:
 
     @property
     def status(self) -> RingStatus:
-        if any(v.is_proven_not_in for v in self.verdicts):
-            return RingStatus.NOT_RING
-        if all(v.is_proven_in for v in self.verdicts):
-            return RingStatus.RING
-        return RingStatus.UNKNOWN
+        return _ring_status(self.verdicts)
 
 
 @dataclass(frozen=True)
@@ -604,11 +612,7 @@ class FrameScanResult:
 
     @property
     def status(self) -> RingStatus:
-        if any(v.is_proven_not_in for v in self.verdicts):
-            return RingStatus.NOT_RING
-        if all(v.is_proven_in for v in self.verdicts):
-            return RingStatus.RING
-        return RingStatus.UNKNOWN
+        return _ring_status(self.verdicts)
 
 
 @dataclass(frozen=True)
@@ -640,14 +644,14 @@ def _criterion_elements(u: SlopeSet) -> list[tuple[str, str, list[tuple[str, Cyc
             "norm-trace",
             "squared norm and mixed term of the unit point",
             [
-                ("sin(beta)^2/sin(alpha-beta)^2", qb),
+                (QB_LABEL, qb),
                 ("2*cos(alpha)*sin(beta)/sin(alpha-beta)", trace_element(u)),
             ],
         ),
         (
             "ratios",
             "both squared sine ratios",
-            [("sin(alpha)^2/sin(alpha-beta)^2", qa), ("sin(beta)^2/sin(alpha-beta)^2", qb)],
+            [(QA_LABEL, qa), (QB_LABEL, qb)],
         ),
         (
             "unit-product",
@@ -665,10 +669,16 @@ def ring_check(
     """Decide whether the origami set over u is a subring of C.
 
     The four equivalent criteria run on the distinguished frame with
-    the full membership search.  If everything stays Unknown, the same
-    ratio criterion is re-checked on every other admissible frame pair,
-    where a single decided frame settles the question (the criteria are
-    frame-independent in validity, and integer hits decide instantly).
+    the full membership search.  If all of them stay Unknown and u has
+    four or more directions, the ratio criterion is re-checked on every
+    other ordered frame pair without any search; the criteria are
+    frame-independent in validity, so one decided frame settles the
+    question.  There only integer ratios can decide: in the frame
+    (alpha, beta), p(gamma) = (cot gamma - cot alpha)/(cot beta - cot alpha),
+    so every frame generates the same field Q(p), and the ratios of the
+    frame (a, b) are rational functions of p(a), p(b) and the default
+    ratios.  The scan runs only when no default verdict is ProvenNotIn,
+    so those ratios lie in Q(p) and no field obstruction can appear.
     """
     bounds = bounds or SearchBounds()
     cache: dict[tuple, MembershipVerdict] = {}
@@ -689,43 +699,26 @@ def ring_check(
     status = RingStatus.UNKNOWN
     decided_by = ""
     for c in criteria:
-        if c.status is RingStatus.RING:
-            status, decided_by = RingStatus.RING, f"criterion {c.name}"
-            break
-        if c.status is RingStatus.NOT_RING:
-            status, decided_by = RingStatus.NOT_RING, f"criterion {c.name}"
+        if c.status is not RingStatus.UNKNOWN:
+            status, decided_by = c.status, f"criterion {c.name}"
             break
 
     scans = []
     if status is RingStatus.UNKNOWN and scan_frames and u.size > 3:
-        default_pair = (u.alpha, u.beta)
+        no_search = MembershipVerdict(MembershipKind.UNKNOWN, reason="fast paths only")
         nonzero = sorted(u.nonzero_slopes, reverse=True)
-        for a in nonzero:
-            for b in nonzero:
-                if a == b or (a, b) == default_pair:
-                    continue
-                other = u.with_frame(a, b)
-                qa, qb = ratio_elements(other)
-                verdicts = tuple(
-                    _fast_membership(value, other, bounds) for value in (qa, qb)
-                )
-                scan = FrameScanResult(
-                    a,
-                    b,
-                    (
-                        ("sin(alpha)^2/sin(alpha-beta)^2", qa),
-                        ("sin(beta)^2/sin(alpha-beta)^2", qb),
-                    ),
-                    verdicts,
-                )
-                scans.append(scan)
-                if scan.status is not RingStatus.UNKNOWN:
-                    status = scan.status
-                    decided_by = f"ratios in frame ({a}, {b})"
-                    break
-            else:
+        for a, b in itertools.permutations(nonzero, 2):
+            if (a, b) == (u.alpha, u.beta):
                 continue
-            break
+            qa, qb = ratio_elements(u.with_frame(a, b))
+            verdicts = tuple(
+                _integer_verdict(q) if q.is_integer else no_search for q in (qa, qb)
+            )
+            scan = FrameScanResult(a, b, ((QA_LABEL, qa), (QB_LABEL, qb)), verdicts)
+            scans.append(scan)
+            if scan.status is not RingStatus.UNKNOWN:
+                status, decided_by = scan.status, f"ratios in frame ({a}, {b})"
+                break
 
     return RingReport(
         slopes=u,
@@ -734,37 +727,6 @@ def ring_check(
         frame_scan=tuple(scans),
         decided_by=decided_by,
     )
-
-
-def _fast_membership(
-    x: CyclotomicReal, u: SlopeSet, bounds: SearchBounds
-) -> MembershipVerdict:
-    """Cheap decisions only: integers in, field obstructions out."""
-    if x.is_integer:
-        witness = MembershipWitness(
-            generator_names=(),
-            generator_values=(),
-            numerator_terms=((int(x.as_rational()), ()),) if not x.is_zero else (),
-            denominator_factors=(),
-        )
-        return MembershipVerdict(
-            MembershipKind.PROVEN_IN, reason="integer", witness=witness
-        )
-    if u.size == 3:
-        return membership_in_MR(x, u, bounds)
-    n = u.working_conductor
-    x_n = rewrite_in_conductor(x, n)
-    if x_n is None:
-        return MembershipVerdict(
-            MembershipKind.PROVEN_NOT_IN,
-            reason=f"outside the working field Q(zeta_{n})",
-        )
-    if _field_basis(u).coordinates(x_n.coefficients()) is None:
-        return MembershipVerdict(
-            MembershipKind.PROVEN_NOT_IN,
-            reason="outside the field generated by the projection constants",
-        )
-    return MembershipVerdict(MembershipKind.UNKNOWN, reason="fast paths only")
 
 
 # ---------------------------------------------------------------------------

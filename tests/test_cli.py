@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -188,3 +189,69 @@ def test_config_unknown_key(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "classify", "--slopes", TRIANGLE)
     assert code == EXIT_USAGE
     assert "unknown config keys" in err
+
+
+def test_negative_precision_is_an_error(capsys):
+    code, out, err = run(
+        capsys, "pvalues", "--slopes", "0,pi/5,pi/3", "--precision", "-2"
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert "digits" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_preview_rejects_nonpositive_eps(capsys):
+    code, out, err = run(
+        capsys, "generate", "--slopes", TRIANGLE, "--float-preview", "--eps", "0"
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert "eps" in err
+
+
+def test_point_cap_below_two_is_an_error(capsys):
+    # level 0 already holds the two points 0 and 1
+    for cap in ("0", "-5"):
+        for mode in ((), ("--float-preview",)):
+            code, out, err = run(
+                capsys, "generate", "--slopes", TRIANGLE, "--levels", "1",
+                "--cap", cap, *mode,
+            )
+            assert code == EXIT_ERROR and out == ""
+            assert "point_cap" in err
+
+
+RING_ARGS = ("ring", "--slopes", PENTAGON, "--max-den-exp", "0", "--max-num-deg", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    [
+        (
+            ("generate", "--slopes", PENTAGON, "--levels", "2", "--format", "json"),
+            EXIT_OK,
+            "cde4f793a7a9ec02c372afbfece2f8bc113764e3500686a4b1c520b76316995f",
+        ),
+        (
+            ("generate", "--slopes", "0,pi/6,pi/3,pi/2", "--levels", "3",
+             "--cap", "300", "--format", "csv"),
+            EXIT_OK,
+            "b2758b746c0754592747213545b291223de6cede9d5b8edd585028d3db2c5680",
+        ),
+        (
+            RING_ARGS + ("--format", "json"),
+            EXIT_UNKNOWN,
+            "caf7f48147fd2bc555fe51d269e77e1ce0027f18fe329bbeb876b1685106ed60",
+        ),
+        (
+            RING_ARGS,
+            EXIT_UNKNOWN,
+            "ee49e71c982e7a61341fc1df15fbc3a4fbe08800dea6b130c2439e0c8647f49a",
+        ),
+    ],
+    ids=["generate-json", "generate-csv", "ring-json", "ring-text"],
+)
+def test_output_bytes_are_stable(capsys, tmp_path, argv, exit_code, digest):
+    target = tmp_path / "out"
+    code, _, _ = run(capsys, *argv, "--out", str(target))
+    assert code == exit_code
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest

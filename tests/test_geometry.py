@@ -149,6 +149,16 @@ def test_intersection_with_horizontal():
     assert im == sqrt_rational(3) / 2
 
 
+def test_intersection_with_horizontal_second():
+    f = frame_triangle()
+    apex = intersect(Line(f.zero(), A3), Line(f.one(), A23))
+    horizontal, vertical = Line(apex, Angle.zero()), Line(f.zero(), A2)
+    z = intersect(vertical, horizontal)
+    w = intersect(horizontal, vertical)
+    assert z.frame == w.frame
+    assert (z.r, z.s) == (w.r, w.s)
+
+
 def test_parallel_lines_rejected():
     f = frame_triangle()
     with pytest.raises(ParallelLinesError):

@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from origami_rings.linalg import IntegerLattice, RowSpace, lattice_member
+from origami_rings.linalg import IntegerLattice, RowSpace
 
 
 def test_rowspace_detects_dependence():
@@ -156,31 +156,27 @@ def test_integer_lattice_hermite_form_is_canonical():
         assert len(forms) == 1
 
 
-def test_lattice_member_clears_denominators():
-    gens = [
-        [Fraction(1, 2), Fraction(0)],
-        [Fraction(0), Fraction(1, 3)],
-    ]
-    ok, combo = lattice_member([Fraction(1, 2), Fraction(2, 3)], gens)
-    assert ok and combo == [1, 2]
-    ok, combo = lattice_member([Fraction(1, 4), Fraction(0)], gens)
-    assert not ok and combo is None
+# Lattice-membership cases, asked of IntegerLattice.membership.
 
 
 def test_lattice_member_reaches_integer_from_fifths():
-    # 24 = 23*(16/25) + 1*(232/25); any valid combination is accepted
-    gens = [[Fraction(16, 25)], [Fraction(232, 25)]]
-    ok, combo = lattice_member([Fraction(24)], gens)
-    assert ok
-    assert combo[0] * Fraction(16, 25) + combo[1] * Fraction(232, 25) == 24
-    ok, combo = lattice_member([Fraction(1, 2)], [[Fraction(1)]])
-    assert not ok
+    # 24 from 16/25 and 232/25, all scaled by 25; any valid combination counts
+    lat = IntegerLattice(1)
+    lat.add([16])
+    lat.add([232])
+    combo = lat.membership([600])
+    assert combo is not None and 16 * combo[0] + 232 * combo[1] == 600
+    # 1/2 is not an integer multiple of 1: scaled by 2, 1 against 2
+    lat = IntegerLattice(1)
+    lat.add([2])
+    assert lat.membership([1]) is None
 
 
 def test_lattice_member_zero_vector():
-    gens = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
-    ok, combo = lattice_member([Fraction(0), Fraction(0)], gens)
-    assert ok and combo == [0, 0]
+    lat = IntegerLattice(2)
+    lat.add([2, 1])
+    lat.add([0, 3])
+    assert lat.membership([0, 0]) == [0, 0]
 
 
 def test_lattice_member_matches_brute_force():
@@ -192,6 +188,9 @@ def test_lattice_member_matches_brute_force():
             [rng.randint(-3, 3) for _ in range(dim)]
             for _ in range(rng.randint(1, 3))
         ]
+        lat = IntegerLattice(dim)
+        for g in gens:
+            lat.add(g)
         reachable = set()
         for mix in itertools.product(
             range(-bound, bound + 1), repeat=len(gens)
@@ -201,11 +200,8 @@ def test_lattice_member_matches_brute_force():
             ))
         for _ in range(8):
             target = [rng.randint(-6, 6) for _ in range(dim)]
-            ok, combo = lattice_member(
-                [Fraction(t) for t in target],
-                [[Fraction(c) for c in g] for g in gens],
-            )
-            if ok:
+            combo = lat.membership(target)
+            if combo is not None:
                 rebuilt = [
                     sum(c * g[j] for c, g in zip(combo, gens))
                     for j in range(dim)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from origami_rings.ring_analysis import (
     RingStatus,
     SearchBounds,
     SetKind,
+    _field_basis,
     _monomial_lattice,
     classify,
     delta_set,
@@ -300,3 +303,52 @@ def test_outside_query_builds_no_compositum_table(pentagon, monkeypatch):
     v = membership_in_MR(x, pentagon)
     assert v.kind is MembershipKind.PROVEN_NOT_IN
     assert big == 2280 and big not in built
+
+
+SCAN_BOUNDS = SearchBounds(max_den_exp=0, max_num_deg=1, max_candidates=1)
+
+
+def test_frame_scan_decides_on_integer_ratios():
+    # no search in the default frame, but in (2pi/3, pi/3) both ratios are 1
+    u = SlopeSet(["0", "pi/5", "pi/3", "2pi/3"], alpha="pi/5", beta="pi/3")
+    report = ring_check(u, bounds=SCAN_BOUNDS)
+    assert report.status is RingStatus.RING
+    assert report.decided_by == "ratios in frame (2pi/3, pi/3)"
+    assert len(report.frame_scan) == 1
+    scan = report.frame_scan[0]
+    assert scan.status is RingStatus.RING
+    for (_, value), verdict in zip(scan.elements, scan.verdicts):
+        assert verdict.is_proven_in and value.is_integer
+        assert verdict.witness.evaluate() == value
+
+
+def test_frame_scan_pentagon_stays_unknown(pentagon):
+    report = ring_check(pentagon, bounds=SCAN_BOUNDS)
+    assert report.status is RingStatus.UNKNOWN
+    assert len(report.frame_scan) == 5
+    for scan in report.frame_scan:
+        assert scan.status is RingStatus.UNKNOWN
+        assert all(v.is_unknown for v in scan.verdicts)
+
+
+def _in_field(basis: RowSpace, x: CyclotomicReal, n: int) -> bool:
+    x_n = rewrite_in_conductor(x, n)
+    return x_n is not None and basis.coordinates(x_n.coefficients()) is not None
+
+
+def test_frame_ratios_share_the_field_of_the_default_ratios():
+    # every frame generates the same field Q(p), so once the default
+    # ratios lie in it the ratios of every other frame do too
+    rng = random.Random(2026)
+    pool = [Angle(k, n) for n in (2, 3, 4, 5, 6, 8, 10, 12)
+            for k in range(1, n) if math.gcd(k, n) == 1]
+    checked = 0
+    while checked < 10:
+        u = SlopeSet([Angle.zero()] + rng.sample(pool, 3))
+        n, basis = u.working_conductor, _field_basis(u)
+        if not all(_in_field(basis, q, n) for q in ratio_elements(u)):
+            continue
+        checked += 1
+        for a, b in itertools.permutations(u.nonzero_slopes, 2):
+            for q in ratio_elements(u.with_frame(a, b)):
+                assert _in_field(basis, q, n), (str(u), str(a), str(b))
