@@ -204,6 +204,8 @@ def _run_ring(args) -> int:
 
 def _run_generate(args) -> int:
     if args.float_preview:
+        if args.precision < 0:
+            raise ValueError("digits must be nonnegative")
         try:
             radians = [float(eval_slope(p)) for p in args.slopes.split(",") if p.strip()]
         except ValueError as exc:

@@ -240,7 +240,7 @@ class CyclotomicReal:
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         num = [int(f * den) for f in fracs]
         x = cls._make(conductor, num, den)
-        if x._conjugate_vector() != x._num:
+        if not x.is_fixed_by(-1):
             raise ValueError("coefficients describe a non-real element")
         return x
 
@@ -267,18 +267,19 @@ class CyclotomicReal:
             raise ValueError(f"{self} is not rational")
         return Fraction(self._num[0], self._den)
 
-    def _conjugate_vector(self) -> tuple[int, ...]:
-        """Numerator vector of the complex conjugate (zeta -> zeta^(n-1))."""
+    def is_fixed_by(self, a: int) -> bool:
+        """Whether sigma_a: zeta -> zeta^a fixes x; a is a unit mod n.
+
+        Coordinates of sigma_a(x) are built one at a time up to the first
+        that differs from x's.  Complex conjugation is sigma_(-1).
+        """
         n = self.conductor
         rows = _zeta_power_rows(n)
-        phi = euler_phi(n)
-        out = [0] * phi
-        for j, c in enumerate(self._num):
-            if c:
-                row = rows[(n - j) % n]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return tuple(out)
+        terms = [(c, rows[a * j % n]) for j, c in enumerate(self._num) if c]
+        return all(
+            sum(c * row[i] for c, row in terms) == own
+            for i, own in enumerate(self._num)
+        )
 
     def to_conductor(self, n: int) -> "CyclotomicReal":
         """Rewrite on the power basis of Q(zeta_n); n must be a multiple."""

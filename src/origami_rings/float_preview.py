@@ -47,6 +47,8 @@ def generate_float(
     array in deterministic order.  Needs at least three distinct folded
     slopes including (approximately) the horizontal one.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     if point_cap < 2:
         raise ValueError("point_cap must be at least 2, the size of level 0")
     if eps <= 0:

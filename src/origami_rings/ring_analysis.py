@@ -13,6 +13,9 @@ exact certificates in both directions:
 * ProvenNotIn comes from exact structure: for three directions the
   subring is Z itself, and in general anything outside the field
   generated by the projection constants cannot be inside the subring.
+  That field is the one fixed by the automorphisms zeta -> zeta^a that
+  fix every projection constant, so an a that moves x is the
+  obstruction.
 
 The search is bounded (exponents and degrees), so a third verdict
 Unknown reports exhaustion without claiming anything.
@@ -32,12 +35,13 @@ from .angles import Angle
 from .cyclotomic import (
     CyclotomicReal,
     euler_phi,
+    minimal_polynomial,
     rewrite_in_conductor,
     sin_of,
     cos_of,
 )
 from .geometry import PlanePoint, ZeroSlopeError, _as_cyclotomic, signed_sin
-from .linalg import IntegerLattice, RowSpace
+from .linalg import IntegerLattice
 from .slopes import SlopeSet
 
 Scalar = Union[int, Fraction, CyclotomicReal]
@@ -393,30 +397,25 @@ class _MonomialLattice:
             self.exponents.append(exps)
             vectors.append(value)
         self.common_den = math.lcm(*(v._den for v in vectors))
-        dim = len(vectors[0]._num)
-        self.lattice = IntegerLattice(dim)
+        self.lattice = IntegerLattice(euler_phi(n))
         for v in vectors:
             scale = self.common_den // v._den
             self.lattice.add([c * scale for c in v._num])
         # with one generator the kernel of the monomial family is spanned
-        # by shifts of the primitive integer minimal polynomial, so
-        # certificates can be size-reduced by Babai nearest-plane steps
+        # by shifts of the primitive integer minimal polynomial, of degree
+        # phi(n)/|H|, so certificates can be size-reduced by Babai steps
         self._kernel_rows: list[list[int]] = []
         self._kernel_star: list[tuple[list[Fraction], Fraction]] = []
-        if count == 1:
-            from .cyclotomic import minimal_polynomial
-
+        field_degree = euler_phi(n) // len(_fixing_group(u))
+        if count == 1 and len(self.exponents) > field_degree:
             mp = minimal_polynomial(self.values[0])
+            # monic, so clearing the lcm of its denominators leaves content 1
             den = math.lcm(*(c.denominator for c in mp.coefficients))
-            ints = [int(c * den) for c in mp.coefficients]
-            content = math.gcd(*ints)
-            relation = [c // content for c in ints]
+            relation = [int(c * den) for c in mp.coefficients]
             length = len(self.exponents)
             for j in range(length - len(relation) + 1):
-                row = [0] * length
-                for i, gc in enumerate(relation):
-                    row[j + i] = gc
-                self._kernel_rows.append(row)
+                pad = [0] * (length - j - len(relation))
+                self._kernel_rows.append([0] * j + relation + pad)
             for row in self._kernel_rows:
                 w = [Fraction(c) for c in row]
                 for sv, ns in self._kernel_star:
@@ -426,8 +425,6 @@ class _MonomialLattice:
                 self._kernel_star.append((w, sum(a * a for a in w)))
 
     def _size_reduce(self, combo: list[int]) -> list[int]:
-        if not self._kernel_rows:
-            return combo
         c = list(combo)
         for i in range(len(self._kernel_rows) - 1, -1, -1):
             sv, ns = self._kernel_star[i]
@@ -446,9 +443,7 @@ class _MonomialLattice:
         if combo is None:
             return None
         combo = self._size_reduce(combo)
-        return [
-            (c, self.exponents[i]) for i, c in enumerate(combo) if c
-        ]
+        return [(c, self.exponents[i]) for i, c in enumerate(combo) if c]
 
 
 _lattice_cache: dict = {}
@@ -462,30 +457,21 @@ def _monomial_lattice(u: SlopeSet, bounds: SearchBounds) -> _MonomialLattice:
     return _lattice_cache[key]
 
 
-def _field_basis(u: SlopeSet) -> RowSpace:
-    """Linear basis of Q(projection constants) inside the working field.
+def _fixing_group(u: SlopeSet) -> tuple[int, ...]:
+    """The units a mod n whose sigma_a fixes every projection constant.
 
-    Monomial spans are grown degree by degree until they stabilize,
-    which is a complete basis because the constants are algebraic.
+    By Galois theory this group H fixes exactly the field Q(p) the
+    constants generate, whose degree is phi(n)/|H| (Washington, GTM 83,
+    ch. 2).
     """
-    if u in _field_cache:
-        return _field_cache[u]
-    n = u.working_conductor
-    gens = [v for _, v in _numerator_generators(u)]
-    span = RowSpace(euler_phi(n))
-    basis_elements = [CyclotomicReal.from_rational(1, n)]
-    span.add(basis_elements[0].coefficients())
-    frontier = basis_elements[:]
-    while frontier:
-        next_frontier = []
-        for element in frontier:
-            for g in gens:
-                candidate = element * g
-                if span.add(candidate.coefficients()) is None:
-                    next_frontier.append(candidate)
-        frontier = next_frontier
-    _field_cache[u] = span
-    return span
+    if u not in _field_cache:
+        n = u.working_conductor
+        gens = [v for _, v in _numerator_generators(u)]
+        _field_cache[u] = tuple(
+            a for a in range(1, n + 1)
+            if math.gcd(a, n) == 1 and all(g.is_fixed_by(a) for g in gens)
+        )
+    return _field_cache[u]
 
 
 def membership_in_MR(
@@ -517,7 +503,7 @@ def membership_in_MR(
             MembershipKind.PROVEN_NOT_IN,
             reason=f"outside the working field Q(zeta_{n})",
         )
-    if _field_basis(u).coordinates(x_n.coefficients()) is None:
+    if not all(x_n.is_fixed_by(a) for a in _fixing_group(u)):
         return MembershipVerdict(
             MembershipKind.PROVEN_NOT_IN,
             reason="outside the field generated by the projection constants",
@@ -661,11 +647,7 @@ def _criterion_elements(u: SlopeSet) -> list[tuple[str, str, list[tuple[str, Cyc
     ]
 
 
-def ring_check(
-    u: SlopeSet,
-    bounds: Optional[SearchBounds] = None,
-    scan_frames: bool = True,
-) -> RingReport:
+def ring_check(u: SlopeSet, bounds: Optional[SearchBounds] = None) -> RingReport:
     """Decide whether the origami set over u is a subring of C.
 
     The four equivalent criteria run on the distinguished frame with
@@ -704,7 +686,7 @@ def ring_check(
             break
 
     scans = []
-    if status is RingStatus.UNKNOWN and scan_frames and u.size > 3:
+    if status is RingStatus.UNKNOWN and u.size > 3:
         no_search = MembershipVerdict(MembershipKind.UNKNOWN, reason="fast paths only")
         nonzero = sorted(u.nonzero_slopes, reverse=True)
         for a, b in itertools.permutations(nonzero, 2):

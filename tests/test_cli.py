@@ -192,11 +192,23 @@ def test_config_unknown_key(capsys, tmp_path, monkeypatch):
 
 
 def test_negative_precision_is_an_error(capsys):
-    code, out, err = run(
-        capsys, "pvalues", "--slopes", "0,pi/5,pi/3", "--precision", "-2"
-    )
-    assert code == EXIT_ERROR and out == ""
-    assert "digits" in err
+    for argv in (
+        ("pvalues", "--slopes", "0,pi/5,pi/3"),
+        ("generate", "--slopes", "0,pi/4,pi/3", "--levels", "1",
+         "--float-preview", "--format", "json"),
+    ):
+        code, out, err = run(capsys, *argv, "--precision", "-2")
+        assert code == EXIT_ERROR and out == ""
+        assert "digits" in err
+
+
+def test_negative_levels_is_an_error(capsys):
+    for mode in ((), ("--float-preview",)):
+        code, out, err = run(
+            capsys, "generate", "--slopes", TRIANGLE, "--levels", "-1", *mode
+        )
+        assert code == EXIT_ERROR and out == ""
+        assert "k_max" in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -157,6 +157,22 @@ def test_realness_guard():
     assert x == sqrt_rational(3)
 
 
+def test_is_fixed_by_matches_the_galois_action():
+    # sigma_a fixes sqrt(5) exactly for the squares a mod 5, sqrt(2)
+    # for a = +-1 mod 8, and 2*cos(pi/7), written in Q(zeta_28), for
+    # a = +-1 mod 14
+    cases = (
+        (sqrt_rational(5), 5, {1, 4}),
+        (sqrt_rational(2), 8, {1, 7}),
+        (2 * cos_of(Angle(1, 7)), 28, {1, 13, 15, 27}),
+    )
+    for x, n, fixing in cases:
+        assert x.conductor == n
+        units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        assert {a for a in units if x.is_fixed_by(a)} == fixing
+        assert x.is_fixed_by(-1)
+
+
 def test_minimal_polynomial_rational_and_quadratic():
     mu = minimal_polynomial(CyclotomicReal.from_rational(Fraction(5, 3)))
     assert mu == RationalPolynomial([Fraction(-5, 3), 1])

@@ -9,6 +9,7 @@ from origami_rings.angles import Angle
 from origami_rings import cyclotomic
 from origami_rings.cyclotomic import (
     CyclotomicReal,
+    cos_of,
     euler_phi,
     minimal_polynomial,
     rewrite_in_conductor,
@@ -21,8 +22,9 @@ from origami_rings.ring_analysis import (
     RingStatus,
     SearchBounds,
     SetKind,
-    _field_basis,
+    _fixing_group,
     _monomial_lattice,
+    _numerator_generators,
     classify,
     delta_set,
     e_closed_form,
@@ -331,9 +333,9 @@ def test_frame_scan_pentagon_stays_unknown(pentagon):
         assert all(v.is_unknown for v in scan.verdicts)
 
 
-def _in_field(basis: RowSpace, x: CyclotomicReal, n: int) -> bool:
-    x_n = rewrite_in_conductor(x, n)
-    return x_n is not None and basis.coordinates(x_n.coefficients()) is not None
+def _in_field(u: SlopeSet, x: CyclotomicReal) -> bool:
+    x_n = rewrite_in_conductor(x, u.working_conductor)
+    return x_n is not None and all(x_n.is_fixed_by(a) for a in _fixing_group(u))
 
 
 def test_frame_ratios_share_the_field_of_the_default_ratios():
@@ -345,10 +347,82 @@ def test_frame_ratios_share_the_field_of_the_default_ratios():
     checked = 0
     while checked < 10:
         u = SlopeSet([Angle.zero()] + rng.sample(pool, 3))
-        n, basis = u.working_conductor, _field_basis(u)
-        if not all(_in_field(basis, q, n) for q in ratio_elements(u)):
+        if not all(_in_field(u, q) for q in ratio_elements(u)):
             continue
         checked += 1
         for a, b in itertools.permutations(u.nonzero_slopes, 2):
             for q in ratio_elements(u.with_frame(a, b)):
-                assert _in_field(basis, q, n), (str(u), str(a), str(b))
+                assert _in_field(u, q), (str(u), str(a), str(b))
+
+
+def _field_basis_reference(u: SlopeSet) -> RowSpace:
+    """The reference route: grow monomials in the p's breadth first
+    until their rational span stops growing, which spans Q(p)."""
+    n = u.working_conductor
+    gens = [v for _, v in _numerator_generators(u)]
+    span = RowSpace(euler_phi(n))
+    frontier = [CyclotomicReal.from_rational(1, n)]
+    span.add(frontier[0].coefficients())
+    while frontier:
+        next_frontier = []
+        for element in frontier:
+            for g in gens:
+                candidate = element * g
+                if span.add(candidate.coefficients()) is None:
+                    next_frontier.append(candidate)
+        frontier = next_frontier
+    return span
+
+
+def test_fixing_group_matches_breadth_first_field_basis():
+    # deg Q(p) = phi(n)/|H|, and x lies in Q(p) exactly when H fixes it
+    rng = random.Random(7)
+    pool = [Angle(k, n) for n in (2, 3, 4, 5, 6, 8, 10, 12)
+            for k in range(1, n) if math.gcd(k, n) == 1]
+    extras = [sqrt_rational(2), sqrt_rational(3), sqrt_rational(5)]
+    # |H| is 4 on most sets and 8 on this one
+    sets = [SlopeSet(["0", "pi/5", "pi/2", "4pi/5"])]
+    while len(sets) < 12:
+        u = SlopeSet([Angle.zero()] + rng.sample(pool, rng.choice([3, 4])))
+        if euler_phi(u.working_conductor) <= 96:
+            sets.append(u)
+    inside = outside = 0
+    for u in sets:
+        n = u.working_conductor
+        basis = _field_basis_reference(u)
+        assert euler_phi(n) // len(_fixing_group(u)) == basis.rank, str(u)
+        values = list(integral_relation(u)) + extras
+        values += [cos_of(g) for g in u.nonzero_slopes]
+        for a, b in itertools.permutations(u.nonzero_slopes, 2):
+            values += ratio_elements(u.with_frame(a, b))
+        for x in values:
+            x_n = rewrite_in_conductor(x, n)
+            if x_n is None:
+                continue
+            expected = basis.coordinates(x_n.coefficients()) is not None
+            assert _in_field(u, x) == expected, (str(u), repr(x))
+            inside += expected
+            outside += not expected
+    assert inside and outside
+
+
+def test_conductor_1980_set_builds_no_rowspace_of_full_degree(monkeypatch):
+    # deg Q(p) is 120 against phi = 480; the breadth-first field basis
+    # and the minimal polynomial of p both ran Fraction elimination in
+    # dimension 480 here for minutes
+    original = RowSpace.__init__
+
+    def guarded(self, dimension):
+        if dimension == 480:
+            raise AssertionError("RowSpace of dimension 480")
+        original(self, dimension)
+
+    monkeypatch.setattr(RowSpace, "__init__", guarded)
+    u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
+    assert euler_phi(u.working_conductor) == 480
+    assert len(_fixing_group(u)) == 4
+    for q in ratio_elements(u):
+        assert membership_in_MR(q, u, SCAN_BOUNDS).is_unknown
+    v = membership_in_MR(cos_of(Angle(1, 990)), u, SCAN_BOUNDS)
+    assert v.is_proven_not_in
+    assert v.reason == "outside the field generated by the projection constants"
