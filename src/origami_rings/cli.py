@@ -49,12 +49,15 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 
-CONFIG_KEYS = frozenset(
-    {
-        "slopes", "format", "out", "precision", "levels", "cap",
-        "max_den_exp", "max_num_deg", "float_preview", "eps",
-    }
-)
+# The JSON types each config key may hold.  A string for a numeric flag
+# goes through the flag's own argparse conversion, as on the command line.
+_TEXT, _INT, _NUMBER = (str,), (int, str), (int, float, str)
+CONFIG_TYPES = {
+    "slopes": _TEXT, "format": _TEXT, "out": _TEXT + (type(None),),
+    "precision": _INT, "levels": _INT, "cap": _INT,
+    "max_den_exp": _INT, "max_num_deg": _INT,
+    "float_preview": (bool,), "eps": _NUMBER,
+}
 
 
 class InvalidConfigError(Exception):
@@ -72,9 +75,18 @@ def _load_config() -> dict:
         raise InvalidConfigError(f"cannot read config {path!r}: {exc}")
     if not isinstance(config, dict):
         raise InvalidConfigError(f"config {path!r} must hold a JSON object")
-    bad = set(config) - CONFIG_KEYS
+    bad = set(config) - set(CONFIG_TYPES)
     if bad:
         raise InvalidConfigError(f"unknown config keys: {sorted(bad)}")
+    for key, value in config.items():
+        types = CONFIG_TYPES[key]
+        # isinstance counts a bool as an int; only float_preview takes one
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise InvalidConfigError(
+                f"config key {key!r} cannot hold {json.dumps(value)}"
+            )
     return config
 
 

@@ -9,9 +9,10 @@ Two small engines drive everything here:
 
 * IntegerLattice keeps a Z-basis in Hermite normal form, again with
   tracking, deciding membership of integer vectors in the Z-span of the
-  generators and returning the integer combination.  Reducing the
-  entries above each pivot keeps both the rows and their tracked
-  combinations small (Cohen, GTM 138, section 2.4).
+  generators and returning the integer combination.  A generator that
+  does not raise the rank comes back as the primitive integer relation
+  it closes.  Reducing the entries above each pivot keeps both the rows
+  and their tracked combinations small (Cohen, GTM 138, section 2.4).
 """
 
 from __future__ import annotations
@@ -101,8 +102,10 @@ class IntegerLattice:
         for _, combo in self._pivots.values():
             combo.extend([0] * (self._count - len(combo)))
 
-    def add(self, vector: Sequence[int]) -> None:
-        """Adjoin a generator to the lattice."""
+    def add(self, vector: Sequence[int]) -> Optional[list[int]]:
+        """Adjoin a generator.  Returns None if the rank grew, else the
+        relation sum(combo[i] * generator_i) = 0 that it closes; the row
+        operations are unimodular, so that relation is primitive."""
         vec = [int(v) for v in vector]
         if len(vec) != self.dimension:
             raise ValueError("vector has wrong dimension")
@@ -138,6 +141,8 @@ class IntegerLattice:
                 ]
                 self._pivots[col] = (new_row, new_combo)
         self._hermite_reduce()
+        # a vector that found no free pivot was swept to zero
+        return None if any(vec) else combo
 
     def _hermite_reduce(self) -> None:
         """Make pivots positive and reduce the entries above them.

@@ -35,7 +35,6 @@ from .angles import Angle
 from .cyclotomic import (
     CyclotomicReal,
     euler_phi,
-    minimal_polynomial,
     rewrite_in_conductor,
     sin_of,
     cos_of,
@@ -338,41 +337,27 @@ def _numerator_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal]]:
     ]
 
 
-def _monomials(count: int, total_degree: int):
-    """Exponent tuples over `count` variables, graded lexicographic."""
-    if count == 0:
-        yield ()
-        return
-    for total in range(total_degree + 1):
-        for split in itertools.combinations(range(total + count - 1), count - 1):
-            exps = []
-            prev = -1
-            for s in split:
-                exps.append(s - prev - 1)
-                prev = s
-            exps.append(total + count - 2 - prev)
-            yield tuple(exps)
+def _graded_products(start, factors: Sequence, top: int, per_max: int):
+    """(exps, start * prod(factors[i]**exps[i])) for exponent vectors with
+    entries <= per_max and total <= top, ascending total then lex.
 
-
-def _bounded_vectors(count: int, per_max: int, budget: int):
-    """Exponent vectors with entries <= per_max, ascending total then lex."""
-    produced = 0
-    for total in range(count * per_max + 1):
-        for vec in _compositions(total, count, per_max):
-            yield vec
-            produced += 1
-            if produced >= budget:
-                return
-
-
-def _compositions(total: int, count: int, per_max: int):
-    if count == 1:
-        if total <= per_max:
-            yield (total,)
-        return
-    for head in range(min(total, per_max) + 1):
-        for rest in _compositions(total - head, count - 1, per_max):
-            yield (head,) + rest
+    Each value is one product: the vector with its first nonzero exponent
+    lowered by one, held from the previous total, times that factor.
+    """
+    layer = {(0,) * len(factors): start}
+    yield from layer.items()
+    for _ in range(top):
+        raised = {
+            exps[:i] + (e + 1,) + exps[i + 1 :]
+            for exps in layer for i, e in enumerate(exps) if e < per_max
+        }
+        current = {}
+        for exps in sorted(raised):
+            i = next(k for k, e in enumerate(exps) if e)
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            current[exps] = layer[lower] * factors[i]
+            yield exps, current[exps]
+        layer = current
 
 
 class _MonomialLattice:
@@ -387,51 +372,43 @@ class _MonomialLattice:
         degree = bounds.max_num_deg if count <= 1 else max(
             4, bounds.max_num_deg // count
         )
-        self.exponents = []
-        vectors = []
-        for exps in _monomials(count, degree):
-            value = CyclotomicReal.from_rational(1, n)
-            for v, e in zip(self.values, exps):
-                if e:
-                    value = value * v**e
-            self.exponents.append(exps)
-            vectors.append(value)
-        self.common_den = math.lcm(*(v._den for v in vectors))
+        one = CyclotomicReal.from_rational(1, n)
+        monomials = list(_graded_products(one, self.values, degree, degree))
+        self.exponents = [exps for exps, _ in monomials]
+        self.common_den = math.lcm(*(v._den for _, v in monomials))
         self.lattice = IntegerLattice(euler_phi(n))
-        for v in vectors:
+        relations = []
+        for _, v in monomials:
             scale = self.common_den // v._den
-            self.lattice.add([c * scale for c in v._num])
-        # with one generator the kernel of the monomial family is spanned
-        # by shifts of the primitive integer minimal polynomial, of degree
-        # phi(n)/|H|, so certificates can be size-reduced by Babai steps
-        self._kernel_rows: list[list[int]] = []
-        self._kernel_star: list[tuple[list[Fraction], Fraction]] = []
-        field_degree = euler_phi(n) // len(_fixing_group(u))
-        if count == 1 and len(self.exponents) > field_degree:
-            mp = minimal_polynomial(self.values[0])
-            # monic, so clearing the lcm of its denominators leaves content 1
-            den = math.lcm(*(c.denominator for c in mp.coefficients))
-            relation = [int(c * den) for c in mp.coefficients]
-            length = len(self.exponents)
-            for j in range(length - len(relation) + 1):
-                pad = [0] * (length - j - len(relation))
-                self._kernel_rows.append([0] * j + relation + pad)
-            for row in self._kernel_rows:
-                w = [Fraction(c) for c in row]
-                for sv, ns in self._kernel_star:
-                    coef = sum(a * b for a, b in zip(w, sv)) / ns
-                    if coef:
-                        w = [a - coef * b for a, b in zip(w, sv)]
-                self._kernel_star.append((w, sum(a * a for a in w)))
+            relations.append(self.lattice.add([c * scale for c in v._num]))
+        # With one generator the first relation the lattice closes is
+        # +-mu(p), cleared to content 1, and its shifts span the kernel of
+        # the monomial family.  Babai steps against those rows keep
+        # certificates small.  Each w is a primitive integer multiple of
+        # its row's Gram-Schmidt vector, reached by the same sweep with
+        # exact coefficients (Cohen, GTM 138, section 2.6).
+        first = next((r for r in relations if r is not None), None)
+        rows = []
+        if count == 1 and first is not None:
+            length, width = len(self.exponents), len(first)
+            for j in range(length - width + 1):
+                rows.append([0] * j + first + [0] * (length - j - width))
+        self._kernel: list[tuple[list[int], list[int], int]] = []
+        for row in rows:
+            w = row
+            for b, v, bv in reversed(self._kernel):
+                a = sum(x * y for x, y in zip(w, v))
+                if a:
+                    w = [bv * x - a * y for x, y in zip(w, b)]
+                    g = math.gcd(*w)
+                    w = [x // g for x in w]
+            self._kernel.append((row, w, sum(x * y for x, y in zip(row, w))))
 
     def _size_reduce(self, combo: list[int]) -> list[int]:
         c = list(combo)
-        for i in range(len(self._kernel_rows) - 1, -1, -1):
-            sv, ns = self._kernel_star[i]
-            coef = sum(a * b for a, b in zip(c, sv)) / ns
-            q = round(coef)
+        for row, w, bw in reversed(self._kernel):
+            q = round(Fraction(sum(a * b for a, b in zip(c, w)), bw))
             if q:
-                row = self._kernel_rows[i]
                 c = [a - q * b for a, b in zip(c, row)]
         return c
 
@@ -513,19 +490,9 @@ def membership_in_MR(
     den_gens = _delta_generators(u)
     den_names = [name for name, _ in den_gens]
     den_values = [v for _, v in den_gens]
-    powers: list[list[CyclotomicReal]] = []
-    one = CyclotomicReal.from_rational(1, n)
-    for v in den_values:
-        powers.append([one])
-    for exps in _bounded_vectors(
-        len(den_gens), bounds.max_den_exp, bounds.max_candidates
-    ):
-        y = x_n
-        for i, e in enumerate(exps):
-            while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * den_values[i])
-            if e:
-                y = y * powers[i][e]
+    top = bounds.max_den_exp
+    candidates = _graded_products(x_n, den_values, len(den_values) * top, top)
+    for exps, y in itertools.islice(candidates, bounds.max_candidates):
         combo = lattice.membership(y)
         if combo is not None:
             witness = MembershipWitness(

@@ -191,6 +191,26 @@ def test_config_unknown_key(capsys, tmp_path, monkeypatch):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        # each used to crash or, for the string "false", switch the preview on
+        ({"precision": 7.5}, ("pvalues", "--slopes", TRIANGLE)),
+        ({"slopes": 5}, ("classify",)),
+        ({"max_den_exp": None}, ("member", "sqrt(3)", "--slopes", PENTAGON)),
+        ({"float_preview": "false"}, ("generate", "--slopes", TRIANGLE, "--levels", "1")),
+    ],
+)
+def test_config_value_of_the_wrong_type(capsys, tmp_path, monkeypatch, config, argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv("ORIGAMI_RINGS_CONFIG", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    (key,) = config
+    assert err.startswith("error:") and repr(key) in err
+
+
 def test_negative_precision_is_an_error(capsys):
     for argv in (
         ("pvalues", "--slopes", "0,pi/5,pi/3"),

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -118,8 +119,17 @@ def test_integer_lattice_hermite_invariants():
         ]
         lat = IntegerLattice(dim)
         for i, g in enumerate(gens):
-            lat.add(g)
+            rank = lat.rank
+            relation = lat.add(g)
             _hermite_invariants(lat, gens[: i + 1])
+            # None exactly when the rank grew, else a primitive relation
+            assert (relation is None) == (lat.rank == rank + 1)
+            if relation is not None:
+                assert len(relation) == i + 1 and math.gcd(*relation) == 1
+                assert all(
+                    sum(c * h[j] for c, h in zip(relation, gens)) == 0
+                    for j in range(dim)
+                )
         reachable = {
             tuple(sum(m * g[j] for m, g in zip(mix, gens)) for j in range(dim))
             for mix in itertools.product(range(-bound, bound + 1), repeat=len(gens))

@@ -22,7 +22,9 @@ from origami_rings.ring_analysis import (
     RingStatus,
     SearchBounds,
     SetKind,
+    _MonomialLattice,
     _fixing_group,
+    _graded_products,
     _monomial_lattice,
     _numerator_generators,
     classify,
@@ -426,3 +428,166 @@ def test_conductor_1980_set_builds_no_rowspace_of_full_degree(monkeypatch):
     v = membership_in_MR(cos_of(Angle(1, 990)), u, SCAN_BOUNDS)
     assert v.is_proven_not_in
     assert v.reason == "outside the field generated by the projection constants"
+
+
+def _primitive_minimal_polynomial(x: CyclotomicReal) -> list[int]:
+    coefficients = minimal_polynomial(x).coefficients
+    den = math.lcm(*(c.denominator for c in coefficients))
+    ints = [int(c * den) for c in coefficients]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def test_first_kernel_row_is_the_primitive_minimal_polynomial(pentagon):
+    # the relation IntegerLattice.add closes first is +-mu(p) cleared to
+    # content 1; its shifts are the Babai rows
+    rng = random.Random(11)
+    pool = [Angle(k, n) for n in (2, 3, 4, 5, 6, 8, 10, 12)
+            for k in range(1, n) if math.gcd(k, n) == 1]
+    sets = [pentagon]
+    while len(sets) < 5:
+        u = SlopeSet([Angle.zero()] + rng.sample(pool, 3))
+        if len(u.free_slopes) == 1:
+            sets.append(u)
+    for u in sets:
+        lattice = _monomial_lattice(u, SearchBounds())
+        relation = _primitive_minimal_polynomial(lattice.values[0])
+        width = len(relation)
+        assert len(lattice._kernel) == len(lattice.exponents) - width + 1, str(u)
+        for j, (row, _, _) in enumerate(lattice._kernel):
+            assert not any(row[:j]) and not any(row[j + width:])
+            assert row[j:j + width] in (relation, [-c for c in relation]), str(u)
+
+
+def _size_reduce_reference(rows, combo):
+    """The reference route: Fraction Gram-Schmidt, then Babai rounding."""
+    star = []
+    for row in rows:
+        w = [Fraction(c) for c in row]
+        for sv, ns in star:
+            coef = sum(a * b for a, b in zip(w, sv)) / ns
+            if coef:
+                w = [a - coef * b for a, b in zip(w, sv)]
+        star.append((w, sum(a * a for a in w)))
+    c = list(combo)
+    for (sv, ns), row in reversed(list(zip(star, rows))):
+        q = round(sum(a * b for a, b in zip(c, sv)) / ns)
+        if q:
+            c = [a - q * b for a, b in zip(c, row)]
+    return c
+
+
+def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
+    lattice = _monomial_lattice(pentagon, SearchBounds())
+    rows = [row for row, _, _ in lattice._kernel]
+    p = lattice.values[0]
+    x = rewrite_in_conductor(sqrt_rational(3), pentagon.working_conductor)
+    values = [x * p**5 * (p - 1) ** 4] + [p**k for k in range(0, 33, 4)]
+    combos = []
+    for y in values:
+        scale = lattice.common_den // y._den
+        combos.append(lattice.lattice.membership([c * scale for c in y._num]))
+    rng = random.Random(3)
+    for bits in (4, 40, 400):
+        combos += [
+            [rng.randint(-2**bits, 2**bits) for _ in lattice.exponents]
+            for _ in range(5)
+        ]
+    moved = 0
+    for combo in combos:
+        reduced = lattice._size_reduce(combo)
+        assert reduced == _size_reduce_reference(rows, combo)
+        moved += reduced != combo
+    assert moved
+
+
+def _monomials_reference(count, total_degree):
+    """The former monomial enumerator: graded, lex within a degree."""
+    if count == 0:
+        yield ()
+        return
+    for total in range(total_degree + 1):
+        for split in itertools.combinations(range(total + count - 1), count - 1):
+            exps = []
+            prev = -1
+            for s in split:
+                exps.append(s - prev - 1)
+                prev = s
+            exps.append(total + count - 2 - prev)
+            yield tuple(exps)
+
+
+def _bounded_vectors_reference(count, per_max, budget):
+    """The former candidate enumerator: entries <= per_max, ascending
+    total then lex, the first `budget` of them."""
+    produced = 0
+    for total in range(count * per_max + 1):
+        for vec in _compositions_reference(total, count, per_max):
+            yield vec
+            produced += 1
+            if produced >= budget:
+                return
+
+
+def _compositions_reference(total, count, per_max):
+    if count == 1:
+        if total <= per_max:
+            yield (total,)
+        return
+    for head in range(min(total, per_max) + 1):
+        for rest in _compositions_reference(total - head, count - 1, per_max):
+            yield (head,) + rest
+
+
+def test_graded_products_visit_the_former_orders():
+    # integer factors: each value must be the product its exponents name
+    primes = (2, 3, 5, 7, 11)
+    for count in range(1, 6):
+        factors = primes[:count]
+
+        def visited(top, per_max, budget=None):
+            out = []
+            for exps, value in itertools.islice(
+                _graded_products(1, factors, top, per_max), budget
+            ):
+                assert value == math.prod(f**e for f, e in zip(factors, exps))
+                out.append(exps)
+            return out
+
+        for degree in range(6):
+            assert visited(degree, degree) == list(_monomials_reference(count, degree))
+        for per_max in range(4):
+            for budget in (1, 7, 50, 10**6):
+                assert visited(count * per_max, per_max, budget) == list(
+                    _bounded_vectors_reference(count, per_max, budget)
+                )
+
+
+def test_one_product_per_monomial_and_per_candidate(pentagon, monkeypatch):
+    bounds = SearchBounds()
+    _numerator_generators(pentagon)  # p itself is built before counting
+    x = sqrt_rational(3)
+    products = candidates = 0
+    multiply = CyclotomicReal.__mul__
+    query = _MonomialLattice.membership
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    def counting_query(self, y):
+        nonlocal candidates
+        candidates += 1
+        return query(self, y)
+
+    monkeypatch.setattr(CyclotomicReal, "__mul__", counting_mul)
+    monkeypatch.setattr(_MonomialLattice, "membership", counting_query)
+    lattice = _MonomialLattice(pentagon, bounds)
+    assert 0 < products <= len(lattice.exponents) - 1
+    _monomial_lattice(pentagon, bounds)
+    _fixing_group(pentagon)
+    products = 0
+    v = membership_in_MR(x, pentagon, bounds)
+    assert v.is_proven_in
+    assert 0 < products <= candidates
