@@ -371,6 +371,7 @@ def _build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
             help="comma separated directions, e.g. 0,pi/5,pi/4,pi/3",
         )
         p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(formats=formats)
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.add_argument(
             "--precision",
@@ -449,6 +450,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     parser = _build_parser(config)
     args = parser.parse_args(argv)
+    # argparse checks choices on the command line only, not on config defaults
+    if args.format not in args.formats:
+        bad = json.dumps(args.format)
+        print(f"error: config key 'format' cannot hold {bad}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.run(args)
     except (InvalidSlopeSetError, ExpressionError, ValueError) as exc:

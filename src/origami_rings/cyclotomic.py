@@ -5,7 +5,10 @@ A CyclotomicReal is a real algebraic number written on the power basis
 as an integer coefficient vector over a common positive denominator.
 The representation is canonical (reduced modulo the n-th cyclotomic
 polynomial, gcd-normalized), so equality and zero tests are exact
-vector comparisons after conductor promotion.
+vector comparisons after conductor promotion.  A product convolves the
+two vectors, by the schoolbook loop for short ones and otherwise by
+Kronecker substitution (one big-integer product of the packed vectors),
+then reduces by long division by the monic, sparse Phi_n.
 
 The constructors cover everything the rest of the package needs:
 rationals, sin and cos of rational multiples of pi, and square roots
@@ -35,21 +38,6 @@ Rational = Union[int, Fraction]
 # integer polynomial helpers (lowest coefficient first)
 
 
-def _poly_divexact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact division of integer polynomials; den must be monic here."""
-    num_l = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        c = num_l[shift + len(den) - 1]
-        out[shift] = c
-        if c:
-            for i, d in enumerate(den):
-                num_l[shift + i] -= c * d
-    if any(num_l):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(out)
-
-
 @cache
 def _divisors(n: int) -> tuple[int, ...]:
     small, large = [], []
@@ -65,15 +53,23 @@ def _divisors(n: int) -> tuple[int, ...]:
 
 @cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, lowest first."""
-    if n == 1:
-        return (-1, 1)
-    # (x^n - 1) / product of cyclotomic polynomials of proper divisors
-    poly = tuple([-1] + [0] * (n - 1) + [1])
-    for d in _divisors(n):
-        if d < n:
-            poly = _poly_divexact(poly, cyclotomic_polynomial(d))
-    return poly
+    """Integer coefficients of the n-th cyclotomic polynomial, lowest first.
+
+    Phi_n = prod over d | n of (x^d - 1)^mu(n/d): multiply by the factors
+    with mu = +1, then divide exactly by those with mu = -1.
+    """
+    poly = [1]
+    mus = [(d, _moebius(n // d)) for d in _divisors(n)]
+    for d, mu in mus:
+        if mu == 1:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d, mu in mus:
+        if mu == -1:
+            q: list[int] = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            poly = q
+    return tuple(poly)
 
 
 @cache
@@ -98,12 +94,12 @@ def _moebius(n: int) -> int:
 
 @cache
 def _zeta_power_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Basis vectors of zeta_n^j, enough rows for products and promotion."""
+    """Basis vectors of zeta_n^j for j = 0 .. n-1."""
     phi = euler_phi(n)
     top = tuple(-c for c in cyclotomic_polynomial(n)[:phi])  # zeta^phi
     rows = []
     row = tuple([1] + [0] * (phi - 1))
-    for _ in range(max(n, 2 * phi - 1)):
+    for _ in range(n):
         rows.append(row)
         shifted = (0,) + row[: phi - 1]
         lead = row[phi - 1]
@@ -123,18 +119,61 @@ def _trace_row(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Shorter operands take the schoolbook loop, which skips zeros and wins on
+# the mostly sparse phi-32 products of conductor 120 (crossover: CHANGES.md).
+_KRONECKER_MIN_LEN = 40
+
+
+def _pack(coeffs: Sequence[int], width: int, mask: int) -> int:
+    """The integer sum of c_i * 2^(8*width*i); mask holds each slot's top bit."""
+    data = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+    v = int.from_bytes(data, "little")
+    return v - ((v & mask) << 1)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer polynomials, lowest coefficient first."""
+    size = len(a) + len(b) - 1
+    short = min(len(a), len(b))
+    if short < _KRONECKER_MIN_LEN:
+        raw = [0] * size
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        raw[i + j] += x * y
+        return raw
+    # Kronecker substitution: every product coefficient is below
+    # short * 2^(bits(a) + bits(b)) in size, so slots of that many bits
+    # plus a sign bit keep them apart in one big-integer product.
+    bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+    width = (bits + short.bit_length() + 8) // 8
+    mask = int.from_bytes((b"\x00" * (width - 1) + b"\x80") * size, "little")
+    z = (_pack(a, width, mask) * _pack(b, width, mask) + mask) ^ mask
+    data = z.to_bytes(width * size, "little")
+    return [
+        int.from_bytes(data[k : k + width], "little", signed=True)
+        for k in range(0, width * size, width)
+    ]
+
+
+@cache
+def _phi_tail(n: int) -> tuple[tuple[int, int], ...]:
+    """(i - phi, -c) for each nonzero coefficient c of x^i, i < phi, in Phi_n."""
+    poly = cyclotomic_polynomial(n)
+    return tuple((i - len(poly) + 1, -c) for i, c in enumerate(poly[:-1]) if c)
+
+
 def _reduce_product(raw: list[int], n: int) -> list[int]:
-    """Reduce a convolution (length up to 2*phi-1) modulo Phi_n."""
+    """Reduce raw modulo the monic, sparse Phi_n by long division; raw is consumed."""
     phi = euler_phi(n)
-    rows = _zeta_power_rows(n)
-    out = raw[:phi] + [0] * (phi - len(raw))
-    for j in range(phi, len(raw)):
+    tail = _phi_tail(n)
+    for j in range(len(raw) - 1, phi - 1, -1):
         c = raw[j]
         if c:
-            row = rows[j]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return out
+            for offset, t in tail:
+                raw[j + offset] += c * t
+    return raw[:phi] + [0] * (phi - len(raw))
 
 
 def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -352,12 +391,7 @@ class CyclotomicReal:
                 self._den * o._den,
             )
         a, b, n = self._common(o)
-        raw = [0] * (len(a._num) + len(b._num) - 1)
-        for i, x in enumerate(a._num):
-            if x:
-                for j, y in enumerate(b._num):
-                    if y:
-                        raw[i + j] += x * y
+        raw = _convolve(a._num, b._num)
         return CyclotomicReal._make(n, _reduce_product(raw, n), a._den * b._den)
 
     __rmul__ = __mul__

@@ -199,6 +199,9 @@ def test_config_unknown_key(capsys, tmp_path, monkeypatch):
         ({"slopes": 5}, ("classify",)),
         ({"max_den_exp": None}, ("member", "sqrt(3)", "--slopes", PENTAGON)),
         ({"float_preview": "false"}, ("generate", "--slopes", TRIANGLE, "--levels", "1")),
+        # a format outside the subcommand's choices used to print text
+        ({"format": "xml"}, ("classify", "--slopes", TRIANGLE)),
+        ({"format": "csv"}, ("ring", "--slopes", TRIANGLE)),
     ],
 )
 def test_config_value_of_the_wrong_type(capsys, tmp_path, monkeypatch, config, argv):
@@ -209,6 +212,15 @@ def test_config_value_of_the_wrong_type(capsys, tmp_path, monkeypatch, config, a
     assert code == EXIT_USAGE and out == ""
     (key,) = config
     assert err.startswith("error:") and repr(key) in err
+
+
+def test_config_format_from_the_subcommands_choices(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    monkeypatch.setenv("ORIGAMI_RINGS_CONFIG", str(cfg))
+    code, out, _ = run(capsys, "generate", "--slopes", TRIANGLE, "--levels", "1")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "level,re,im,conductor,r,s"
 
 
 def test_negative_precision_is_an_error(capsys):

@@ -1,8 +1,11 @@
 import math
+import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from origami_rings import cyclotomic
 from origami_rings.angles import Angle
 from origami_rings.cyclotomic import (
     CyclotomicReal,
@@ -25,6 +28,35 @@ def test_cyclotomic_polynomial_small_orders():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     # prime: 1 + x + ... + x^(p-1)
     assert cyclotomic_polynomial(7) == (1,) * 7
+
+
+def _poly_divexact(num, den):
+    """Exact division of integer polynomials; den must be monic."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for shift in range(len(out) - 1, -1, -1):
+        c = num[shift + len(den) - 1]
+        out[shift] = c
+        if c:
+            for i, d in enumerate(den):
+                num[shift + i] -= c * d
+    assert not any(num)
+    return tuple(out)
+
+
+@cache
+def _cyclotomic_polynomial_reference(n):
+    """The former definition: x^n - 1 over Phi_d for every proper divisor d."""
+    poly = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_divexact(poly, _cyclotomic_polynomial_reference(d))
+    return poly
+
+
+def test_cyclotomic_polynomial_matches_quotient_definition():
+    for n in [*range(1, 400), 1540, 1980, 2310]:
+        assert cyclotomic_polynomial(n) == _cyclotomic_polynomial_reference(n), n
 
 
 def test_euler_phi():
@@ -204,3 +236,109 @@ def test_equality_across_conductors():
     assert hash(a) == hash(b)
     assert sin_of(Angle(1, 3)) == sin_of(Angle(2, 3))
     assert sin_of(Angle(1, 5)) != sin_of(Angle(2, 5))
+
+
+def _schoolbook(a, b):
+    raw = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    raw[i + j] += x * y
+    return raw
+
+
+@cache
+def _power_rows_reference(n):
+    """Basis vectors of zeta_n^j for j < 2*phi(n) - 1, row by row."""
+    phi = euler_phi(n)
+    top = [-c for c in cyclotomic_polynomial(n)[:phi]]
+    rows = [[1] + [0] * (phi - 1)]
+    for _ in range(2 * phi - 2):
+        row, lead = rows[-1], rows[-1][-1]
+        rows.append([s + lead * t for s, t in zip([0] + row[:-1], top)])
+    return rows
+
+
+def _reduce_reference(raw, n):
+    """The former reduction: add raw[j] times the basis vector of zeta^j."""
+    phi = euler_phi(n)
+    rows = _power_rows_reference(n)
+    out = raw[:phi] + [0] * (phi - len(raw))
+    for j in range(phi, len(raw)):
+        if raw[j]:
+            out = [o + raw[j] * r for o, r in zip(out, rows[j])]
+    return out
+
+
+def _mul_reference(x, y):
+    """The former product: schoolbook convolution, then the dense reduction."""
+    n = math.lcm(x.conductor, y.conductor)
+    a, b = x.to_conductor(n), y.to_conductor(n)
+    raw = _reduce_reference(_schoolbook(a._num, b._num), n)
+    return CyclotomicReal._make(n, raw, a._den * b._den)
+
+
+def _coefficient(rng, bits):
+    return rng.choice((-1, 1)) * rng.randrange(2 ** (bits - 1), 2**bits) if bits else 0
+
+
+def _element(rng, n, bits, den=1):
+    coeffs = [_coefficient(rng, bits) for _ in range(euler_phi(n))]
+    return CyclotomicReal._make(n, coeffs, den)
+
+
+def _assert_product(x, y):
+    got, expected = x * y, _mul_reference(x, y)
+    assert (got.conductor, got._num, got._den) == (
+        expected.conductor, expected._num, expected._den,
+    )
+
+
+def test_product_matches_schoolbook_reference():
+    rng = random.Random(6)
+    cutoff = cyclotomic._KRONECKER_MIN_LEN
+    sizes = (0, 1, 8, 64, 512, 2000)
+    # 57, 55 and 49 have phi 36, 40 and 42, around the Kronecker cutoff
+    for n in (1, 3, 4, 12, 49, 55, 57, 120, 144, 1540, 1980):
+        if euler_phi(n) < 100:
+            pairs = [(s, t) for s in sizes for t in sizes]
+        else:
+            pairs = [(1, 1), (8, 64), (2000, 1)]
+        for s, t in pairs:
+            _assert_product(_element(rng, n, s, 3), _element(rng, n, t, 10))
+        monomial = [0] * euler_phi(n)
+        monomial[-1] = -7
+        single = CyclotomicReal._make(n, monomial, 1)
+        _assert_product(single, _element(rng, n, 64))
+        _assert_product(single, single)
+        if euler_phi(n) <= 48:
+            x = _element(rng, n, 1) + 1
+            assert x * x.inv() == 1
+    # mixed conductors promote to the lcm first
+    for c, d in ((3, 4), (8, 12), (12, 120), (4, 1540), (9, 220)):
+        _assert_product(_element(rng, c, 8), _element(rng, d, 64))
+    # every split point of the raw length against phi
+    for n in (12, 144, 1980):
+        phi = euler_phi(n)
+        for length in (1, phi - 1, phi, phi + 1, 2 * phi - 1):
+            raw = [_coefficient(rng, 64) for _ in range(length)]
+            assert cyclotomic._reduce_product(raw[:], n) == _reduce_reference(raw, n)
+    # convolution lengths around the cutoff, with unequal lengths
+    for la in (cutoff - 1, cutoff, cutoff + 1):
+        for lb in (la, 3 * la):
+            a = [_coefficient(rng, 64) for _ in range(la)]
+            b = [_coefficient(rng, 8) for _ in range(lb)]
+            assert cyclotomic._convolve(a, b) == _schoolbook(a, b)
+            assert cyclotomic._convolve(b, a) == _schoolbook(a, b)
+    # all-equal vectors of the largest coefficients fill their slots; the
+    # bit sizes i + j and the length bits meet every byte boundary, so a
+    # slot one bit too narrow overflows somewhere here
+    for length in (63, 127):
+        size = 2 * length - 1
+        for i in range(2, 10):
+            for j in (i, i + 1):
+                for a, b in ((1, 1), (-1, 1), (-1, -1)):
+                    a, b = a * (2**i - 1), b * (2**j - 1)
+                    expected = [a * b * min(k + 1, length, size - k) for k in range(size)]
+                    assert cyclotomic._convolve([a] * length, [b] * length) == expected
