@@ -463,6 +463,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ZeroDivisionError as exc:
         print(f"error: division by zero: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:
+        print(f"error: cannot write '{exc.filename}': {exc.strerror}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ polynomial, gcd-normalized), so equality and zero tests are exact
 vector comparisons after conductor promotion.  A product convolves the
 two vectors, by the schoolbook loop for short ones and otherwise by
 Kronecker substitution (one big-integer product of the packed vectors),
-then reduces by long division by the monic, sparse Phi_n.
+then reduces by long division by the monic, sparse Phi_n.  An inverse
+is found modulo a prime q by Euclid in F_q[X], lifted by Newton steps
+modulo q^(2^k) and read off by rational reconstruction; it is exact
+because it is returned only once x * y == 1 holds exactly.
 
 The constructors cover everything the rest of the package needs:
 rationals, sin and cos of rational multiples of pi, and square roots
@@ -27,6 +30,7 @@ from functools import cache, lru_cache
 from typing import Iterable, Sequence, Union
 
 import mpmath
+import numpy as np
 from mpmath import iv
 
 from .angles import Angle
@@ -174,6 +178,51 @@ def _reduce_product(raw: list[int], n: int) -> list[int]:
             for offset, t in tail:
                 raw[j + offset] += c * t
     return raw[:phi] + [0] * (phi - len(raw))
+
+
+# Inverses start modulo this prime, or the next one if it divides the norm.
+_INVERSE_PRIME = 2**31 - 1
+
+
+def _inverse_mod_prime(f: Sequence[int], n: int, q: int) -> "list[int] | None":
+    """g with f*g = 1 mod (q, Phi_n) by Euclid in F_q[X]; None if none exists."""
+    dtype = np.int64 if q < 2**31 else object  # then a - c*b fits in int64
+    r0 = np.array(cyclotomic_polynomial(n), dtype) % q
+    r1 = np.array([c % q for c in f], dtype)
+    s0, s1 = np.zeros(1, dtype), np.ones(1, dtype)  # s_i * f = r_i mod (q, Phi_n)
+    while True:
+        while len(r1) and not r1[-1]:
+            r1 = r1[:-1]
+        if len(r1) <= 1:
+            break
+        top, lead, size = len(r1) - 1, pow(int(r1[-1]), -1, q), len(s1)
+        s0 = np.concatenate([s0, np.zeros(len(r0) - top + size - 1 - len(s0), dtype)])
+        for k in range(len(r0) - top - 1, -1, -1):
+            c = int(r0[k + top]) * lead % q
+            r0[k : k + top] = (r0[k : k + top] - c * r1[:top]) % q
+            s0[k : k + size] = (s0[k : k + size] - c * s1) % q
+        r0, r1 = r1, r0[:top]
+        s0, s1 = s1, s0
+    if not len(r1):
+        return None
+    scale = pow(int(r1[0]), -1, q)
+    return [int(c) * scale % q for c in s1] + [0] * (len(f) - len(s1))
+
+
+def _reconstruct(g: Sequence[int], m: int) -> "tuple[list[int], int] | None":
+    """(h, d) with g = h/d mod m and |h_i|, d <= sqrt(m/2), or None; the half
+    extended Euclid reads off each g_i * d, and its denominator joins d."""
+    bound, d = math.isqrt(m // 2), 1
+    for c in g:
+        r0, r1, t0, t1 = m, c * d % m, 0, 1
+        while r1 > bound:
+            k = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+        d *= abs(t1)
+        if d > bound:
+            return None
+    h = [(c * d + bound) % m - bound for c in g]
+    return (h, d) if all(abs(c) <= bound for c in h) else None
 
 
 def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -397,55 +446,32 @@ class CyclotomicReal:
     __rmul__ = __mul__
 
     def inv(self) -> "CyclotomicReal":
-        """Exact multiplicative inverse."""
+        """Exact multiplicative inverse.
+
+        The numerator f is inverted mod (q, Phi_n) by Euclid in F_q[X] (the
+        next prime if q divides the norm of f), lifted by Newton steps mod
+        q^(2^k), and rationally reconstructed; a candidate y is returned
+        only when x * y == 1 holds exactly, so it never depends on q or k.
+        """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
+        n, f = self.conductor, self._num
         if self.is_rational:
-            q = 1 / self.as_rational()
-            out = CyclotomicReal.from_rational(q, 1)
-            return out.to_conductor(self.conductor)
-
-        # Extended Euclid in Q[X]: track s with s*f = r (mod Phi_n).  The
-        # modulus is irreducible, so the gcd is a nonzero constant and
-        # f^(-1) = s/gcd evaluated at zeta.
-        def trim(p: list[Fraction]) -> list[Fraction]:
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        def divmod_poly(a: list[Fraction], b: list[Fraction]):
-            q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-            rem = a[:]
-            for shift in range(len(a) - len(b), -1, -1):
-                c = rem[shift + len(b) - 1] / b[-1]
-                q[shift] = c
-                if c:
-                    for i, d in enumerate(b):
-                        rem[shift + i] -= c * d
-            return q, trim(rem)
-
-        f = trim([Fraction(c, self._den) for c in self._num])
-        phi_n = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = f, phi_n
-        s0, s1 = [Fraction(1)], []
-        while r1:
-            q, rem = divmod_poly(r0, r1)
-            s_new = s0[:] + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            s_new[i + j] -= qc * sc
-            r0, r1 = r1, rem
-            s0, s1 = s1, trim(s_new)
-        if len(r0) != 1:
-            raise ArithmeticError("element shares a factor with the modulus")
-        inv_coeffs = [c / r0[0] for c in s0]
-        phi = euler_phi(self.conductor)
-        inv_coeffs += [Fraction(0)] * (phi - len(inv_coeffs))
-        den = math.lcm(*(c.denominator for c in inv_coeffs[:phi]))
-        num = [int(c * den) for c in inv_coeffs[:phi]]
-        return CyclotomicReal._make(self.conductor, num, den)
+            return CyclotomicReal._make(n, (self._den,) + f[1:], f[0])
+        m = _INVERSE_PRIME  # the prime q, then q^(2^k) as g is lifted
+        while (g := _inverse_mod_prime(f, n, m)) is None:
+            m = next(p for p in range(m + 1, 2 * m + 1) if mpmath.libmp.isprime(p))
+        while True:
+            if (found := _reconstruct(g, m)) is not None:
+                y = CyclotomicReal._make(n, [self._den * c for c in found[0]], found[1])
+                if self * y == 1:
+                    return y
+            # Newton step g <- g*(2 - f*g) = g - m*g*t, where f*g = 1 + m*t
+            # and so t = f*g // m coefficientwise
+            t = [c // m for c in _reduce_product(_convolve(f, g), n)]
+            gt = _reduce_product(_convolve(g, t), n)
+            g = [(a - m * b) % (m * m) for a, b in zip(g, gt)]
+            m *= m
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -223,6 +223,23 @@ def test_config_format_from_the_subcommands_choices(capsys, tmp_path, monkeypatc
     assert out.splitlines()[0] == "level,re,im,conductor,r,s"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring", "--slopes", "0,pi/3,pi/2", "--out", "{missing}/x.json"),
+        ("generate", "--slopes", TRIANGLE, "--levels", "1", "--out", "{directory}"),
+    ],
+)
+def test_out_path_that_cannot_be_written(capsys, tmp_path, argv):
+    # used to end in a FileNotFoundError or IsADirectoryError traceback
+    paths = {"missing": tmp_path / "missing", "directory": tmp_path}
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"error: cannot write '{argv[-1]}': ")
+    assert len(err.splitlines()) == 1
+
+
 def test_negative_precision_is_an_error(capsys):
     for argv in (
         ("pvalues", "--slopes", "0,pi/5,pi/3"),

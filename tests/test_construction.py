@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 from origami_rings.angles import Angle
 from origami_rings.construction import contains, generate
-from origami_rings.cyclotomic import sqrt_rational
+from origami_rings.cyclotomic import CyclotomicReal, sqrt_rational
+from origami_rings.float_preview import generate_float
 from origami_rings.geometry import PlanePoint
 from origami_rings.slopes import SlopeSet
 
@@ -81,3 +83,25 @@ def test_real_points_of_triangle_are_integers(triangle):
         if pt.is_real:
             assert pt.as_real().is_integer
         assert pt.r.is_integer and pt.s.is_integer
+
+
+def test_generate_at_conductor_1980(monkeypatch):
+    # each inverse gap, at phi(1980) = 480, took close to a minute through
+    # Euclid on Fraction polynomials
+    u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
+    assert u.working_conductor == 1980
+    inverted, inv = [], CyclotomicReal.inv
+
+    def recording_inv(x):
+        inverted.append((x, inv(x)))
+        return inverted[-1][1]
+
+    monkeypatch.setattr(CyclotomicReal, "inv", recording_inv)
+    levels = generate(u, 1)
+    preview = generate_float([a.radians for a in u.slopes], 1)
+    assert [len(l) for l in levels] == [len(points) for points, _ in preview]
+    table = u.p_table
+    for g, d in itertools.combinations(u.nonzero_slopes, 2):
+        gap = table[g] - table[d]
+        (gap_inv,) = [y for x, y in inverted if x == gap]
+        assert gap * gap_inv == 1

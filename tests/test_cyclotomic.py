@@ -342,3 +342,106 @@ def test_product_matches_schoolbook_reference():
                     a, b = a * (2**i - 1), b * (2**j - 1)
                     expected = [a * b * min(k + 1, length, size - k) for k in range(size)]
                     assert cyclotomic._convolve([a] * length, [b] * length) == expected
+
+
+def _inv_reference(x):
+    """The former inverse: extended Euclid on Fraction polynomials."""
+    if x.is_rational:
+        return CyclotomicReal.from_rational(1 / x.as_rational(), x.conductor)
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def divmod_poly(a, b):
+        q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+        rem = a[:]
+        for shift in range(len(a) - len(b), -1, -1):
+            c = rem[shift + len(b) - 1] / b[-1]
+            q[shift] = c
+            if c:
+                for i, d in enumerate(b):
+                    rem[shift + i] -= c * d
+        return q, trim(rem)
+
+    r0 = trim([Fraction(c, x._den) for c in x._num])
+    r1 = [Fraction(c) for c in cyclotomic_polynomial(x.conductor)]
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q, rem = divmod_poly(r0, r1)
+        s_new = s0[:] + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qc in enumerate(q):
+            for j, sc in enumerate(s1):
+                s_new[i + j] -= qc * sc
+        r0, r1 = r1, rem
+        s0, s1 = s1, trim(s_new)
+    assert len(r0) == 1
+    coeffs = [c / r0[0] for c in s0]
+    coeffs += [Fraction(0)] * (euler_phi(x.conductor) - len(coeffs))
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return CyclotomicReal._make(x.conductor, [int(c * den) for c in coeffs], den)
+
+
+def _spy(monkeypatch, name):
+    """Record the last argument of every call to a private cyclotomic helper."""
+    seen, real = [], getattr(cyclotomic, name)
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(cyclotomic, name, spy)
+    return seen
+
+
+def _assert_inverse(x):
+    got, expected = x.inv(), _inv_reference(x)
+    assert (got.conductor, got._num, got._den) == (
+        expected.conductor, expected._num, expected._den,
+    )
+
+
+def test_inverse_matches_fraction_euclid_reference(monkeypatch):
+    rng = random.Random(7)
+    for n in (3, 4, 5, 12):
+        for bits in (1, 8, 64):
+            for den in (1, 3, 10):
+                _assert_inverse(_element(rng, n, bits, den))
+    for n in (120, 144):
+        _assert_inverse(_element(rng, n, 1, 3))
+        # the reference takes seconds on dense 64-bit elements here, so the
+        # 64-bit case is sparse
+        sparse = [0] * euler_phi(n)
+        sparse[0], sparse[rng.randrange(1, euler_phi(n))] = _coefficient(rng, 64), 1
+        _assert_inverse(CyclotomicReal._make(n, sparse, 5))
+    _assert_inverse(_element(rng, 120, 8, 7))
+    # rational values take the fast path, also when promoted
+    for q in (Fraction(-7, 3), Fraction(2**70 + 1, 5)):
+        _assert_inverse(CyclotomicReal.from_rational(q).to_conductor(120))
+    with pytest.raises(ZeroDivisionError):
+        CyclotomicReal.from_rational(0, 12).inv()
+    # beyond the reference in time: an inverse over a 2087-bit denominator,
+    # eight Newton steps up from the 31-bit prime, and dense elements at
+    # the largest conductors
+    moduli = _spy(monkeypatch, "_reconstruct")
+    x = _element(rng, 120, 64, 3)
+    assert x * x.inv() == 1 and len(moduli) == 9
+    for n in (1540, 1980):
+        x = _element(rng, n, 1)
+        assert x * x.inv() == 1
+    # an unlucky prime: 2 divides the norm 4 of sqrt(2) in Q(zeta_8), so
+    # Euclid mod 2 fails and the inverse is found mod 3; at modulus 3 every
+    # residue reconstructs, to -sqrt(2), which the exact check rejects
+    monkeypatch.setattr(cyclotomic, "_INVERSE_PRIME", 2)
+    primes, moduli = _spy(monkeypatch, "_inverse_mod_prime"), _spy(monkeypatch, "_reconstruct")
+    assert sqrt_rational(2).inv() == sqrt_rational(2) / 2
+    assert primes == [2, 3] and moduli == [3, 9]
+    # an element divisible by the default prime moves to the next prime,
+    # which lies above 2^31 and so takes the object-array Euclid
+    monkeypatch.undo()
+    q = cyclotomic._INVERSE_PRIME
+    primes = _spy(monkeypatch, "_inverse_mod_prime")
+    x = q * sqrt_rational(5)
+    assert x.inv() == sqrt_rational(5) / (5 * q)
+    assert primes[0] == q and primes[1] > 2**31
