@@ -216,8 +216,6 @@ def _run_ring(args) -> int:
 
 def _run_generate(args) -> int:
     if args.float_preview:
-        if args.precision < 0:
-            raise ValueError("digits must be nonnegative")
         try:
             radians = [float(eval_slope(p)) for p in args.slopes.split(",") if p.strip()]
         except ValueError as exc:
@@ -336,7 +334,7 @@ def _run_pvalues(args) -> int:
                 {
                     "slope": str(g),
                     "decimal": table[g].decimal(args.precision),
-                    "coefficients": [str(c) for c in table[g].coefficients()],
+                    "coefficients": list(table[g].coefficient_strings()),
                 }
                 for g in u.nonzero_slopes
             ],
@@ -455,6 +453,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bad = json.dumps(args.format)
         print(f"error: config key 'format' cannot hold {bad}", file=sys.stderr)
         return EXIT_USAGE
+    if args.precision < 0:
+        print("error: digits must be nonnegative", file=sys.stderr)
+        return EXIT_ERROR
     try:
         return args.run(args)
     except (InvalidSlopeSetError, ExpressionError, ValueError) as exc:

@@ -18,7 +18,8 @@ rationals, sin and cos of rational multiples of pi, and square roots
 of nonnegative rationals (via quadratic Gauss sums).  Signs are decided
 exactly: zero is a representation check, and nonzero signs fall out of
 certified interval evaluation at increasing precision, which must
-terminate because the number is not zero.
+terminate because the number is not zero.  An enclosure is the exact
+dyadic integer sum of mpmath's interval endpoints of cos(2*pi*j/n).
 """
 
 from __future__ import annotations
@@ -242,6 +243,12 @@ def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     return num, den
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 # ---------------------------------------------------------------------------
 # certified interval evaluation
 
@@ -268,21 +275,19 @@ class Interval:
         return f"[{float(self.lo)!r}, {float(self.hi)!r}]"
 
 
-def _raw_to_fraction(raw) -> Fraction:
-    return Fraction(*mpmath.libmp.to_rational(raw))
-
-
 @lru_cache(maxsize=None)
-def _cos_enclosure(n: int, j: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of cos(2*pi*j/n) at the given binary precision."""
+def _cos_endpoints(n: int, j: int, prec: int) -> tuple[int, int, int]:
+    """mpmath's certified enclosure of cos(2*pi*j/n) at binary precision prec,
+    as integers (lo, hi, e) for the dyadic endpoints lo * 2^e and hi * 2^e."""
     old = iv.prec
     iv.prec = prec
     try:
         x = iv.cos(iv.pi * (iv.mpf(2 * j) / iv.mpf(n)))
     finally:
         iv.prec = old
-    lo_raw, hi_raw = x._mpi_
-    return _raw_to_fraction(lo_raw), _raw_to_fraction(hi_raw)
+    (s0, m0, e0, _), (s1, m1, e1, _) = x._mpi_
+    e = min(e0, e1)  # exponents vary with the value and need not be -prec
+    return (-1) ** s0 * int(m0) << (e0 - e), (-1) ** s1 * int(m1) << (e1 - e), e
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +342,10 @@ class CyclotomicReal:
     def coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients over the power basis of Q(zeta_conductor)."""
         return tuple(Fraction(c, self._den) for c in self._num)
+
+    def coefficient_strings(self) -> tuple[str, ...]:
+        """The coefficients as str(Fraction) writes them, built from integers."""
+        return tuple(_ratio_text(c, self._den) for c in self._num)
 
     @property
     def is_zero(self) -> bool:
@@ -525,16 +534,21 @@ class CyclotomicReal:
     # -- numeric evaluation --------------------------------------------------
 
     def _enclosure_at(self, prec: int) -> Interval:
-        lo = hi = Fraction(0)
+        """Exact dyadic integer sums of c_j times the endpoints of mpmath's
+        enclosure of cos(2*pi*j/n), fetched for nonzero c_j only."""
+        lo = hi = exp = 0
         n = self.conductor
         for j, c in enumerate(self._num):
             if c:
-                clo, chi = _cos_enclosure(n, j, prec)
-                if c > 0:
-                    lo, hi = lo + c * clo, hi + c * chi
-                else:
-                    lo, hi = lo + c * chi, hi + c * clo
-        return Interval(lo / self._den, hi / self._den)
+                a, b, e = _cos_endpoints(n, j, prec)
+                if c < 0:
+                    a, b = b, a
+                if e < exp:
+                    lo, hi, exp = lo << (exp - e), hi << (exp - e), e
+                lo += c * a << (e - exp)
+                hi += c * b << (e - exp)
+        den = self._den << -exp
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
     def _refine(self, done) -> Interval:
         """Enclosures at doubling precision until done(box) holds."""
@@ -546,7 +560,8 @@ class CyclotomicReal:
             prec *= 2
 
     def interval(self, max_width: Rational = Fraction(1, 10**15)) -> Interval:
-        """A certified enclosure no wider than max_width."""
+        """A certified enclosure no wider than max_width: an exact dyadic
+        integer sum of mpmath's interval endpoints (see _enclosure_at)."""
         max_width = Fraction(max_width)
         if max_width <= 0:
             raise ValueError("max_width must be positive")
@@ -586,7 +601,7 @@ class CyclotomicReal:
     def __repr__(self) -> str:
         return (
             f"CyclotomicReal(conductor={self.conductor}, "
-            f"coeffs={[str(c) for c in self.coefficients()]})"
+            f"coeffs={list(self.coefficient_strings())})"
         )
 
     def __bool__(self) -> bool:

@@ -39,8 +39,7 @@ class PointRecord:
 
 
 def _coeff_strings(value: CyclotomicReal, conductor: int) -> tuple[str, ...]:
-    promoted = value.to_conductor(conductor)
-    return tuple(str(c) for c in promoted.coefficients())
+    return value.to_conductor(conductor).coefficient_strings()
 
 
 def point_records(

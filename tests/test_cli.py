@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from origami_rings import cli
 from origami_rings.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -240,15 +241,25 @@ def test_out_path_that_cannot_be_written(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
 
 
-def test_negative_precision_is_an_error(capsys):
+def test_negative_precision_is_an_error(capsys, monkeypatch):
+    # rejected right after parsing, before any of the work is done
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --precision was checked")
+
+    for name in ("ring_check", "generate", "membership_in_MR"):
+        monkeypatch.setattr(cli, name, never)
     for argv in (
-        ("pvalues", "--slopes", "0,pi/5,pi/3"),
+        ("pvalues", "--slopes", "0,pi/5,pi/3", "--precision", "-2"),
         ("generate", "--slopes", "0,pi/4,pi/3", "--levels", "1",
-         "--float-preview", "--format", "json"),
+         "--float-preview", "--format", "json", "--precision", "-2"),
+        ("ring", "--slopes", PENTAGON, "--precision", "-1"),
+        ("generate", "--slopes", PENTAGON, "--levels", "3", "--precision", "-1"),
+        ("member", "sqrt(3)", "--slopes", PENTAGON, "--precision", "-2"),
+        ("classify", "--slopes", PENTAGON, "--precision", "-1"),
     ):
-        code, out, err = run(capsys, *argv, "--precision", "-2")
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_ERROR and out == ""
-        assert "digits" in err
+        assert "digits must be nonnegative" in err
 
 
 def test_negative_levels_is_an_error(capsys):
@@ -308,8 +319,19 @@ RING_ARGS = ("ring", "--slopes", PENTAGON, "--max-den-exp", "0", "--max-num-deg"
             EXIT_UNKNOWN,
             "ee49e71c982e7a61341fc1df15fbc3a4fbe08800dea6b130c2439e0c8647f49a",
         ),
+        (
+            ("pvalues", "--slopes", PENTAGON, "--format", "json"),
+            EXIT_OK,
+            "1660159e720973083bb2a9005aa30c43b0707864d0b978e2c6f5ef76668144e1",
+        ),
+        (
+            ("member", "sqrt(3)", "--slopes", PENTAGON, "--format", "json"),
+            EXIT_OK,
+            "542a31d735b1d9b235866dfe494ca0f022e985f029abe48f62b79a6921a2e1ca",
+        ),
     ],
-    ids=["generate-json", "generate-csv", "ring-json", "ring-text"],
+    ids=["generate-json", "generate-csv", "ring-json", "ring-text",
+         "pvalues-json", "member-json"],
 )
 def test_output_bytes_are_stable(capsys, tmp_path, argv, exit_code, digest):
     target = tmp_path / "out"

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import mpmath
 import pytest
+from mpmath import iv
 
 from origami_rings import cyclotomic
 from origami_rings.angles import Angle
@@ -445,3 +447,52 @@ def test_inverse_matches_fraction_euclid_reference(monkeypatch):
     x = q * sqrt_rational(5)
     assert x.inv() == sqrt_rational(5) / (5 * q)
     assert primes[0] == q and primes[1] > 2**31
+
+
+def _enclosure_reference(x, prec):
+    """The former enclosure: Fraction sums of mpmath's endpoints."""
+    lo = hi = Fraction(0)
+    for j, c in enumerate(x._num):
+        if c:
+            old = iv.prec
+            iv.prec = prec
+            try:
+                box = iv.cos(iv.pi * (iv.mpf(2 * j) / iv.mpf(x.conductor)))
+            finally:
+                iv.prec = old
+            clo, chi = (Fraction(*mpmath.libmp.to_rational(r)) for r in box._mpi_)
+            if c > 0:
+                lo, hi = lo + c * clo, hi + c * chi
+            else:
+                lo, hi = lo + c * chi, hi + c * clo
+    return lo / x._den, hi / x._den
+
+
+def test_enclosure_matches_fraction_reference():
+    rng = random.Random(11)
+    kinds = (0, 1, 64)
+    cases = []
+    for n in (1, 4, 7, 12, 120, 144, 1980):
+        for den in (1, 3, 10):
+            coeffs = [_coefficient(rng, rng.choice(kinds)) for _ in range(euler_phi(n))]
+            cases.append(CyclotomicReal._make(n, coeffs, den))
+    # cos(pi/2) in Q(zeta_120): mpmath's endpoints sit at 2^-127, far
+    # below a 2^-prec grid at prec 64
+    lone = [0] * euler_phi(120)
+    lone[30] = 1
+    assert cyclotomic._cos_endpoints(120, 30, 64)[2] == -127
+    for c in (1, -1, 2**64 - 59, -(2**63 + 5)):
+        lone[0] = c
+        cases.append(CyclotomicReal._make(120, lone, 7))
+    for prec in (64, 128, 1024):
+        for x in cases:
+            box = x._enclosure_at(prec)
+            assert (box.lo, box.hi) == _enclosure_reference(x, prec)
+
+
+def test_coefficient_strings_match_fraction_str():
+    for c, den in ((0, 1), (0, 6), (-5, 1), (7, 1), (-7, 3), (6, 4), (-12, 4),
+                   (2**70 + 1, 3), (-(2**70), 2**64 * 5)):
+        assert cyclotomic._ratio_text(c, den) == str(Fraction(c, den))
+    x = sqrt_rational(Fraction(5, 12)) - Fraction(1, 3)
+    assert x.coefficient_strings() == tuple(str(c) for c in x.coefficients())
