@@ -8,7 +8,10 @@ by their exact coefficient vectors.
 
 Enumeration order is deterministic: direction pairs ascend, line
 invariants keep first-seen order, so a truncated run (point_cap) always
-returns the same prefix.
+returns the same prefix.  A level is computed on integer arrays
+(cyclotomic.Batch), one row of the pair grid at a time: one line of the
+first direction against every line of the second.  That keeps the
+order, and the cap cuts in after at most one row of extra work.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .angles import Angle
-from .cyclotomic import CyclotomicReal, rewrite_in_conductor
-from .geometry import PlanePoint, meet
+from .cyclotomic import Batch, CyclotomicReal, rewrite_in_conductor, stack
+from .cyclotomic import batch_add, batch_mul, batch_sub
+from .geometry import PlanePoint
 from .slopes import SlopeSet
 
 DEFAULT_POINT_CAP = 50_000
@@ -39,7 +43,7 @@ class LevelSet:
         self.truncated = truncated
         self._frame = points[0].frame if points else None
         self._conductor = points[0].r.conductor if points else 1
-        self._keys = frozenset((_key(p.r), _key(p.s)) for p in self.points)
+        self._keys = None  # built on the first membership test
 
     def __len__(self) -> int:
         return len(self.points)
@@ -57,6 +61,8 @@ class LevelSet:
             if rewritten is None:
                 return False
             coords.append(rewritten)
+        if self._keys is None:
+            self._keys = frozenset((_key(p.r), _key(p.s)) for p in self.points)
         return (_key(coords[0]), _key(coords[1])) in self._keys
 
     def __repr__(self):
@@ -81,44 +87,46 @@ def generate(
     frame = u.frame
     n = u.working_conductor
     table = u.p_table
-    inverse_gaps = {
-        (g, d): (table[g] - table[d]).inv()
-        for g, d in itertools.combinations(u.nonzero_slopes, 2)
-    }
+    gaps = {}  # (g, d) -> 1/(p(g) - p(d)) and p(g)/(p(g) - p(d))
+    for g, d in itertools.combinations(u.nonzero_slopes, 2):
+        gap_inv = (table[g] - table[d]).inv()
+        gaps[g, d] = gap_inv, table[g] * gap_inv
 
-    zero = CyclotomicReal.from_rational(0, n)
-    one = CyclotomicReal.from_rational(1, n)
-    current: dict[tuple, PlanePoint] = {}
-    for value in (zero, one):
-        current[(_key(value), _key(value))] = PlanePoint(value, value, frame)
+    seed = [CyclotomicReal.from_rational(c, n) for c in (0, 1)]
+    current = {(_key(v), _key(v)): PlanePoint(v, v, frame) for v in seed}
     levels = [LevelSet(0, list(current.values()), False)]
 
     for level in range(1, k_max + 1):
-        # one invariant value per line actually present at this level
-        line_values: dict[Angle, dict[tuple, CyclotomicReal]] = {
-            g: {} for g in u.slopes
-        }
-        for pt in current.values():
-            gap = pt.s - pt.r
-            for g in u.slopes:
-                v = gap if g.is_zero else pt.r + gap * table[g]
-                line_values[g].setdefault(_key(v), v)
+        # one invariant value per line actually present at this level, in
+        # first-seen order: s - r for horizontal lines, r + (s - r) p(g) else
+        r = stack([pt.r for pt in current.values()], n)
+        gap = batch_sub(stack([pt.s for pt in current.values()], n), r)
+        line_values: dict[Angle, Batch] = {}
+        for g in u.slopes:
+            values = gap if g.is_zero else batch_add(r, batch_mul(gap, table[g]))
+            first = {key: i for i, key in reversed(list(enumerate(values.rows())))}
+            line_values[g] = values.take(sorted(first.values()))
 
         new_points = dict(current)
         truncated = len(new_points) >= cap
         for g, d in itertools.combinations(u.slopes, 2):
-            if truncated:
-                break
-            p1 = None if g.is_zero else table[g]
-            gap_inv = inverse_gaps.get((g, d))
-            for v1 in line_values[g].values():
+            first_lines, second_lines = line_values[g], line_values[d]
+            for i in range(len(first_lines.den)):
                 if truncated:
                     break
-                for v2 in line_values[d].values():
-                    r, s = meet(v1, v2, p1, table[d], gap_inv)
-                    key = (_key(r), _key(s))
+                v1 = first_lines.take(slice(i, i + 1))
+                if g.is_zero:
+                    r = batch_sub(second_lines, batch_mul(v1, table[d]))
+                    s = batch_add(r, v1)
+                else:
+                    gap_inv, p_gap_inv = gaps[g, d]
+                    diff = batch_sub(v1, second_lines)
+                    r = batch_sub(v1, batch_mul(diff, p_gap_inv))
+                    s = batch_add(r, batch_mul(diff, gap_inv))
+                for key in zip(r.rows(), s.rows()):
                     if key not in new_points:
-                        new_points[key] = PlanePoint(r, s, frame)
+                        r_value, s_value = (CyclotomicReal(n, *k, _raw=True) for k in key)
+                        new_points[key] = PlanePoint(r_value, s_value, frame)
                         if len(new_points) >= cap:
                             truncated = True
                             break
@@ -129,9 +137,5 @@ def generate(
 
 def contains(levels: Iterable[LevelSet], point: PlanePoint) -> bool:
     """Exact membership of a point in the deepest generated level."""
-    last = None
-    for last in levels:
-        pass
-    if last is None:
-        return False
-    return point in last
+    last = next(reversed(list(levels)), None)
+    return last is not None and point in last

@@ -19,7 +19,15 @@ of nonnegative rationals (via quadratic Gauss sums).  Signs are decided
 exactly: zero is a representation check, and nonzero signs fall out of
 certified interval evaluation at increasing precision, which must
 terminate because the number is not zero.  An enclosure is the exact
-dyadic integer sum of mpmath's interval endpoints of cos(2*pi*j/n).
+dyadic integer sum of mpmath's interval endpoints of cos(2*pi*j/n), and
+a decimal rounds its midpoint in integers.
+
+Batch kernels hold K elements of one field as a K x phi integer matrix
+over a vector of denominators.  A product by a fixed x is one matrix
+product (row j of the matrix is x * zeta^j); sums go over the lcm of the
+denominators, and rows are normalized as CyclotomicReal is.  A kernel
+runs in int64 when its result is provably below 2^62, for a product when
+bits(A) + bits(M) + bits(phi) + 1 <= 62, and otherwise on Python ints.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import mpmath
 import numpy as np
@@ -230,17 +238,10 @@ def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     num = tuple(num)
     if den < 0:
         num, den = tuple(-c for c in num), -den
-    g = den
-    for c in num:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if g > 1:
-        num = tuple(c // g for c in num)
-        den //= g
-    if all(c == 0 for c in num):
-        den = 1
-    return num, den
+    if not any(num):
+        return num, 1
+    g = math.gcd(den, *num)
+    return (tuple(c // g for c in num), den // g) if g > 1 else (num, den)
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -267,9 +268,6 @@ class Interval:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
 
     def __str__(self) -> str:
         return f"[{float(self.lo)!r}, {float(self.hi)!r}]"
@@ -384,15 +382,12 @@ class CyclotomicReal:
             return self
         if n % self.conductor:
             raise ValueError(f"{n} is not a multiple of conductor {self.conductor}")
-        rows = _zeta_power_rows(n)
-        step = n // self.conductor
-        phi = euler_phi(n)
-        out = [0] * phi
+        rows, step = _zeta_power_rows(n), n // self.conductor
+        out = [0] * euler_phi(n)
         for j, c in enumerate(self._num):
             if c:
-                row = rows[j * step]
-                for i in range(phi):
-                    out[i] += c * row[i]
+                for i, t in enumerate(rows[j * step]):
+                    out[i] += c * t
         return CyclotomicReal._make(n, out, self._den)
 
     # -- arithmetic ----------------------------------------------------------
@@ -533,9 +528,10 @@ class CyclotomicReal:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def _enclosure_at(self, prec: int) -> Interval:
-        """Exact dyadic integer sums of c_j times the endpoints of mpmath's
-        enclosure of cos(2*pi*j/n), fetched for nonzero c_j only."""
+    def _enclosure_at(self, prec: int) -> tuple[int, int, int]:
+        """(lo, hi, den) with x in [lo/den, hi/den]: exact dyadic integer sums
+        of c_j times the endpoints of mpmath's enclosure of cos(2*pi*j/n),
+        fetched for nonzero c_j only."""
         lo = hi = exp = 0
         n = self.conductor
         for j, c in enumerate(self._num):
@@ -547,25 +543,27 @@ class CyclotomicReal:
                     lo, hi, exp = lo << (exp - e), hi << (exp - e), e
                 lo += c * a << (e - exp)
                 hi += c * b << (e - exp)
-        den = self._den << -exp
-        return Interval(Fraction(lo, den), Fraction(hi, den))
+        return lo, hi, self._den << -exp
 
-    def _refine(self, done) -> Interval:
-        """Enclosures at doubling precision until done(box) holds."""
+    def _refine(self, done) -> tuple[int, int, int]:
+        """Enclosures at doubling precision until done(lo, hi, den) holds."""
         prec = 64
         while True:
             box = self._enclosure_at(prec)
-            if done(box):
+            if done(*box):
                 return box
             prec *= 2
 
     def interval(self, max_width: Rational = Fraction(1, 10**15)) -> Interval:
         """A certified enclosure no wider than max_width: an exact dyadic
         integer sum of mpmath's interval endpoints (see _enclosure_at)."""
-        max_width = Fraction(max_width)
-        if max_width <= 0:
+        w = Fraction(max_width)
+        if w <= 0:
             raise ValueError("max_width must be positive")
-        return self._refine(lambda box: box.width <= max_width)
+        lo, hi, den = self._refine(
+            lambda lo, hi, den: (hi - lo) * w.denominator <= w.numerator * den
+        )
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1."""
@@ -573,21 +571,23 @@ class CyclotomicReal:
             return 0
         if self.is_rational:
             return -1 if self._num[0] < 0 else 1
-        box = self._refine(lambda box: not box.contains_zero())
-        return 1 if box.lo > 0 else -1
+        lo, _, _ = self._refine(lambda lo, hi, den: lo > 0 or hi < 0)
+        return 1 if lo > 0 else -1
 
     def __float__(self) -> float:
         return float(self.interval(Fraction(1, 10**17)).midpoint)
 
     def decimal(self, digits: int = 12) -> str:
-        """Decimal string certified to the requested number of digits."""
+        """Decimal string certified to the requested number of digits: an
+        enclosure's midpoint, rounded half to even as Fraction.__round__ does."""
         if digits < 0:
             raise ValueError("digits must be nonnegative")
-        box = self.interval(Fraction(1, 10 ** (digits + 2)))
-        mid = box.midpoint
-        sign = "-" if mid < 0 else ""
-        mid = abs(mid)
-        scaled = round(mid * 10**digits)
+        scale = 10**digits
+        lo, hi, den = self._refine(lambda lo, hi, den: (hi - lo) * scale * 100 <= den)
+        scaled, rest = divmod(abs(lo + hi) * scale, 2 * den)
+        if rest > den or (rest == den and scaled % 2):
+            scaled += 1
+        sign = "-" if lo + hi < 0 else ""
         text = str(scaled).rjust(digits + 1, "0")
         return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
 
@@ -609,32 +609,136 @@ class CyclotomicReal:
 
 
 # ---------------------------------------------------------------------------
+# batch kernels: many elements of one field as one integer matrix
+
+# Larger results run on Python ints, never through an object-dtype matmul.
+_INT64_BITS = 62
+
+
+def _bits(a: np.ndarray) -> int:
+    """Bit length of the largest magnitude in a, exact for either dtype."""
+    return max(-int(a.min(initial=0)), int(a.max(initial=0))).bit_length()
+
+
+def _array(data) -> np.ndarray:
+    try:
+        return np.array(data, np.int64)
+    except OverflowError:
+        return np.array(data, object)
+
+
+class Batch(NamedTuple):
+    """K elements of Q(zeta_n), each normalized as CyclotomicReal is: the
+    rows of num over the positive den, int64 whenever both fit in 62 bits."""
+
+    n: int
+    num: np.ndarray
+    den: np.ndarray
+    num_bits: int
+    den_bits: int
+
+    def take(self, index) -> "Batch":
+        return self._replace(num=self.num[index], den=self.den[index])
+
+    def rows(self) -> list[tuple[tuple[int, ...], int]]:  # (numerator, denominator)
+        return list(zip(map(tuple, self.num.tolist()), self.den.tolist()))
+
+    def values(self) -> list[CyclotomicReal]:
+        return [CyclotomicReal(self.n, num, den, _raw=True) for num, den in self.rows()]
+
+
+def _cast(fits: bool, *arrays: np.ndarray) -> list[np.ndarray]:
+    return [a.astype(np.int64 if fits else object, copy=False) for a in arrays]
+
+
+def _normalized(n: int, num: np.ndarray, den: np.ndarray) -> Batch:
+    """As _normalize, row by row, for positive den; a zero row ends over 1."""
+    g = np.gcd(np.gcd.reduce(num, axis=1), den)
+    num, den = num // g[:, None], den // g
+    bits = _bits(num), _bits(den)
+    return Batch(n, *_cast(max(bits) <= _INT64_BITS, num, den), *bits)
+
+
+def stack(values: Sequence[CyclotomicReal], n: int) -> Batch:
+    """Values that all lie on conductor n, as one batch."""
+    num = _array([v._num for v in values]).reshape(len(values), euler_phi(n))
+    return _normalized(n, num, _array([v._den for v in values]))
+
+
+def _combine(a: Batch, b: Batch, op) -> Batch:
+    """op(a, b) over the lcm of the denominators; a one-row operand
+    broadcasts against every row of the other."""
+    bits = max(a.num_bits + b.den_bits, b.num_bits + a.den_bits, a.den_bits + b.den_bits)
+    an, ad, bn, bd = _cast(bits < _INT64_BITS, a.num, a.den, b.num, b.den)
+    den = np.lcm(ad, bd)
+    return _normalized(a.n, op(an * (den // ad)[:, None], bn * (den // bd)[:, None]), den)
+
+
+def batch_add(a: Batch, b: Batch) -> Batch:
+    return _combine(a, b, np.add)
+
+
+def batch_sub(a: Batch, b: Batch) -> Batch:
+    return _combine(a, b, np.subtract)
+
+
+@lru_cache(maxsize=64)  # a 9-slope set's multipliers; one at phi 480 holds 1.8 MB
+def _multiplier(n: int, x: tuple[int, ...], m: int) -> "tuple[np.ndarray, int] | None":
+    """(matrix, bits), row j being x * zeta_n^j in Q(zeta_m), n | m, by shifting
+    rows through _phi_tail; None once a running bound on the entries passes 2^62."""
+    step, tail = m // n, _phi_tail(m)
+    at, by = [len(x) + o for o, _ in tail], np.array([t for _, t in tail], np.int64)
+    bound, grow = max(map(abs, x)), max(abs(t) for _, t in tail)
+    rows, row = [], _array(x)
+    for e in range((euler_phi(n) - 1) * step + 1):
+        if e % step == 0:
+            rows.append(row)
+        lead, row = int(row[-1]), np.concatenate(([0], row[:-1]))
+        bound += abs(lead) * grow
+        if bound >> _INT64_BITS:
+            return None
+        row[at] += lead * by
+    matrix = np.array(rows, np.int64)
+    return matrix, _bits(matrix)
+
+
+def batch_mul(b: Batch, x: CyclotomicReal) -> Batch:
+    """b * x for a fixed x, on lcm(b.n, x.conductor) as x * y would be."""
+    m = math.lcm(b.n, x.conductor)
+    x = x.to_conductor(m)
+    matrix, bits = _multiplier(b.n, x._num, m) or (None, _INT64_BITS)
+    size = b.num_bits + bits + euler_phi(b.n).bit_length() + 1
+    if max(size, b.den_bits + x._den.bit_length()) <= _INT64_BITS:
+        num, den = _cast(True, b.num, b.den)
+        return _normalized(m, num @ matrix, den * x._den)
+    ys = [CyclotomicReal(b.n, tuple(row), 1, _raw=True) * x for row in b.num.tolist()]
+    num = np.array([y._num for y in ys], object).reshape(len(ys), euler_phi(m))
+    return _normalized(m, num, b.den.astype(object) * [y._den for y in ys])
+
+
+# ---------------------------------------------------------------------------
 # trigonometric and radical constructors
 
 
-def cos_of(angle: Angle) -> CyclotomicReal:
-    """Exact cos(angle) as a cyclotomic real."""
-    n = angle.conductor
+def _half_sum(n: int, a: int, b: int, sign: int) -> CyclotomicReal:
+    """(zeta_n^a + sign * zeta_n^b) / 2."""
     rows = _zeta_power_rows(n)
-    m = (angle.numerator * (n // (2 * angle.denominator))) % n
-    phi = euler_phi(n)
-    plus = rows[m]
-    minus = rows[(n - m) % n]
-    num = [plus[i] + minus[i] for i in range(phi)]
+    num = [x + sign * y for x, y in zip(rows[a % n], rows[b % n])]
     return CyclotomicReal._make(n, num, 2)
+
+
+def cos_of(angle: Angle) -> CyclotomicReal:
+    """Exact cos(angle) = (zeta^m + zeta^-m) / 2 as a cyclotomic real."""
+    n = angle.conductor
+    m = angle.numerator * (n // (2 * angle.denominator))
+    return _half_sum(n, m, -m, 1)
 
 
 def sin_of(angle: Angle) -> CyclotomicReal:
-    """Exact sin(angle) as a cyclotomic real."""
+    """Exact sin(angle) = (zeta^(n/4 - m) - zeta^(n/4 + m)) / 2 as a cyclotomic real."""
     n = angle.conductor
-    rows = _zeta_power_rows(n)
-    quarter = n // 4
-    m = (angle.numerator * (n // (2 * angle.denominator))) % n
-    phi = euler_phi(n)
-    plus = rows[(n - m + quarter) % n]
-    minus = rows[(m + quarter) % n]
-    num = [plus[i] - minus[i] for i in range(phi)]
-    return CyclotomicReal._make(n, num, 2)
+    m = angle.numerator * (n // (2 * angle.denominator))
+    return _half_sum(n, n // 4 - m, n // 4 + m, -1)
 
 
 def _legendre(a: int, p: int) -> int:
@@ -646,29 +750,15 @@ def _legendre(a: int, p: int) -> int:
 def _sqrt_prime(p: int) -> CyclotomicReal:
     """The positive square root of a prime, via quadratic Gauss sums."""
     if p == 2:
-        rows = _zeta_power_rows(8)
-        num = [a + b for a, b in zip(rows[1], rows[7])]
-        return CyclotomicReal._make(8, num, 1)
-    if p % 4 == 1:
-        phi = euler_phi(p)
-        out = [0] * phi
-        rows = _zeta_power_rows(p)
-        for a in range(1, p):
-            s = _legendre(a, p)
-            row = rows[a]
-            for i in range(phi):
-                out[i] += s * row[i]
-        return CyclotomicReal._make(p, out, 1)
-    # p = 3 mod 4: the Gauss sum equals i*sqrt(p); divide by i inside Q(zeta_4p)
-    n = 4 * p
-    phi = euler_phi(n)
+        return 2 * _half_sum(8, 1, -1, 1)  # sqrt(2) = 2 cos(pi/4)
+    # the Gauss sum is sqrt(p) if p = 1 mod 4, else i*sqrt(p): take -zeta_4 times it
+    n, sign, shift = (p, 1, 0) if p % 4 == 1 else (4 * p, -1, p)
     rows = _zeta_power_rows(n)
-    out = [0] * phi
+    out = [0] * euler_phi(n)
     for a in range(1, p):
-        s = _legendre(a, p)
-        row = rows[(4 * a + p) % n]  # zeta_p^a * zeta_4^(-1)... folded below
-        for i in range(phi):
-            out[i] -= s * row[i]
+        s = sign * _legendre(a, p)
+        for i, c in enumerate(rows[(n // p * a + shift) % n]):
+            out[i] += s * c
     return CyclotomicReal._make(n, out, 1)
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .angles import Angle
 from .construction import LevelSet
-from .cyclotomic import CyclotomicReal
+from .cyclotomic import CyclotomicReal, batch_add, batch_mul, batch_sub, stack
 from .geometry import PlanePoint
 from .slopes import SlopeSet
 
@@ -38,44 +39,47 @@ class PointRecord:
     s_coeffs: tuple[str, ...]
 
 
-def _coeff_strings(value: CyclotomicReal, conductor: int) -> tuple[str, ...]:
-    return value.to_conductor(conductor).coefficient_strings()
+def _cartesian_parts(points: Sequence[PlanePoint]) -> list[tuple]:
+    """(Re, Im) of each point as PlanePoint.to_cartesian gives them, batched."""
+    groups: dict[tuple, list[int]] = {}
+    for i, pt in enumerate(points):
+        n = math.lcm(pt.r.conductor, pt.s.conductor)
+        groups.setdefault((pt.frame, n), []).append(i)
+    parts = {}
+    for (frame, n), index in groups.items():
+        r = stack([points[i].r.to_conductor(n) for i in index], n)
+        s = stack([points[i].s.to_conductor(n) for i in index], n)
+        unit_re, unit_im = frame.unit_parts()
+        # r + (s - r) unit_re, written so both products land on its conductor
+        re = batch_add(batch_mul(r, 1 - unit_re), batch_mul(s, unit_re))
+        im = batch_mul(batch_sub(s, r), unit_im)
+        parts.update(zip(index, zip(re.values(), im.values())))
+    return [parts[i] for i in range(len(points))]
 
 
 def point_records(
     levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION
 ) -> list[PointRecord]:
     """Flatten levels into one record per point at its birth level."""
-    records = []
-    seen = set()
+    births: dict[tuple, tuple[int, PlanePoint]] = {}
     conductor = 1
     for level in levels:
         for pt in level.points:
             conductor = max(conductor, pt.r.conductor)
-    for level in levels:
-        for pt in level.points:
-            key = (
-                pt.r.conductor,
-                pt.r._num,
-                pt.r._den,
-                pt.s._num,
-                pt.s._den,
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            re, im = pt.to_cartesian()
-            records.append(
-                PointRecord(
-                    level=level.level,
-                    re=re.decimal(precision),
-                    im=im.decimal(precision),
-                    conductor=conductor,
-                    r_coeffs=_coeff_strings(pt.r, conductor),
-                    s_coeffs=_coeff_strings(pt.s, conductor),
-                )
-            )
-    return records
+            key = (pt.r.conductor, pt.r._num, pt.r._den, pt.s._num, pt.s._den)
+            births.setdefault(key, (level.level, pt))
+    points = [pt for _, pt in births.values()]
+    return [
+        PointRecord(
+            level=level,
+            re=re.decimal(precision),
+            im=im.decimal(precision),
+            conductor=conductor,
+            r_coeffs=pt.r.to_conductor(conductor).coefficient_strings(),
+            s_coeffs=pt.s.to_conductor(conductor).coefficient_strings(),
+        )
+        for (level, pt), (re, im) in zip(births.values(), _cartesian_parts(points))
+    ]
 
 
 def to_json_document(
@@ -137,7 +141,9 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
     cumulative: list[PlanePoint] = []
     for k in range(int(doc.get("k_max", max(by_level, default=0))) + 1):
         cumulative = cumulative + by_level.get(k, [])
-        levels.append(LevelSet(k, list(cumulative), truncated and k == max(by_level)))
+        # the cap, once hit, truncates every later level too
+        cut = truncated and k >= max([1, *by_level])
+        levels.append(LevelSet(k, list(cumulative), cut))
     return u, levels
 
 

@@ -329,9 +329,23 @@ RING_ARGS = ("ring", "--slopes", PENTAGON, "--max-den-exp", "0", "--max-num-deg"
             EXIT_OK,
             "542a31d735b1d9b235866dfe494ca0f022e985f029abe48f62b79a6921a2e1ca",
         ),
+        (
+            # a capped level-3 prefix on the int64 kernels
+            ("generate", "--slopes", "0,pi/5,pi/4,pi/3", "--levels", "3",
+             "--cap", "1500", "--format", "csv"),
+            EXIT_OK,
+            "931c7fbdca2eb556cfe69cacfd6a6e9445d6481e514bcb3b54f5c265acacd4d1",
+        ),
+        (
+            # conductor 1980: the Python-int kernels and batched Cartesian parts
+            ("generate", "--slopes", "0,pi/11,5pi/9,7pi/10", "--levels", "1",
+             "--format", "json"),
+            EXIT_OK,
+            "5643b18550110df483b70dc86a5e994472bc8575fa183a8147ce8cabfcd96c82",
+        ),
     ],
     ids=["generate-json", "generate-csv", "ring-json", "ring-text",
-         "pvalues-json", "member-json"],
+         "pvalues-json", "member-json", "generate-capped-csv", "generate-1980-json"],
 )
 def test_output_bytes_are_stable(capsys, tmp_path, argv, exit_code, digest):
     target = tmp_path / "out"

@@ -1,11 +1,15 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from origami_rings import cyclotomic
 from origami_rings.angles import Angle
-from origami_rings.construction import contains, generate
+from origami_rings.construction import LevelSet, contains, generate
 from origami_rings.cyclotomic import CyclotomicReal, sqrt_rational
 from origami_rings.float_preview import generate_float
-from origami_rings.geometry import PlanePoint
+from origami_rings.geometry import PlanePoint, meet
 from origami_rings.slopes import SlopeSet
 
 
@@ -105,3 +109,95 @@ def test_generate_at_conductor_1980(monkeypatch):
         gap = table[g] - table[d]
         (gap_inv,) = [y for x, y in inverted if x == gap]
         assert gap * gap_inv == 1
+
+
+def _key(value):
+    return (value._num, value._den)
+
+
+def _generate_reference(u, k_max, point_cap=50_000):
+    """The former construction: one geometry.meet, so two CyclotomicReal
+    products, per pair of lines."""
+    cap = point_cap
+    frame, n, table = u.frame, u.working_conductor, u.p_table
+    inverse_gaps = {
+        (g, d): (table[g] - table[d]).inv()
+        for g, d in itertools.combinations(u.nonzero_slopes, 2)
+    }
+    current = {}
+    for value in (CyclotomicReal.from_rational(0, n), CyclotomicReal.from_rational(1, n)):
+        current[(_key(value), _key(value))] = PlanePoint(value, value, frame)
+    levels = [LevelSet(0, list(current.values()), False)]
+    for level in range(1, k_max + 1):
+        line_values = {g: {} for g in u.slopes}
+        for pt in current.values():
+            gap = pt.s - pt.r
+            for g in u.slopes:
+                v = gap if g.is_zero else pt.r + gap * table[g]
+                line_values[g].setdefault(_key(v), v)
+        new_points = dict(current)
+        truncated = len(new_points) >= cap
+        for g, d in itertools.combinations(u.slopes, 2):
+            if truncated:
+                break
+            p1 = None if g.is_zero else table[g]
+            gap_inv = inverse_gaps.get((g, d))
+            for v1 in line_values[g].values():
+                if truncated:
+                    break
+                for v2 in line_values[d].values():
+                    r, s = meet(v1, v2, p1, table[d], gap_inv)
+                    key = (_key(r), _key(s))
+                    if key not in new_points:
+                        new_points[key] = PlanePoint(r, s, frame)
+                        if len(new_points) >= cap:
+                            truncated = True
+                            break
+        current = new_points
+        levels.append(LevelSet(level, list(current.values()), truncated))
+    return levels
+
+
+def _exact_levels(levels):
+    return [
+        (
+            level.truncated,
+            [(v.conductor, v._num, v._den) for pt in level for v in (pt.r, pt.s)],
+        )
+        for level in levels
+    ]
+
+
+@pytest.mark.parametrize(
+    "slopes, frame, k_max, cap",
+    [
+        ("0,pi/3,2pi/3", None, 4, 50_000),
+        ("0,pi/5,pi/4,pi/3", None, 3, 50_000),
+        ("0,pi/6,pi/3,pi/2", None, 4, 300),
+        ("0,pi/6,pi/3,pi/2", None, 4, 2500),
+        ("0,pi/5,pi/4,pi/3", ("pi/5", "pi/4"), 2, 50_000),
+        ("0,pi/7,pi/3,pi/2,2pi/3", None, 2, 50_000),
+        ("0,pi/11,5pi/9,7pi/10", None, 1, 50_000),
+    ],
+)
+def test_generate_matches_per_pair_reference(slopes, frame, k_max, cap):
+    u = SlopeSet(slopes.split(","), *(frame or ()))
+    got = generate(u, k_max, point_cap=cap)
+    assert _exact_levels(got) == _exact_levels(_generate_reference(u, k_max, cap))
+
+
+def test_generate_python_int_kernels_match(monkeypatch, pentagon):
+    # with no room in int64, every batch kernel runs on Python ints
+    monkeypatch.setattr(cyclotomic, "_INT64_BITS", 0)
+    dtypes, normalized = set(), cyclotomic._normalized
+
+    def recording_normalized(n, num, den):
+        batch = normalized(n, num, den)
+        if batch.num_bits:  # an all-zero batch fits any limit
+            dtypes.add(batch.num.dtype)
+        return batch
+
+    monkeypatch.setattr(cyclotomic, "_normalized", recording_normalized)
+    got = generate(pentagon, 2)
+    assert dtypes == {np.dtype(object)}
+    assert _exact_levels(got) == _exact_levels(_generate_reference(pentagon, 2))

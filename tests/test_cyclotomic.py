@@ -486,8 +486,8 @@ def test_enclosure_matches_fraction_reference():
         cases.append(CyclotomicReal._make(120, lone, 7))
     for prec in (64, 128, 1024):
         for x in cases:
-            box = x._enclosure_at(prec)
-            assert (box.lo, box.hi) == _enclosure_reference(x, prec)
+            lo, hi, den = x._enclosure_at(prec)
+            assert (Fraction(lo, den), Fraction(hi, den)) == _enclosure_reference(x, prec)
 
 
 def test_coefficient_strings_match_fraction_str():
@@ -496,3 +496,64 @@ def test_coefficient_strings_match_fraction_str():
         assert cyclotomic._ratio_text(c, den) == str(Fraction(c, den))
     x = sqrt_rational(Fraction(5, 12)) - Fraction(1, 3)
     assert x.coefficient_strings() == tuple(str(c) for c in x.coefficients())
+
+
+def _decimal_reference(x, digits):
+    """The former decimal: Fraction midpoint, scaling and round."""
+    box = x.interval(Fraction(1, 10 ** (digits + 2)))
+    mid = box.midpoint
+    sign = "-" if mid < 0 else ""
+    scaled = round(abs(mid) * 10**digits)
+    text = str(scaled).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+
+
+def test_decimal_matches_fraction_reference():
+    rng = random.Random(17)
+    cases = [CyclotomicReal.from_rational(0, n) for n in (1, 12)]
+    # exact ties a/2000 (rational values have exact enclosures), both signs
+    for a in (1, 3, 5, 25, 1000, 1001, 2500, 3000, 4999):
+        for n in (1, 12):
+            cases += [CyclotomicReal.from_rational(Fraction(s * a, 2000), n) for s in (1, -1)]
+    for n in (1, 12, 120, 1980):
+        for den in (1, 3, 7, 2**40 + 1):
+            for bits in (1, 8, 64):
+                coeffs = [_coefficient(rng, bits) for _ in range(euler_phi(n))]
+                cases.append(CyclotomicReal._make(n, coeffs, den))
+    for x in cases:
+        for digits in (0, 1, 2, 3, 4, 12, 30):
+            assert x.decimal(digits) == _decimal_reference(x, digits), (x, digits)
+
+
+def _draw(rng, n, bits):
+    coeffs = [_coefficient(rng, bits) for _ in range(euler_phi(n))]
+    return CyclotomicReal._make(n, coeffs, rng.randrange(1, 2**bits))
+
+
+@pytest.mark.parametrize("n, bits", [(12, 8), (120, 30), (120, 100), (1980, 8), (1980, 100)])
+def test_batch_kernels_match_elementwise_arithmetic(n, bits):
+    # 30-bit operands fit in int64 but their products do not, and 100-bit
+    # ones do not fit at all: both take the Python-int kernels
+    rng = random.Random(n + bits)
+    xs = [_draw(rng, n, bits) for _ in range(3)] + [CyclotomicReal.from_rational(0, n)]
+    ys = [_draw(rng, n, bits) for _ in range(4)]
+    a, b = cyclotomic.stack(xs, n), cyclotomic.stack(ys, n)
+    assert a.values() == xs
+    assert cyclotomic.batch_add(a, b).values() == [x + y for x, y in zip(xs, ys)]
+    assert cyclotomic.batch_sub(a, b).values() == [x - y for x, y in zip(xs, ys)]
+    row = a.take(slice(0, 1))
+    assert cyclotomic.batch_sub(row, b).values() == [xs[0] - y for y in ys]
+    for fixed in (ys[0], _draw(rng, n, 4), CyclotomicReal.from_rational(Fraction(-3, 4))):
+        assert cyclotomic.batch_mul(a, fixed).values() == [x * fixed for x in xs]
+
+
+@pytest.mark.parametrize("n, bits", [(12, 8), (12, 100), (120, 8)])
+def test_batch_mul_promotes_as_the_scalar_product_does(n, bits):
+    rng = random.Random(n * bits)
+    xs = [_draw(rng, n, bits) for _ in range(3)]
+    a = cyclotomic.stack(xs, n)
+    for m in (3 * n, 5 * n):
+        wide = _draw(rng, m, 4)
+        got = cyclotomic.batch_mul(a, wide).values()
+        assert [v.conductor for v in got] == [m] * len(xs)
+        assert got == [x * wide for x in xs]

@@ -80,3 +80,12 @@ def test_precision_controls_decimals(triangle):
     doc = to_json_document(triangle, generate(triangle, 1), precision=4)
     ims = {pt["im"] for pt in doc["points"]}
     assert "0.8660" in ims
+
+
+@pytest.mark.parametrize("cap, k_max", [(2, 2), (8, 3), (20, 3)])
+def test_round_trip_keeps_truncation_flags(pentagon, cap, k_max):
+    # a level reached after the cap is truncated too, even when it adds
+    # no point of its own
+    levels = generate(pentagon, k_max, point_cap=cap)
+    _, back = from_json_document(to_json_document(pentagon, levels))
+    assert [l.truncated for l in back] == [l.truncated for l in levels]
