@@ -706,6 +706,11 @@ def batch_mul(b: Batch, x: CyclotomicReal) -> Batch:
     """b * x for a fixed x, on lcm(b.n, x.conductor) as x * y would be."""
     m = math.lcm(b.n, x.conductor)
     x = x.to_conductor(m)
+    if x.is_rational and m == b.n:  # such as p = 0 and p = 1: scale the rows
+        c = x._num[0]
+        fits = max(b.num_bits + c.bit_length(), b.den_bits + x._den.bit_length())
+        num, den = _cast(fits <= _INT64_BITS, b.num, b.den)
+        return _normalized(m, num * c, den * x._den)
     matrix, bits = _multiplier(b.n, x._num, m) or (None, _INT64_BITS)
     size = b.num_bits + bits + euler_phi(b.n).bit_length() + 1
     if max(size, b.den_bits + x._den.bit_length()) <= _INT64_BITS:

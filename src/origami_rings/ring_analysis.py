@@ -31,6 +31,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .angles import Angle
 from .cyclotomic import (
     CyclotomicReal,
@@ -48,6 +50,10 @@ Scalar = Union[int, Fraction, CyclotomicReal]
 DEFAULT_MAX_DEN_EXP = 8
 DEFAULT_MAX_NUM_DEG = 32
 DEFAULT_MAX_CANDIDATES = 2000
+
+# Candidates are first tested modulo this prime; below 2^31, so residual
+# arithmetic on numpy int64 cannot overflow.
+_FILTER_PRIME = 2**31 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +317,38 @@ def integral_relation(u: SlopeSet) -> tuple[CyclotomicReal, CyclotomicReal]:
 # membership in the real subring
 
 
-def _delta_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal]]:
-    """Denominator generators: p, p-1 per free constant plus differences."""
+class _Form(dict):
+    """An integer polynomial in the numerator generators, {exponents: coefficient}."""
+
+    def __mul__(self, other: "_Form") -> "_Form":
+        out: dict[tuple[int, ...], int] = {}
+        for a, c in self.items():
+            for b, d in other.items():
+                e = tuple(x + y for x, y in zip(a, b))
+                out[e] = out.get(e, 0) + c * d
+        return _Form((e, c) for e, c in out.items() if c)
+
+
+def _delta_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal, _Form]]:
+    """Denominator generators: p, p-1 per free constant plus differences,
+    each with its linear form in the numerator generators."""
     table = u.p_table
     free = u.free_slopes
     single = len(free) == 1
     names = {}
     for i, g in enumerate(free):
         names[g] = "p" if single else f"p{i + 1}"
+    unit = [tuple(int(i == j) for j in range(len(free))) for i in range(len(free))]
+    one = (0,) * len(free)
     out = []
-    for g in free:
-        out.append((names[g], table[g]))
-        out.append((f"{names[g]}-1", table[g] - 1))
     for i, g in enumerate(free):
-        for d in free[i + 1 :]:
-            out.append((f"{names[g]}-{names[d]}", table[g] - table[d]))
+        out.append((names[g], table[g], _Form({unit[i]: 1})))
+        out.append((f"{names[g]}-1", table[g] - 1, _Form({unit[i]: 1, one: -1})))
+    for i, g in enumerate(free):
+        for j, d in enumerate(free[i + 1 :], i + 1):
+            out.append(
+                (f"{names[g]}-{names[d]}", table[g] - table[d], _Form({unit[i]: 1, unit[j]: -1}))
+            )
     return out
 
 
@@ -403,6 +426,34 @@ class _MonomialLattice:
                     g = math.gcd(*w)
                     w = [x // g for x in w]
             self._kernel.append((row, w, sum(x * y for x, y in zip(row, w))))
+        # The Hermite rows mod q with their pivot inverses, for residual();
+        # with a pivot that q divides they are no echelon basis mod q.
+        q = _FILTER_PRIME
+        self._rows_mod_q = [
+            (col, np.array([c % q for c in row], np.int64), pow(row[col], -1, q))
+            for col, row in self.lattice.rows
+            if row[col] % q
+        ]
+        if len(self._rows_mod_q) < self.lattice.rank:
+            self._rows_mod_q = None
+
+    def residual(self, y: CyclotomicReal) -> Optional[np.ndarray]:
+        """common_den * y mod q less its projection onto the span of the
+        rows mod q; None when q divides y's denominator or a pivot.
+
+        A vector of the lattice is a Z-combination of the rows, so its
+        residual is zero; the residual is linear in y.
+        """
+        q = _FILTER_PRIME
+        if self._rows_mod_q is None or y._den % q == 0:
+            return None
+        scale = self.common_den * pow(y._den, -1, q) % q
+        vec = np.array([c % q for c in y._num], np.int64) * scale % q
+        for col, row, inverse in self._rows_mod_q:
+            c = int(vec[col]) * inverse % q
+            if c:
+                vec = (vec - c * row) % q
+        return vec
 
     def _size_reduce(self, combo: list[int]) -> list[int]:
         c = list(combo)
@@ -421,6 +472,65 @@ class _MonomialLattice:
             return None
         combo = self._size_reduce(combo)
         return [(c, self.exponents[i]) for i, c in enumerate(combo) if c]
+
+
+class _Candidates:
+    """(exps, form) for the denominator monomials m = prod(d_i^exps[i]) in
+    the search order, form being m as a polynomial in the numerator
+    generators p.
+
+    Every delta generator is a linear form in the p's, so x * m(p) is an
+    integer combination of the powers x * p^e.  Each power costs one exact
+    product, made the first time a candidate needs it.
+    """
+
+    def __init__(self, x: CyclotomicReal, gens: Sequence[CyclotomicReal],
+                 forms: Sequence[_Form], bounds: SearchBounds):
+        self.gens = gens
+        self.forms = forms
+        self.bounds = bounds
+        self.powers = {(0,) * len(gens): x}
+        self.residuals: dict[tuple[int, ...], Optional[np.ndarray]] = {}
+
+    def __iter__(self):
+        top = self.bounds.max_den_exp
+        start = _Form({(0,) * len(self.gens): 1})
+        stream = _graded_products(start, self.forms, len(self.forms) * top, top)
+        return itertools.islice(stream, self.bounds.max_candidates)
+
+    def power(self, e: tuple[int, ...]) -> CyclotomicReal:
+        """x * p^e, from the power with e's first nonzero entry lowered."""
+        if e not in self.powers:
+            i = next(k for k, v in enumerate(e) if v)
+            lower = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            self.powers[e] = self.power(lower) * self.gens[i]
+        return self.powers[e]
+
+    def value(self, form: _Form) -> CyclotomicReal:
+        """x * m(p) as one combination over a common denominator; the
+        representation is canonical, so it equals the product chain's."""
+        x = self.powers[(0,) * len(self.gens)]
+        terms = [(c, self.power(e)) for e, c in form.items()]
+        den = math.lcm(*(y._den for _, y in terms))
+        num = [0] * len(x._num)
+        for c, y in terms:
+            f = c * (den // y._den)
+            num = [a + f * b for a, b in zip(num, y._num)]
+        return CyclotomicReal._make(x.conductor, num, den)
+
+    def excluded(self, form: _Form, lattice: _MonomialLattice) -> bool:
+        """Whether x * m(p) mod q leaves the span of the lattice rows mod q,
+        which proves it outside the lattice; False whenever a residual is
+        undefined."""
+        q = _FILTER_PRIME
+        total = 0
+        for e, c in form.items():
+            if e not in self.residuals:
+                self.residuals[e] = lattice.residual(self.power(e))
+            if self.residuals[e] is None:
+                return False
+            total = (total + c % q * self.residuals[e]) % q
+        return bool(np.any(total))
 
 
 _lattice_cache: dict = {}
@@ -444,11 +554,27 @@ def _fixing_group(u: SlopeSet) -> tuple[int, ...]:
     if u not in _field_cache:
         n = u.working_conductor
         gens = [v for _, v in _numerator_generators(u)]
+        # every value is real, so sigma_1 and sigma_(-1) fix it
         _field_cache[u] = tuple(
             a for a in range(1, n + 1)
-            if math.gcd(a, n) == 1 and all(g.is_fixed_by(a) for g in gens)
+            if math.gcd(a, n) == 1
+            and (a in (1, n - 1) or all(g.is_fixed_by(a) for g in gens))
         )
     return _field_cache[u]
+
+
+def _generators_mod_sign(group: Sequence[int], n: int) -> list[int]:
+    """Elements of the unit group `group` that generate it together with -1."""
+    out, span = [], {1 % n, -1 % n}
+    for a in group:
+        if a % n not in span:
+            out.append(a)
+            cosets, power = [1], a % n
+            while power not in span:  # span * <a> is the union of a^k * span
+                cosets.append(power)
+                power = power * a % n
+            span = {s * c % n for s in span for c in cosets}
+    return out
 
 
 def membership_in_MR(
@@ -480,20 +606,22 @@ def membership_in_MR(
             MembershipKind.PROVEN_NOT_IN,
             reason=f"outside the working field Q(zeta_{n})",
         )
-    if not all(x_n.is_fixed_by(a) for a in _fixing_group(u)):
+    group = _fixing_group(u)
+    if not all(x_n.is_fixed_by(a) for a in _generators_mod_sign(group, n)):
         return MembershipVerdict(
             MembershipKind.PROVEN_NOT_IN,
             reason="outside the field generated by the projection constants",
         )
 
     lattice = _monomial_lattice(u, bounds)
-    den_gens = _delta_generators(u)
-    den_names = [name for name, _ in den_gens]
-    den_values = [v for _, v in den_gens]
-    top = bounds.max_den_exp
-    candidates = _graded_products(x_n, den_values, len(den_values) * top, top)
-    for exps, y in itertools.islice(candidates, bounds.max_candidates):
-        combo = lattice.membership(y)
+    den_names, den_values, den_forms = zip(*_delta_generators(u))
+    candidates = _Candidates(x_n, lattice.values, den_forms, bounds)
+    # Once the rows span Q(p) over Q, the filter could almost never reject.
+    sieve = lattice.lattice.rank < euler_phi(n) // len(group)
+    for exps, form in candidates:
+        if sieve and candidates.excluded(form, lattice):
+            continue
+        combo = lattice.membership(candidates.value(form))
         if combo is not None:
             witness = MembershipWitness(
                 generator_names=lattice.names,

@@ -343,9 +343,22 @@ RING_ARGS = ("ring", "--slopes", PENTAGON, "--max-den-exp", "0", "--max-num-deg"
             EXIT_OK,
             "5643b18550110df483b70dc86a5e994472bc8575fa183a8147ce8cabfcd96c82",
         ),
+        (
+            # default bounds: all eight criterion elements ProvenIn
+            ("ring", "--slopes", PENTAGON, "--format", "json"),
+            EXIT_OK,
+            "681faacbfb4bc8ccc82405c2892254fa0e48cdebe7abb6722b2afd36d53b59ff",
+        ),
+        (
+            # the witness has denominator (p-1)^8
+            ("member", "1/3", "--slopes", PENTAGON, "--format", "json"),
+            EXIT_OK,
+            "000d74a6350392c973d169ccfb007f591251983044f5ef0b5e358c8a88f0e660",
+        ),
     ],
     ids=["generate-json", "generate-csv", "ring-json", "ring-text",
-         "pvalues-json", "member-json", "generate-capped-csv", "generate-1980-json"],
+         "pvalues-json", "member-json", "generate-capped-csv", "generate-1980-json",
+         "ring-default-json", "member-third-json"],
 )
 def test_output_bytes_are_stable(capsys, tmp_path, argv, exit_code, digest):
     target = tmp_path / "out"

@@ -557,3 +557,24 @@ def test_batch_mul_promotes_as_the_scalar_product_does(n, bits):
         got = cyclotomic.batch_mul(a, wide).values()
         assert [v.conductor for v in got] == [m] * len(xs)
         assert got == [x * wide for x in xs]
+
+
+@pytest.mark.parametrize("n, bits", [(12, 8), (120, 30), (1980, 8), (1980, 100)])
+def test_batch_mul_by_a_rational_scales_the_rows(n, bits, monkeypatch):
+    # p = 0 and p = 1 of the frame directions, and scalars that push the
+    # rows past int64; no phi x phi multiplier is built for any of them
+    rng = random.Random(n * bits + 1)
+    xs = [_draw(rng, n, bits) for _ in range(3)] + [CyclotomicReal.from_rational(0, n)]
+    a = cyclotomic.stack(xs, n)
+
+    def no_matrix(*args):
+        raise AssertionError("multiplier matrix built")
+
+    monkeypatch.setattr(cyclotomic, "_multiplier", no_matrix)
+    for c in (0, 1, Fraction(-3, 4), 2**40 + 1, Fraction(1, 2**61 - 1)):
+        for conductor in (1, n):
+            got = cyclotomic.batch_mul(a, CyclotomicReal.from_rational(c, conductor))
+            want = cyclotomic.stack([x * c for x in xs], n)
+            assert (got.num_bits, got.den_bits) == (want.num_bits, want.den_bits)
+            assert got.num.dtype == want.num.dtype and got.den.dtype == want.den.dtype
+            assert got.rows() == want.rows()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from origami_rings.angles import Angle
-from origami_rings import cyclotomic
+from origami_rings import cyclotomic, ring_analysis
 from origami_rings.cyclotomic import (
     CyclotomicReal,
     cos_of,
@@ -15,15 +15,18 @@ from origami_rings.cyclotomic import (
     rewrite_in_conductor,
     sqrt_rational,
 )
-from origami_rings.linalg import RowSpace
+from origami_rings.linalg import IntegerLattice, RowSpace
 from origami_rings.polynomials import RationalPolynomial
 from origami_rings.ring_analysis import (
     MembershipKind,
     RingStatus,
     SearchBounds,
     SetKind,
+    _Candidates,
     _MonomialLattice,
+    _delta_generators,
     _fixing_group,
+    _generators_mod_sign,
     _graded_products,
     _monomial_lattice,
     _numerator_generators,
@@ -590,4 +593,153 @@ def test_one_product_per_monomial_and_per_candidate(pentagon, monkeypatch):
     products = 0
     v = membership_in_MR(x, pentagon, bounds)
     assert v.is_proven_in
-    assert 0 < products <= candidates
+    # the lattice spans Q(p) here, so every candidate reaches the sweep;
+    # candidate p^i (p-1)^j uses the powers x * p^i .. x * p^(i+j)
+    top = bounds.max_den_exp
+    visited = itertools.islice(_graded_products(1, (1, 1), 2 * top, top), candidates)
+    powers = set().union(*(range(i, i + j + 1) for (i, j), _ in visited))
+    assert 0 < products <= len(powers)
+    assert products < candidates
+
+
+def _seeded_sets(seed, sizes, per_size, max_phi=96):
+    rng = random.Random(seed)
+    pool = [Angle(k, n) for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+            for k in range(1, n) if math.gcd(k, n) == 1]
+    sets = []
+    for size in sizes:
+        while sum(u.size == size for u in sets) < per_size:
+            u = SlopeSet([Angle.zero()] + rng.sample(pool, size - 1))
+            if u.size == size and euler_phi(u.working_conductor) <= max_phi:
+                sets.append(u)
+    return sets
+
+
+def _candidates(x, u, bounds):
+    gens = _delta_generators(u)
+    values = tuple(v for _, v in _numerator_generators(u))
+    return _Candidates(x, values, [form for _, _, form in gens], bounds)
+
+
+def test_candidates_match_the_product_chain():
+    # the reference route is the former loop: one product per candidate,
+    # each the previous value of its chain times a delta generator
+    bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
+    top = bounds.max_den_exp
+    for u in _seeded_sets(13, (4, 5), 3):
+        n = u.working_conductor
+        den_values = [v for _, v, _ in _delta_generators(u)]
+        for x in ratio_elements(u):
+            x_n = rewrite_in_conductor(x, n)
+            chain = _graded_products(x_n, den_values, len(den_values) * top, top)
+            expected = list(itertools.islice(chain, bounds.max_candidates))
+            stream = _candidates(x_n, u, bounds)
+            got = [(exps, stream.value(form)) for exps, form in stream]
+            assert [exps for exps, _ in got] == [exps for exps, _ in expected]
+            for (_, a), (_, b) in zip(got, expected):
+                assert (a.conductor, a._num, a._den) == (b.conductor, b._num, b._den)
+
+
+def test_span_filter_never_rejects_a_lattice_member():
+    # members by construction: a small polynomial in the p's over a
+    # monomial in the delta generators, so some candidate clears it
+    bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
+    rng = random.Random(29)
+    checked = accepted = rejected = 0
+    for u in _seeded_sets(31, (4, 5), 4):
+        lattice = _monomial_lattice(u, bounds)
+        degree = euler_phi(u.working_conductor) // len(_fixing_group(u))
+        if lattice.lattice.rank >= degree:
+            continue  # membership_in_MR runs no filter here
+        checked += 1
+        den_values = [v for _, v, _ in _delta_generators(u)]
+        for _ in range(2):
+            num = sum(rng.randint(-3, 3) * math.prod(
+                v**e for v, e in zip(lattice.values, exps)
+            ) for exps in lattice.exponents[:6]) + 1
+            den = math.prod(rng.choice(den_values) for _ in range(rng.randint(1, 3)))
+            x = num * den.inv()
+            stream = _candidates(x, u, bounds)
+            for _, form in stream:
+                excluded = stream.excluded(form, lattice)
+                if lattice.membership(stream.value(form)) is not None:
+                    assert not excluded, str(u)
+                    accepted += 1
+                else:
+                    rejected += excluded
+    assert checked and accepted and rejected
+
+
+def test_span_filter_passes_what_it_cannot_reduce(monkeypatch):
+    # with q dividing a denominator or a pivot there is no residual to test
+    u = SlopeSet(["0", "3pi/5", "4pi/5", "11pi/12"])
+    bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
+    lattice = _MonomialLattice(u, bounds)
+    x = rewrite_in_conductor(ratio_elements(u)[0], u.working_conductor)
+    stream = _candidates(x, u, bounds)
+    forms = [form for _, form in stream]
+    assert any(stream.excluded(form, lattice) for form in forms)
+    over_q = _candidates(x * Fraction(1, ring_analysis._FILTER_PRIME), u, bounds)
+    assert not any(over_q.excluded(form, lattice) for form in forms)
+    monkeypatch.setattr(ring_analysis, "_FILTER_PRIME", 307)  # 4605 = 3 * 5 * 307
+    blind = _MonomialLattice(u, bounds)
+    assert 4605 in [row[col] for col, row in blind.lattice.rows]
+    stream = _candidates(x, u, bounds)
+    assert not any(stream.excluded(form, blind) for form in forms)
+
+
+def test_span_filter_spares_the_1980_ratios_the_exact_sweep(monkeypatch):
+    u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
+    ratios = ratio_elements(u)
+    _monomial_lattice(u, SCAN_BOUNDS)
+    assert len(_fixing_group(u)) == 4
+    products = galois = 0
+    multiply = CyclotomicReal.__mul__
+    fixed = CyclotomicReal.is_fixed_by
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    def counting_fixed(self, a):
+        nonlocal galois
+        galois += 1
+        return fixed(self, a)
+
+    def no_sweep(self, vector):
+        raise AssertionError("IntegerLattice.membership reached")
+
+    monkeypatch.setattr(CyclotomicReal, "__mul__", counting_mul)
+    monkeypatch.setattr(CyclotomicReal, "is_fixed_by", counting_fixed)
+    monkeypatch.setattr(IntegerLattice, "membership", no_sweep)
+    for q in ratios:
+        products = galois = 0
+        assert membership_in_MR(q, u, SCAN_BOUNDS).is_unknown
+        assert products <= 16
+        # H = {1, a, -a, -1}: one generator modulo +-1
+        assert galois == 1
+
+
+def _closure(gens, n):
+    span = {1 % n, -1 % n}
+    while True:
+        grown = span | {s * g % n for s in span for g in gens}
+        if grown == span:
+            return span
+        span = grown
+
+
+def test_generators_mod_sign_generate_the_fixing_group():
+    sets = _seeded_sets(37, (4, 5), 4, max_phi=480)
+    sets.append(SlopeSet(["0", "pi/5", "pi/2", "4pi/5"]))  # |H| = 8
+    for u in sets:
+        n = u.working_conductor
+        group = _fixing_group(u)
+        gens = _generators_mod_sign(group, n)
+        assert _closure(gens, n) == {a % n for a in group}, str(u)
+        assert len(gens) < len(group)
+    # the whole unit group of Z/1980 needs three generators beside -1
+    units = [a for a in range(1, 1980) if math.gcd(a, 1980) == 1]
+    gens = _generators_mod_sign(units, 1980)
+    assert len(gens) == 3 and _closure(gens, 1980) == set(units)
