@@ -722,6 +722,49 @@ def batch_mul(b: Batch, x: CyclotomicReal) -> Batch:
 
 
 # ---------------------------------------------------------------------------
+# evaluation at the roots of Phi_n modulo a split prime
+
+
+@cache
+def units(n: int) -> tuple[int, ...]:
+    """The units a mod n with 1 <= a <= n, in increasing order."""
+    return tuple(a for a in range(1, n + 1) if math.gcd(a, n) == 1)
+
+
+@cache
+def split_prime(n: int) -> int:
+    """The smallest prime q = 1 (mod n) above 2^30, by deterministic
+    Miller-Rabin, and below 2^31; Phi_n splits into linear factors mod q."""
+    start = (2**30 // n + 1) * n + 1
+    return next(q for q in range(start, 2**31, n) if mpmath.libmp.isprime(q))
+
+
+@cache
+def _split_roots(n: int) -> np.ndarray:
+    """w^a mod split_prime(n) for the units a in order, w of exact order n:
+    the phi(n) roots of Phi_n mod q."""
+    q = split_prime(n)
+    primes = [d for d in _divisors(n) if mpmath.libmp.isprime(d)]
+    powers = (pow(c, (q - 1) // n, q) for c in range(2, q))
+    w = next(w for w in powers if all(pow(w, n // r, q) != 1 for r in primes))
+    return np.array([pow(w, a, q) for a in units(n)], np.int64)
+
+
+def evaluate(x: CyclotomicReal, n: int) -> "np.ndarray | None":
+    """x at the roots of Phi_n mod q = split_prime(n) in the order of
+    _split_roots, None when q divides x's denominator: a ring map, so
+    products and sums are pointwise.  Horner over all roots at once stays
+    in int64, since residues are below q < 2^31."""
+    q = split_prime(n)
+    if x._den % q == 0:
+        return None
+    acc, roots = 0, _split_roots(n)
+    for c in reversed(x.to_conductor(n)._num):
+        acc = (acc * roots + c % q) % q
+    return acc * pow(x._den, -1, q) % q
+
+
+# ---------------------------------------------------------------------------
 # trigonometric and radical constructors
 
 

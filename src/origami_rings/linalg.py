@@ -98,11 +98,6 @@ class IntegerLattice:
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def rows(self) -> list[tuple[int, list[int]]]:
-        """(pivot column, Hermite row), left to right."""
-        return [(col, self._pivots[col][0]) for col in sorted(self._pivots)]
-
     def _pad(self):
         for _, combo in self._pivots.values():
             combo.extend([0] * (self._count - len(combo)))

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -37,9 +38,12 @@ from .angles import Angle
 from .cyclotomic import (
     CyclotomicReal,
     euler_phi,
+    evaluate,
     rewrite_in_conductor,
     sin_of,
     cos_of,
+    split_prime,
+    units,
 )
 from .geometry import PlanePoint, ZeroSlopeError, _as_cyclotomic, signed_sin
 from .linalg import IntegerLattice
@@ -50,10 +54,6 @@ Scalar = Union[int, Fraction, CyclotomicReal]
 DEFAULT_MAX_DEN_EXP = 8
 DEFAULT_MAX_NUM_DEG = 32
 DEFAULT_MAX_CANDIDATES = 2000
-
-# Candidates are first tested modulo this prime; below 2^31, so residual
-# arithmetic on numpy int64 cannot overflow.
-_FILTER_PRIME = 2**31 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +360,19 @@ def _numerator_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal]]:
     ]
 
 
-def _graded_products(start, factors: Sequence, top: int, per_max: int):
+def _lowered(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(i, exps with its first nonzero entry, at i, lowered by one)."""
+    i = next(k for k, e in enumerate(exps) if e)
+    return i, exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+
+
+def _graded_products(start, factors: Sequence, top: int, per_max: int, mul=operator.mul):
     """(exps, start * prod(factors[i]**exps[i])) for exponent vectors with
     entries <= per_max and total <= top, ascending total then lex.
 
-    Each value is one product: the vector with its first nonzero exponent
-    lowered by one, held from the previous total, times that factor.
+    Each value is one product mul(value, factor): the vector with its first
+    nonzero exponent lowered by one, held from the previous total, times
+    that factor.
     """
     layer = {(0,) * len(factors): start}
     yield from layer.items()
@@ -376,34 +383,55 @@ def _graded_products(start, factors: Sequence, top: int, per_max: int):
         }
         current = {}
         for exps in sorted(raised):
-            i = next(k for k, e in enumerate(exps) if e)
-            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            current[exps] = layer[lower] * factors[i]
+            i, lower = _lowered(exps)
+            current[exps] = mul(layer[lower], factors[i])
             yield exps, current[exps]
         layer = current
 
 
 class _MonomialLattice:
-    """Z-span of bounded monomials in the numerator generators."""
+    """Z-span of bounded monomials in the numerator generators.
+
+    A combination of the monomials has its image mod q = split_prime(n) in
+    the span of the pointwise powers E(p)^e, kept as echelon rows `basis`
+    (None when q divides a denominator).  The exact `lattice`, `common_den`
+    and Babai rows `_kernel` are built at the first exact query.
+    """
 
     def __init__(self, u: SlopeSet, bounds: SearchBounds):
-        n = u.working_conductor
+        self.n = n = u.working_conductor
         gens = _numerator_generators(u)
         self.names = tuple(name for name, _ in gens)
         self.values = tuple(v for _, v in gens)
         count = len(gens)
-        degree = bounds.max_num_deg if count <= 1 else max(
-            4, bounds.max_num_deg // count
-        )
-        one = CyclotomicReal.from_rational(1, n)
-        monomials = list(_graded_products(one, self.values, degree, degree))
-        self.exponents = [exps for exps, _ in monomials]
-        self.common_den = math.lcm(*(v._den for _, v in monomials))
-        self.lattice = IntegerLattice(euler_phi(n))
-        relations = []
-        for _, v in monomials:
-            scale = self.common_den // v._den
-            relations.append(self.lattice.add([c * scale for c in v._num]))
+        self.degree = bounds.max_num_deg if count <= 1 else max(4, bounds.max_num_deg // count)
+        self.exponents = [e for e, _ in _graded_products(1, (1,) * count, self.degree, self.degree)]
+        self.q = q = split_prime(n)
+        self.images = [evaluate(v, n) for v in self.values]
+        self.basis = None
+        if all(e is not None for e in self.images):
+            self.basis, ones = [], np.ones(euler_phi(n), np.int64)
+            mul = lambda a, b: a * b % q
+            for _, image in _graded_products(ones, self.images, self.degree, self.degree, mul):
+                if (r := self.residual(image)).any():
+                    col = int(np.flatnonzero(r)[0])
+                    self.basis.append((col, r * pow(int(r[col]), -1, q) % q))
+
+    def residual(self, image: np.ndarray) -> np.ndarray:
+        """image less its projection onto the span of the basis rows mod q,
+        zero exactly on that span; each row is zero at the earlier pivots."""
+        for col, row in self.basis:
+            if image[col]:
+                image = (image - image[col] * row) % self.q
+        return image
+
+    @cached_property
+    def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]]]:
+        one = CyclotomicReal.from_rational(1, self.n)
+        monomials = [v for _, v in _graded_products(one, self.values, self.degree, self.degree)]
+        common_den = math.lcm(*(v._den for v in monomials))
+        lattice = IntegerLattice(euler_phi(self.n))
+        relations = [lattice.add([c * (common_den // v._den) for c in v._num]) for v in monomials]
         # With one generator the first relation the lattice closes is
         # +-mu(p), cleared to content 1, and its shifts span the kernel of
         # the monomial family.  Babai steps against those rows keep
@@ -412,48 +440,25 @@ class _MonomialLattice:
         # exact coefficients (Cohen, GTM 138, section 2.6).
         first = next((r for r in relations if r is not None), None)
         rows = []
-        if count == 1 and first is not None:
+        if len(self.values) == 1 and first is not None:
             length, width = len(self.exponents), len(first)
             for j in range(length - width + 1):
                 rows.append([0] * j + first + [0] * (length - j - width))
-        self._kernel: list[tuple[list[int], list[int], int]] = []
+        kernel: list[tuple[list[int], list[int], int]] = []
         for row in rows:
             w = row
-            for b, v, bv in reversed(self._kernel):
+            for b, v, bv in reversed(kernel):
                 a = sum(x * y for x, y in zip(w, v))
                 if a:
                     w = [bv * x - a * y for x, y in zip(w, b)]
                     g = math.gcd(*w)
                     w = [x // g for x in w]
-            self._kernel.append((row, w, sum(x * y for x, y in zip(row, w))))
-        # The Hermite rows mod q with their pivot inverses, for residual();
-        # with a pivot that q divides they are no echelon basis mod q.
-        q = _FILTER_PRIME
-        self._rows_mod_q = [
-            (col, np.array([c % q for c in row], np.int64), pow(row[col], -1, q))
-            for col, row in self.lattice.rows
-            if row[col] % q
-        ]
-        if len(self._rows_mod_q) < self.lattice.rank:
-            self._rows_mod_q = None
+            kernel.append((row, w, sum(x * y for x, y in zip(row, w))))
+        return lattice, common_den, kernel
 
-    def residual(self, y: CyclotomicReal) -> Optional[np.ndarray]:
-        """common_den * y mod q less its projection onto the span of the
-        rows mod q; None when q divides y's denominator or a pivot.
-
-        A vector of the lattice is a Z-combination of the rows, so its
-        residual is zero; the residual is linear in y.
-        """
-        q = _FILTER_PRIME
-        if self._rows_mod_q is None or y._den % q == 0:
-            return None
-        scale = self.common_den * pow(y._den, -1, q) % q
-        vec = np.array([c % q for c in y._num], np.int64) * scale % q
-        for col, row, inverse in self._rows_mod_q:
-            c = int(vec[col]) * inverse % q
-            if c:
-                vec = (vec - c * row) % q
-        return vec
+    lattice = property(lambda self: self._exact[0])
+    common_den = property(lambda self: self._exact[1])
+    _kernel = property(lambda self: self._exact[2])
 
     def _size_reduce(self, combo: list[int]) -> list[int]:
         c = list(combo)
@@ -464,10 +469,11 @@ class _MonomialLattice:
         return c
 
     def membership(self, y: CyclotomicReal) -> Optional[list[tuple[int, tuple[int, ...]]]]:
-        if self.common_den % y._den:
+        lattice, common_den, _ = self._exact
+        if common_den % y._den:
             return None
-        scale = self.common_den // y._den
-        combo = self.lattice.membership([c * scale for c in y._num])
+        scale = common_den // y._den
+        combo = lattice.membership([c * scale for c in y._num])
         if combo is None:
             return None
         combo = self._size_reduce(combo)
@@ -480,8 +486,9 @@ class _Candidates:
     generators p.
 
     Every delta generator is a linear form in the p's, so x * m(p) is an
-    integer combination of the powers x * p^e.  Each power costs one exact
-    product, made the first time a candidate needs it.
+    integer combination of the powers x * p^e.  The screen reads their
+    images mod q, E(x) * prod E(p_i)^e_i pointwise; an exact power is one
+    product, made when a candidate that passes the screen first needs it.
     """
 
     def __init__(self, x: CyclotomicReal, gens: Sequence[CyclotomicReal],
@@ -490,7 +497,7 @@ class _Candidates:
         self.forms = forms
         self.bounds = bounds
         self.powers = {(0,) * len(gens): x}
-        self.residuals: dict[tuple[int, ...], Optional[np.ndarray]] = {}
+        self.images: dict[tuple[int, ...], Optional[np.ndarray]] = {}
 
     def __iter__(self):
         top = self.bounds.max_den_exp
@@ -501,10 +508,16 @@ class _Candidates:
     def power(self, e: tuple[int, ...]) -> CyclotomicReal:
         """x * p^e, from the power with e's first nonzero entry lowered."""
         if e not in self.powers:
-            i = next(k for k, v in enumerate(e) if v)
-            lower = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            i, lower = _lowered(e)
             self.powers[e] = self.power(lower) * self.gens[i]
         return self.powers[e]
+
+    def image(self, e: tuple[int, ...], lattice: _MonomialLattice) -> np.ndarray:
+        """E(x * p^e) mod q, from the image with e's first nonzero entry lowered."""
+        if e not in self.images:
+            i, lower = _lowered(e)
+            self.images[e] = self.image(lower, lattice) * lattice.images[i] % lattice.q
+        return self.images[e]
 
     def value(self, form: _Form) -> CyclotomicReal:
         """x * m(p) as one combination over a common denominator; the
@@ -519,18 +532,16 @@ class _Candidates:
         return CyclotomicReal._make(x.conductor, num, den)
 
     def excluded(self, form: _Form, lattice: _MonomialLattice) -> bool:
-        """Whether x * m(p) mod q leaves the span of the lattice rows mod q,
-        which proves it outside the lattice; False whenever a residual is
-        undefined."""
-        q = _FILTER_PRIME
-        total = 0
-        for e, c in form.items():
-            if e not in self.residuals:
-                self.residuals[e] = lattice.residual(self.power(e))
-            if self.residuals[e] is None:
-                return False
-            total = (total + c % q * self.residuals[e]) % q
-        return bool(np.any(total))
+        """Whether the image of x * m(p) mod q leaves the span of the
+        monomial images, which proves x * m(p) outside the lattice; False
+        whenever an image is undefined."""
+        zero = (0,) * len(self.gens)
+        if zero not in self.images:
+            self.images[zero] = evaluate(self.powers[zero], lattice.n)
+        if lattice.basis is None or self.images[zero] is None:
+            return False
+        total = sum(c % lattice.q * self.image(e, lattice) % lattice.q for e, c in form.items())
+        return bool(lattice.residual(total % lattice.q).any())
 
 
 _lattice_cache: dict = {}
@@ -549,17 +560,28 @@ def _fixing_group(u: SlopeSet) -> tuple[int, ...]:
 
     By Galois theory this group H fixes exactly the field Q(p) the
     constants generate, whose degree is phi(n)/|H| (Washington, GTM 83,
-    ch. 2).
+    ch. 2).  sigma_a(g) takes at the root w^b the value g takes at w^(ab),
+    so where g's images mod q = split_prime(n) differ from their
+    permutation b -> ab, sigma_a moves g.  The units that pass form a
+    group containing H, and it is H once its generators modulo +-1 fix
+    every g exactly; otherwise, or when q divides a denominator, every
+    unit is tested exactly.
     """
     if u not in _field_cache:
         n = u.working_conductor
         gens = [v for _, v in _numerator_generators(u)]
-        # every value is real, so sigma_1 and sigma_(-1) fix it
-        _field_cache[u] = tuple(
-            a for a in range(1, n + 1)
-            if math.gcd(a, n) == 1
-            and (a in (1, n - 1) or all(g.is_fixed_by(a) for g in gens))
-        )
+        images = [evaluate(g, n) for g in gens]
+        group = None
+        if all(e is not None for e in images):
+            at = {b % n: k for k, b in enumerate(units(n))}  # the entry of each root w^b
+            # the entry at b = 1 first: sigma_a(g) = g needs g(w^a) = g(w)
+            group = tuple(a for k, a in enumerate(units(n)) if all(
+                e[k] == e[0] and e[[at[a * b % n] for b in units(n)]].tobytes() == e.tobytes()
+                for e in images
+            ))
+            if not all(g.is_fixed_by(a) for a in _generators_mod_sign(group, n) for g in gens):
+                group = None
+        _field_cache[u] = group or tuple(a for a in units(n) if all(g.is_fixed_by(a) for g in gens))
     return _field_cache[u]
 
 
@@ -616,8 +638,8 @@ def membership_in_MR(
     lattice = _monomial_lattice(u, bounds)
     den_names, den_values, den_forms = zip(*_delta_generators(u))
     candidates = _Candidates(x_n, lattice.values, den_forms, bounds)
-    # Once the rows span Q(p) over Q, the filter could almost never reject.
-    sieve = lattice.lattice.rank < euler_phi(n) // len(group)
+    # Once the images span Q(p) mod q, the screen could almost never reject.
+    sieve = lattice.basis is not None and len(lattice.basis) < euler_phi(n) // len(group)
     for exps, form in candidates:
         if sieve and candidates.excluded(form, lattice):
             continue

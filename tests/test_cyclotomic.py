@@ -578,3 +578,51 @@ def test_batch_mul_by_a_rational_scales_the_rows(n, bits, monkeypatch):
             assert (got.num_bits, got.den_bits) == (want.num_bits, want.den_bits)
             assert got.num.dtype == want.num.dtype and got.den.dtype == want.den.dtype
             assert got.rows() == want.rows()
+
+
+def _is_prime_reference(m):
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+@pytest.mark.parametrize("n", [1, 12, 120, 1980, 13860])
+def test_split_prime_is_the_least_prime_one_mod_n_above_2_to_30(n):
+    q = cyclotomic.split_prime(n)
+    assert 2**30 < q < 2**31 and q % n == 1 % n and _is_prime_reference(q)
+    assert not any(_is_prime_reference(m) for m in range(q - n, 2**30, -n))
+
+
+def _sigma(x, a):
+    """sigma_a(x), zeta -> zeta^a, on the power basis."""
+    n = x.conductor
+    rows = cyclotomic._zeta_power_rows(n)
+    num = [0] * euler_phi(n)
+    for j, c in enumerate(x._num):
+        for i, t in enumerate(rows[a * j % n]):
+            num[i] += c * t
+    return CyclotomicReal._make(n, num, x._den)
+
+
+@pytest.mark.parametrize("n", [1, 12, 120, 1980])
+def test_evaluation_is_a_ring_map_at_the_roots_of_phi_n(n):
+    q, units = cyclotomic.split_prime(n), cyclotomic.units(n)
+    roots = cyclotomic._split_roots(n).tolist()
+    assert len(set(roots)) == len(units) == euler_phi(n)
+    primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime_reference(r)]
+    for w in roots:  # exact order n
+        assert pow(w, n, q) == 1 and all(pow(w, n // r, q) != 1 for r in primes)
+    zeta = CyclotomicReal._make(n, cyclotomic._zeta_power_rows(n)[1 % n], 1)
+    assert cyclotomic.evaluate(zeta, n).tolist() == roots
+    rng = random.Random(n)
+    at = {a % n: k for k, a in enumerate(units)}
+    for bits in (1, 8, 100):
+        x, y = _draw(rng, n, bits), _draw(rng, n, bits)
+        ex, ey = cyclotomic.evaluate(x, n), cyclotomic.evaluate(y, n)
+        assert (cyclotomic.evaluate(x * y, n) == ex * ey % q).all()
+        assert (cyclotomic.evaluate(x + y, n) == (ex + ey) % q).all()
+        # sigma_a(x) at the root w^b is x at w^(ab)
+        for a in rng.sample(units, min(3, len(units))):
+            moved = cyclotomic.evaluate(_sigma(x, a), n).tolist()
+            assert moved == [ex[at[a * b % n]] for b in units]
+        # the denominator is invertible mod q exactly when q does not divide it
+        assert cyclotomic.evaluate(x * Fraction(1, q), n) is None
+        assert cyclotomic.evaluate(x * Fraction(q, 3 * q + 1), n).tolist() == [0] * len(units)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from origami_rings.angles import Angle
@@ -11,6 +12,7 @@ from origami_rings.cyclotomic import (
     CyclotomicReal,
     cos_of,
     euler_phi,
+    evaluate,
     minimal_polynomial,
     rewrite_in_conductor,
     sqrt_rational,
@@ -587,6 +589,7 @@ def test_one_product_per_monomial_and_per_candidate(pentagon, monkeypatch):
     monkeypatch.setattr(CyclotomicReal, "__mul__", counting_mul)
     monkeypatch.setattr(_MonomialLattice, "membership", counting_query)
     lattice = _MonomialLattice(pentagon, bounds)
+    lattice.lattice  # the exact monomials are made at the first exact query
     assert 0 < products <= len(lattice.exponents) - 1
     _monomial_lattice(pentagon, bounds)
     _fixing_group(pentagon)
@@ -670,22 +673,21 @@ def test_span_filter_never_rejects_a_lattice_member():
     assert checked and accepted and rejected
 
 
-def test_span_filter_passes_what_it_cannot_reduce(monkeypatch):
-    # with q dividing a denominator or a pivot there is no residual to test
+def test_span_filter_passes_what_it_cannot_reduce():
+    # with q dividing x's denominator there is no image to test; every
+    # form the screen excludes is an exact non-member
     u = SlopeSet(["0", "3pi/5", "4pi/5", "11pi/12"])
     bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
     lattice = _MonomialLattice(u, bounds)
     x = rewrite_in_conductor(ratio_elements(u)[0], u.working_conductor)
     stream = _candidates(x, u, bounds)
     forms = [form for _, form in stream]
-    assert any(stream.excluded(form, lattice) for form in forms)
-    over_q = _candidates(x * Fraction(1, ring_analysis._FILTER_PRIME), u, bounds)
+    excluded = [form for form in forms if stream.excluded(form, lattice)]
+    assert excluded
+    assert all(lattice.membership(stream.value(form)) is None for form in excluded)
+    q = cyclotomic.split_prime(u.working_conductor)
+    over_q = _candidates(x * Fraction(1, q), u, bounds)
     assert not any(over_q.excluded(form, lattice) for form in forms)
-    monkeypatch.setattr(ring_analysis, "_FILTER_PRIME", 307)  # 4605 = 3 * 5 * 307
-    blind = _MonomialLattice(u, bounds)
-    assert 4605 in [row[col] for col, row in blind.lattice.rows]
-    stream = _candidates(x, u, bounds)
-    assert not any(stream.excluded(form, blind) for form in forms)
 
 
 def test_span_filter_spares_the_1980_ratios_the_exact_sweep(monkeypatch):
@@ -743,3 +745,81 @@ def test_generators_mod_sign_generate_the_fixing_group():
     units = [a for a in range(1, 1980) if math.gcd(a, 1980) == 1]
     gens = _generators_mod_sign(units, 1980)
     assert len(gens) == 3 and _closure(gens, 1980) == set(units)
+
+
+def _fixing_group_reference(u: SlopeSet) -> tuple[int, ...]:
+    """The reference route: sigma_a tested exactly on every unit a."""
+    n = u.working_conductor
+    gens = [v for _, v in _numerator_generators(u)]
+    return tuple(
+        a for a in range(1, n + 1)
+        if math.gcd(a, n) == 1 and all(g.is_fixed_by(a) for g in gens)
+    )
+
+
+def test_fixing_group_matches_the_exact_route_on_every_unit(monkeypatch):
+    sets = _seeded_sets(37, (4, 5), 4, max_phi=480)
+    sets.append(SlopeSet(["0", "pi/5", "pi/2", "4pi/5"]))  # |H| = 8
+    sets.append(SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"]))  # phi = 480
+    expected = [_fixing_group_reference(u) for u in sets]
+    assert len(expected[-2]) == 8 and len(expected[-1]) == 4
+    checks = 0
+    fixed = CyclotomicReal.is_fixed_by
+
+    def counting(self, a):
+        nonlocal checks
+        checks += 1
+        return fixed(self, a)
+
+    def fixing_groups(some):
+        nonlocal checks
+        checks = 0
+        monkeypatch.setattr(ring_analysis, "_field_cache", {})
+        return [_fixing_group(u) for u in some]
+
+    monkeypatch.setattr(CyclotomicReal, "is_fixed_by", counting)
+    # only the survivors' generators modulo +-1 are checked exactly
+    assert fixing_groups(sets) == expected
+    assert checks == sum(
+        len(_generators_mod_sign(h, u.working_conductor)) * len(u.free_slopes)
+        for u, h in zip(sets, expected)
+    )
+    # a unit that matches at the root w alone is still dropped mod q: the
+    # values at w^(ah) are copied from those at w^h for every h in H
+    u, h = sets[-1], expected[-1]
+    n = u.working_conductor
+    units = cyclotomic.units(n)
+    a = next(a for a in units if a not in h)
+
+    def planted(x, m):
+        e = evaluate(x, m).copy()
+        for b in h:
+            e[units.index(a * b % n)] = e[units.index(b)]
+        return e
+
+    monkeypatch.setattr(ring_analysis, "evaluate", planted)
+    assert fixing_groups([u]) == [h] and checks == 1
+    # no images (q divides a denominator), or images that every unit
+    # leaves in place, so the survivors fail the exact check: both fall
+    # back to testing every unit exactly
+    for fake in (lambda x, m: None, lambda x, m: np.ones(euler_phi(m), np.int64)):
+        monkeypatch.setattr(ring_analysis, "evaluate", fake)
+        assert fixing_groups(sets[-2:]) == expected[-2:]
+        assert checks >= euler_phi(n)
+
+
+def test_cold_1980_ring_check_builds_no_integer_lattice(monkeypatch):
+    # the mod-q screen rejects every candidate of this set, so the exact
+    # 33 x 480 Hermite lattice is never built
+    def no_lattice(self, dimension):
+        raise AssertionError("IntegerLattice built")
+
+    monkeypatch.setattr(IntegerLattice, "__init__", no_lattice)
+    monkeypatch.setattr(ring_analysis, "_lattice_cache", {})
+    monkeypatch.setattr(ring_analysis, "_field_cache", {})
+    report = ring_check(SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"]))
+    assert report.status is RingStatus.UNKNOWN and report.decided_by == ""
+    verdicts = [str(v) for c in report.criteria for v in c.verdicts]
+    assert verdicts == ["Unknown: bounded search exhausted"] * 8
+    scans = [str(v) for scan in report.frame_scan for v in scan.verdicts]
+    assert scans == ["Unknown: fast paths only"] * 10
