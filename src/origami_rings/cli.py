@@ -440,14 +440,21 @@ def _build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per config, keyed by its canonical JSON, so that repeated
+# calls in one process do not rebuild the subcommand tree.
+_parsers: dict[str, argparse.ArgumentParser] = {}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _load_config()
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser = _build_parser(config)
-    args = parser.parse_args(argv)
+    key = json.dumps(config, sort_keys=True)
+    if key not in _parsers:
+        _parsers[key] = _build_parser(config)
+    args = _parsers[key].parse_args(argv)
     # argparse checks choices on the command line only, not on config defaults
     if args.format not in args.formats:
         bad = json.dumps(args.format)

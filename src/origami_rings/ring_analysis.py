@@ -394,8 +394,9 @@ class _MonomialLattice:
 
     A combination of the monomials has its image mod q = split_prime(n) in
     the span of the pointwise powers E(p)^e, kept as echelon rows `basis`
-    (None when q divides a denominator).  The exact `lattice`, `common_den`
-    and Babai rows `_kernel` are built at the first exact query.
+    (None when q divides a denominator).  The exact `lattice`, `common_den`,
+    Babai rows `_kernel` and the pivot block of the Hermite rows are built
+    at the first exact query.
     """
 
     def __init__(self, u: SlopeSet, bounds: SearchBounds):
@@ -426,7 +427,8 @@ class _MonomialLattice:
         return image
 
     @cached_property
-    def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]]]:
+    def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]],
+                              tuple[list[int], list[list[int]]]]:
         one = CyclotomicReal.from_rational(1, self.n)
         monomials = [v for _, v in _graded_products(one, self.values, self.degree, self.degree)]
         common_den = math.lcm(*(v._den for v in monomials))
@@ -454,22 +456,51 @@ class _MonomialLattice:
                     g = math.gcd(*w)
                     w = [x // g for x in w]
             kernel.append((row, w, sum(x * y for x, y in zip(row, w))))
-        return lattice, common_den, kernel
+        # The Hermite rows restricted to their pivot columns: upper
+        # triangular with a positive diagonal.
+        cols = sorted(lattice._pivots)
+        block = [[lattice._pivots[c][0][k] for k in cols] for c in cols]
+        return lattice, common_den, kernel, (cols, block)
 
     lattice = property(lambda self: self._exact[0])
     common_den = property(lambda self: self._exact[1])
     _kernel = property(lambda self: self._exact[2])
 
+    def pivot_coordinates(self, y: CyclotomicReal) -> tuple[list[int], int]:
+        """(t, den) with t / den the rational coordinates over the Hermite
+        rows H that reproduce common_den * y on the pivot columns.
+
+        If common_den * y = s*H with s integral then s = t / den, so a
+        non-integral t / den proves y outside the lattice.  Once y lies in
+        the rational span of the rows, as it does when the lattice spans
+        Q(p) and y lies in Q(p), the converse holds too (Cohen, GTM 138,
+        section 2.4).  One fraction-free forward substitution through the
+        triangular pivot block keeps t over a single denominator.
+        """
+        _, common_den, _, (cols, block) = self._exact
+        t, den = [], 1
+        for j, col in enumerate(cols):
+            r = y._num[col] * den - sum(a * row[j] for a, row in zip(t, block))
+            g = math.gcd(r, block[j][j])
+            if (f := block[j][j] // g) != 1:
+                t = [a * f for a in t]
+                den *= f
+            t.append(r // g)
+        t = [a * common_den for a in t]
+        den *= y._den
+        g = math.gcd(den, *t)
+        return [a // g for a in t], den // g
+
     def _size_reduce(self, combo: list[int]) -> list[int]:
         c = list(combo)
         for row, w, bw in reversed(self._kernel):
-            q = round(Fraction(sum(a * b for a, b in zip(c, w)), bw))
+            q = _round_half_even(sum(a * b for a, b in zip(c, w)), bw)
             if q:
                 c = [a - q * b for a, b in zip(c, row)]
         return c
 
     def membership(self, y: CyclotomicReal) -> Optional[list[tuple[int, tuple[int, ...]]]]:
-        lattice, common_den, _ = self._exact
+        lattice, common_den = self._exact[:2]
         if common_den % y._den:
             return None
         scale = common_den // y._den
@@ -480,6 +511,15 @@ class _MonomialLattice:
         return [(c, self.exponents[i]) for i, c in enumerate(combo) if c]
 
 
+def _round_half_even(a: int, b: int) -> int:
+    """round(Fraction(a, b)) for b > 0, in integers."""
+    q, r = divmod(a, b)
+    return q + (2 * r > b or (2 * r == b and q % 2))
+
+
+_stream_cache: dict = {}
+
+
 class _Candidates:
     """(exps, form) for the denominator monomials m = prod(d_i^exps[i]) in
     the search order, form being m as a polynomial in the numerator
@@ -488,7 +528,11 @@ class _Candidates:
     Every delta generator is a linear form in the p's, so x * m(p) is an
     integer combination of the powers x * p^e.  The screen reads their
     images mod q, E(x) * prod E(p_i)^e_i pointwise; an exact power is one
-    product, made when a candidate that passes the screen first needs it.
+    product, made when a candidate that passes the screen first needs it,
+    and its pivot coordinates are kept beside it, so the pivot test of a
+    candidate is one integer combination of them.  The forms depend only
+    on the number of generators and the bounds, so their stream is shared
+    by every query in the process and made as far as a query reads it.
     """
 
     def __init__(self, x: CyclotomicReal, gens: Sequence[CyclotomicReal],
@@ -498,12 +542,29 @@ class _Candidates:
         self.bounds = bounds
         self.powers = {(0,) * len(gens): x}
         self.images: dict[tuple[int, ...], Optional[np.ndarray]] = {}
+        self.coords: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     def __iter__(self):
-        top = self.bounds.max_den_exp
-        start = _Form({(0,) * len(self.gens): 1})
-        stream = _graded_products(start, self.forms, len(self.forms) * top, top)
-        return itertools.islice(stream, self.bounds.max_candidates)
+        top, budget = self.bounds.max_den_exp, self.bounds.max_candidates
+        key = (len(self.gens), top, budget)
+        if key not in _stream_cache:
+            start = _Form({(0,) * len(self.gens): 1})
+            stream = _graded_products(start, self.forms, len(self.forms) * top, top)
+            _stream_cache[key] = ([], itertools.islice(stream, budget))
+        made, rest = _stream_cache[key]
+        for i in itertools.count():
+            if i == len(made):
+                try:
+                    item = next(rest, None)
+                except BaseException:
+                    # an interrupt raised inside the generator ends it, so
+                    # drop the stream rather than keep it cut short
+                    _stream_cache.pop(key, None)
+                    raise
+                if item is None:
+                    return
+                made.append(item)
+            yield made[i]
 
     def power(self, e: tuple[int, ...]) -> CyclotomicReal:
         """x * p^e, from the power with e's first nonzero entry lowered."""
@@ -542,6 +603,21 @@ class _Candidates:
             return False
         total = sum(c % lattice.q * self.image(e, lattice) % lattice.q for e, c in form.items())
         return bool(lattice.residual(total % lattice.q).any())
+
+    def off_lattice(self, form: _Form, lattice: _MonomialLattice) -> bool:
+        """Whether a pivot coordinate of x * m(p) is not an integer, which
+        proves x * m(p) outside the lattice."""
+        terms = []
+        for e, c in form.items():
+            if e not in self.coords:
+                self.coords[e] = lattice.pivot_coordinates(self.power(e))
+            terms.append((c, *self.coords[e]))
+        den = math.lcm(*(d for _, _, d in terms))
+        total = [0] * len(terms[0][1])
+        for c, t, d in terms:
+            f = c * (den // d)
+            total = [a + f * b for a, b in zip(total, t)]
+        return any(a % den for a in total)
 
 
 _lattice_cache: dict = {}
@@ -641,7 +717,7 @@ def membership_in_MR(
     # Once the images span Q(p) mod q, the screen could almost never reject.
     sieve = lattice.basis is not None and len(lattice.basis) < euler_phi(n) // len(group)
     for exps, form in candidates:
-        if sieve and candidates.excluded(form, lattice):
+        if (sieve and candidates.excluded(form, lattice)) or candidates.off_lattice(form, lattice):
             continue
         combo = lattice.membership(candidates.value(form))
         if combo is not None:

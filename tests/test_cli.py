@@ -192,6 +192,29 @@ def test_config_unknown_key(capsys, tmp_path, monkeypatch):
     assert "unknown config keys" in err
 
 
+def test_each_config_gets_its_own_cached_parser(capsys, tmp_path, monkeypatch):
+    # the parser is cached per config, so a second config in the same
+    # process must not see the first one's defaults
+    for name, config in (("a", {"slopes": TRIANGLE, "precision": 4}),
+                         ("b", {"slopes": PENTAGON, "precision": 6})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    monkeypatch.setenv("ORIGAMI_RINGS_CONFIG", str(tmp_path / "a.json"))
+    first = run(capsys, "pvalues")
+    monkeypatch.setenv("ORIGAMI_RINGS_CONFIG", str(tmp_path / "b.json"))
+    second = run(capsys, "pvalues")
+    monkeypatch.setenv("ORIGAMI_RINGS_CONFIG", str(tmp_path / "a.json"))
+    assert run(capsys, "pvalues") == first
+    assert first[0] == second[0] == EXIT_OK
+    assert "1.0000" in first[1] and "1.00000" not in first[1]
+    assert "pi/5" not in first[1]
+    assert "p(pi/5) = 1.890529\n" in second[1]
+    # a config that fails validation is still refused after a valid one
+    (tmp_path / "bad.json").write_text(json.dumps({"precision": 7.5}))
+    monkeypatch.setenv("ORIGAMI_RINGS_CONFIG", str(tmp_path / "bad.json"))
+    code, out, err = run(capsys, "pvalues", "--slopes", TRIANGLE)
+    assert code == EXIT_USAGE and out == "" and "'precision'" in err
+
+
 @pytest.mark.parametrize(
     "config, argv",
     [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from origami_rings.angles import Angle
+from origami_rings.expressions import parse_expression
 from origami_rings import cyclotomic, ring_analysis
 from origami_rings.cyclotomic import (
     CyclotomicReal,
@@ -32,6 +33,7 @@ from origami_rings.ring_analysis import (
     _graded_products,
     _monomial_lattice,
     _numerator_generators,
+    _round_half_even,
     classify,
     delta_set,
     e_closed_form,
@@ -574,35 +576,60 @@ def test_one_product_per_monomial_and_per_candidate(pentagon, monkeypatch):
     x = sqrt_rational(3)
     products = candidates = 0
     multiply = CyclotomicReal.__mul__
-    query = _MonomialLattice.membership
+    stream = _Candidates.__iter__
 
     def counting_mul(self, other):
         nonlocal products
         products += 1
         return multiply(self, other)
 
-    def counting_query(self, y):
+    def counting_stream(self):
         nonlocal candidates
-        candidates += 1
-        return query(self, y)
+        for item in stream(self):
+            candidates += 1
+            yield item
 
     monkeypatch.setattr(CyclotomicReal, "__mul__", counting_mul)
-    monkeypatch.setattr(_MonomialLattice, "membership", counting_query)
+    monkeypatch.setattr(_Candidates, "__iter__", counting_stream)
     lattice = _MonomialLattice(pentagon, bounds)
     lattice.lattice  # the exact monomials are made at the first exact query
     assert 0 < products <= len(lattice.exponents) - 1
-    _monomial_lattice(pentagon, bounds)
+    _monomial_lattice(pentagon, bounds).lattice  # built here, not in the count
     _fixing_group(pentagon)
     products = 0
     v = membership_in_MR(x, pentagon, bounds)
     assert v.is_proven_in
-    # the lattice spans Q(p) here, so every candidate reaches the sweep;
-    # candidate p^i (p-1)^j uses the powers x * p^i .. x * p^(i+j)
+    # every visited candidate reaches the pivot test, which reads its
+    # powers; candidate p^i (p-1)^j uses the powers x * p^i .. x * p^(i+j)
     top = bounds.max_den_exp
     visited = itertools.islice(_graded_products(1, (1, 1), 2 * top, top), candidates)
     powers = set().union(*(range(i, i + j + 1) for (i, j), _ in visited))
     assert 0 < products <= len(powers)
     assert products < candidates
+
+
+def test_candidate_stream_is_not_cut_short_by_an_interrupt(pentagon, monkeypatch):
+    # the stream is shared by every query; an interrupt inside its
+    # generator must not leave later queries a truncated stream
+    monkeypatch.setattr(ring_analysis, "_stream_cache", {})
+    bounds = SearchBounds(max_den_exp=3)
+    x = rewrite_in_conductor(sqrt_rational(3), pentagon.working_conductor)
+    expected = list(_candidates(x, pentagon, bounds))
+    assert len(expected) == 16
+    monkeypatch.setattr(ring_analysis, "_stream_cache", {})
+    multiply, calls = ring_analysis._Form.__mul__, 0
+
+    def interrupted(self, other):
+        nonlocal calls
+        calls += 1
+        if calls == 5:
+            raise KeyboardInterrupt
+        return multiply(self, other)
+
+    monkeypatch.setattr(ring_analysis._Form, "__mul__", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        list(_candidates(x, pentagon, bounds))
+    assert list(_candidates(x, pentagon, bounds)) == expected
 
 
 def _seeded_sets(seed, sizes, per_size, max_phi=96):
@@ -643,9 +670,18 @@ def test_candidates_match_the_product_chain():
                 assert (a.conductor, a._num, a._den) == (b.conductor, b._num, b._den)
 
 
+def _member_by_construction(rng, u, lattice):
+    """A small polynomial in the p's over a monomial in the delta
+    generators, so some candidate clears it."""
+    den_values = [v for _, v, _ in _delta_generators(u)]
+    num = sum(rng.randint(-3, 3) * math.prod(
+        v**e for v, e in zip(lattice.values, exps)
+    ) for exps in lattice.exponents[:6]) + 1
+    den = math.prod(rng.choice(den_values) for _ in range(rng.randint(1, 3)))
+    return num * den.inv()
+
+
 def test_span_filter_never_rejects_a_lattice_member():
-    # members by construction: a small polynomial in the p's over a
-    # monomial in the delta generators, so some candidate clears it
     bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
     rng = random.Random(29)
     checked = accepted = rejected = 0
@@ -655,14 +691,8 @@ def test_span_filter_never_rejects_a_lattice_member():
         if lattice.lattice.rank >= degree:
             continue  # membership_in_MR runs no filter here
         checked += 1
-        den_values = [v for _, v, _ in _delta_generators(u)]
         for _ in range(2):
-            num = sum(rng.randint(-3, 3) * math.prod(
-                v**e for v, e in zip(lattice.values, exps)
-            ) for exps in lattice.exponents[:6]) + 1
-            den = math.prod(rng.choice(den_values) for _ in range(rng.randint(1, 3)))
-            x = num * den.inv()
-            stream = _candidates(x, u, bounds)
+            stream = _candidates(_member_by_construction(rng, u, lattice), u, bounds)
             for _, form in stream:
                 excluded = stream.excluded(form, lattice)
                 if lattice.membership(stream.value(form)) is not None:
@@ -671,6 +701,67 @@ def test_span_filter_never_rejects_a_lattice_member():
                 else:
                     rejected += excluded
     assert checked and accepted and rejected
+
+
+def test_pivot_coordinates_never_reject_a_lattice_member():
+    # the pivot test runs on every candidate, whether or not the lattice
+    # spans Q(p) (the mod-q screen off or on)
+    bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
+    rng = random.Random(41)
+    accepted = rejected = 0
+    spans = set()
+    for u in _seeded_sets(43, (4, 5), 4):
+        lattice = _monomial_lattice(u, bounds)
+        degree = euler_phi(u.working_conductor) // len(_fixing_group(u))
+        spans.add(lattice.lattice.rank >= degree)
+        for _ in range(2):
+            stream = _candidates(_member_by_construction(rng, u, lattice), u, bounds)
+            for _, form in stream:
+                off = stream.off_lattice(form, lattice)
+                if lattice.membership(stream.value(form)) is not None:
+                    assert not off, str(u)
+                    accepted += 1
+                else:
+                    rejected += off
+    # both the screen-off (spanning) and the screen-on case are covered
+    assert spans == {True, False}
+    assert accepted and rejected
+
+
+def test_warm_pentagon_sweeps_only_the_witness(pentagon, monkeypatch):
+    # the lattice spans Q(p) and x passed the field test, so the pivot
+    # test is exact: one Hermite sweep per ProvenIn, none for ProvenNotIn
+    queries = ["sqrt(3)", "sqrt(15)", "cos(pi/5)", "sin(7pi/30)", "1/3", "7/3",
+               "sqrt(2)", "cos(pi/8)", "sin(pi/12)"]
+    membership_in_MR(Fraction(1, 7), pentagon)
+    sweeps = 0
+    query = IntegerLattice.membership
+
+    def counting_query(self, vector):
+        nonlocal sweeps
+        sweeps += 1
+        return query(self, vector)
+
+    monkeypatch.setattr(IntegerLattice, "membership", counting_query)
+    kinds = []
+    for text in queries:
+        sweeps = 0
+        v = membership_in_MR(parse_expression(text), pentagon)
+        assert v.witness is None or v.witness.evaluate() == parse_expression(text)
+        assert sweeps == (1 if v.is_proven_in else 0), text
+        kinds.append(v.kind)
+    assert kinds.count(MembershipKind.PROVEN_IN) == 6
+    assert kinds.count(MembershipKind.PROVEN_NOT_IN) == 3
+
+
+def test_round_half_even_matches_fraction_round():
+    rng = random.Random(47)
+    cases = [(a, b) for b in (1, 2, 3, 4, 10) for a in range(-25, 26)]
+    cases += [(rng.randint(-2**2700, 2**2700), rng.randint(1, 2**1400)) for _ in range(200)]
+    # exact ties, half-odd multiples on both sides of zero
+    cases += [((2 * k + 1) * b, 2 * b) for k in range(-6, 6) for b in (1, 7, 3**90)]
+    for a, b in cases:
+        assert _round_half_even(a, b) == round(Fraction(a, b)), (a, b)
 
 
 def test_span_filter_passes_what_it_cannot_reduce():
