@@ -5,10 +5,11 @@ A CyclotomicReal is a real algebraic number written on the power basis
 as an integer coefficient vector over a common positive denominator.
 The representation is canonical (reduced modulo the n-th cyclotomic
 polynomial, gcd-normalized), so equality and zero tests are exact
-vector comparisons after conductor promotion.  A product convolves the
-two vectors, by the schoolbook loop for short ones and otherwise by
-Kronecker substitution (one big-integer product of the packed vectors),
-then reduces by long division by the monic, sparse Phi_n.  An inverse
+vector comparisons after conductor promotion.  Every sum of terms
+c * zeta^k reaches the power basis by one long division by the monic,
+sparse Phi_n: a product's convolution (schoolbook for short vectors,
+else one Kronecker-substitution big-integer product) and, through
+_power_sum, promotion, the Galois action and the constructors.  An inverse
 is found modulo a prime q by Euclid in F_q[X], lifted by Newton steps
 modulo q^(2^k) and read off by rational reconstruction; it is exact
 because it is returned only once x * y == 1 holds exactly.
@@ -28,6 +29,9 @@ product (row j of the matrix is x * zeta^j); sums go over the lcm of the
 denominators, and rows are normalized as CyclotomicReal is.  A kernel
 runs in int64 when its result is provably below 2^62, for a product when
 bits(A) + bits(M) + bits(phi) + 1 <= 62, and otherwise on Python ints.
+
+One cached O(n) vector of the powers of a root of unity w modulo a split
+prime q evaluates an element at all roots of Phi_n mod q (evaluate).
 """
 
 from __future__ import annotations
@@ -106,21 +110,6 @@ def _moebius(n: int) -> int:
 
 
 @cache
-def _zeta_power_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Basis vectors of zeta_n^j for j = 0 .. n-1."""
-    phi = euler_phi(n)
-    top = tuple(-c for c in cyclotomic_polynomial(n)[:phi])  # zeta^phi
-    rows = []
-    row = tuple([1] + [0] * (phi - 1))
-    for _ in range(n):
-        rows.append(row)
-        shifted = (0,) + row[: phi - 1]
-        lead = row[phi - 1]
-        row = tuple(s + lead * t for s, t in zip(shifted, top)) if lead else shifted
-    return tuple(rows)
-
-
-@cache
 def _trace_row(n: int) -> tuple[int, ...]:
     """Traces of the basis powers zeta_n^j down to Q, j = 0 .. phi(n)-1."""
     phi = euler_phi(n)
@@ -187,6 +176,21 @@ def _reduce_product(raw: list[int], n: int) -> list[int]:
             for offset, t in tail:
                 raw[j + offset] += c * t
     return raw[:phi] + [0] * (phi - len(raw))
+
+
+def _power_sum(n: int, terms: Iterable[tuple[int, int]]) -> list[int]:
+    """The sum of c * zeta_n^k over (k, c) on the power basis: scattered into a
+    raw vector, folded by zeta_n^(n/2) = -1 when n is even, then reduced by
+    long division by Phi_n."""
+    half = n // 2 if n % 2 == 0 else n
+    raw = [0] * half
+    for k, c in terms:
+        k %= n
+        if k < half:
+            raw[k] += c
+        else:
+            raw[k - half] -= c
+    return _reduce_product(raw, n)
 
 
 # Inverses start modulo this prime, or the next one if it divides the norm.
@@ -365,30 +369,31 @@ class CyclotomicReal:
     def is_fixed_by(self, a: int) -> bool:
         """Whether sigma_a: zeta -> zeta^a fixes x; a is a unit mod n.
 
-        Coordinates of sigma_a(x) are built one at a time up to the first
-        that differs from x's.  Complex conjugation is sigma_(-1).
+        The numerator f = sum c_j zeta^j is first compared at w and at w^a
+        mod q = split_prime(n); evaluation is a ring map, so a mismatch
+        proves sigma_a(f) != f.  On a match sigma_a(f) = sum c_j zeta^(aj)
+        is written out by _power_sum and compared exactly.  Complex
+        conjugation is sigma_(-1).
         """
         n = self.conductor
-        rows = _zeta_power_rows(n)
-        terms = [(c, rows[a * j % n]) for j, c in enumerate(self._num) if c]
-        return all(
-            sum(c * row[i] for c, row in terms) == own
-            for i, own in enumerate(self._num)
-        )
+        q, w = split_prime(n), _root_powers(n)
+        terms = [(j, c) for j, c in enumerate(self._num) if c]
+        at = np.array([j for j, _ in terms], np.int64)
+        res = np.array([c % q for _, c in terms], np.int64)
+        if (res * w[at] % q).sum() % q != (res * w[a * at % n] % q).sum() % q:
+            return False
+        return _power_sum(n, ((a * j, c) for j, c in terms)) == list(self._num)
 
     def to_conductor(self, n: int) -> "CyclotomicReal":
-        """Rewrite on the power basis of Q(zeta_n); n must be a multiple."""
+        """Rewrite on the power basis of Q(zeta_n), n a multiple of the
+        conductor c: zeta_c^j is zeta_n^(j*n/c), summed by _power_sum."""
         if n == self.conductor:
             return self
         if n % self.conductor:
             raise ValueError(f"{n} is not a multiple of conductor {self.conductor}")
-        rows, step = _zeta_power_rows(n), n // self.conductor
-        out = [0] * euler_phi(n)
-        for j, c in enumerate(self._num):
-            if c:
-                for i, t in enumerate(rows[j * step]):
-                    out[i] += c * t
-        return CyclotomicReal._make(n, out, self._den)
+        step = n // self.conductor
+        terms = ((j * step, c) for j, c in enumerate(self._num) if c)
+        return CyclotomicReal._make(n, _power_sum(n, terms), self._den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -740,53 +745,52 @@ def split_prime(n: int) -> int:
 
 
 @cache
-def _split_roots(n: int) -> np.ndarray:
-    """w^a mod split_prime(n) for the units a in order, w of exact order n:
-    the phi(n) roots of Phi_n mod q."""
+def _root_powers(n: int) -> np.ndarray:
+    """w^k mod split_prime(n) for k < n, w of exact order n; the roots of
+    Phi_n mod q are the w^a for the units a."""
     q = split_prime(n)
     primes = [d for d in _divisors(n) if mpmath.libmp.isprime(d)]
     powers = (pow(c, (q - 1) // n, q) for c in range(2, q))
     w = next(w for w in powers if all(pow(w, n // r, q) != 1 for r in primes))
-    return np.array([pow(w, a, q) for a in units(n)], np.int64)
+    out, p = np.empty(n, np.int64), 1
+    for k in range(n):
+        out[k], p = p, p * w % q
+    return out
 
 
 def evaluate(x: CyclotomicReal, n: int) -> "np.ndarray | None":
-    """x at the roots of Phi_n mod q = split_prime(n) in the order of
-    _split_roots, None when q divides x's denominator: a ring map, so
-    products and sums are pointwise.  Horner over all roots at once stays
-    in int64, since residues are below q < 2^31."""
+    """x at the roots w^a of Phi_n mod q = split_prime(n), a over units(n)
+    in order, None when q divides x's denominator: a ring map, so products
+    and sums are pointwise.  Each nonzero c_j adds c_j * w^(aj) for all a
+    at once, one gather from _root_powers.  Residues are below q < 2^31, so
+    a product of two fits in int64, and so does a sum of phi(n) residues."""
     q = split_prime(n)
     if x._den % q == 0:
         return None
-    acc, roots = 0, _split_roots(n)
-    for c in reversed(x.to_conductor(n)._num):
-        acc = (acc * roots + c % q) % q
-    return acc * pow(x._den, -1, q) % q
+    w, a = _root_powers(n), np.array(units(n), np.int64)
+    acc = np.zeros(len(a), np.int64)
+    for j, c in enumerate(x.to_conductor(n)._num):
+        if c:
+            acc += w[a * j % n] * (c % q) % q
+    return acc % q * pow(x._den, -1, q) % q
 
 
 # ---------------------------------------------------------------------------
 # trigonometric and radical constructors
 
 
-def _half_sum(n: int, a: int, b: int, sign: int) -> CyclotomicReal:
-    """(zeta_n^a + sign * zeta_n^b) / 2."""
-    rows = _zeta_power_rows(n)
-    num = [x + sign * y for x, y in zip(rows[a % n], rows[b % n])]
-    return CyclotomicReal._make(n, num, 2)
-
-
 def cos_of(angle: Angle) -> CyclotomicReal:
     """Exact cos(angle) = (zeta^m + zeta^-m) / 2 as a cyclotomic real."""
     n = angle.conductor
     m = angle.numerator * (n // (2 * angle.denominator))
-    return _half_sum(n, m, -m, 1)
+    return CyclotomicReal._make(n, _power_sum(n, [(m, 1), (-m, 1)]), 2)
 
 
 def sin_of(angle: Angle) -> CyclotomicReal:
     """Exact sin(angle) = (zeta^(n/4 - m) - zeta^(n/4 + m)) / 2 as a cyclotomic real."""
     n = angle.conductor
     m = angle.numerator * (n // (2 * angle.denominator))
-    return _half_sum(n, n // 4 - m, n // 4 + m, -1)
+    return CyclotomicReal._make(n, _power_sum(n, [(n // 4 - m, 1), (n // 4 + m, -1)]), 2)
 
 
 def _legendre(a: int, p: int) -> int:
@@ -797,17 +801,12 @@ def _legendre(a: int, p: int) -> int:
 @cache
 def _sqrt_prime(p: int) -> CyclotomicReal:
     """The positive square root of a prime, via quadratic Gauss sums."""
-    if p == 2:
-        return 2 * _half_sum(8, 1, -1, 1)  # sqrt(2) = 2 cos(pi/4)
+    if p == 2:  # zeta_8 + 1/zeta_8 = 2 cos(pi/4)
+        return CyclotomicReal._make(8, _power_sum(8, [(1, 1), (-1, 1)]), 1)
     # the Gauss sum is sqrt(p) if p = 1 mod 4, else i*sqrt(p): take -zeta_4 times it
     n, sign, shift = (p, 1, 0) if p % 4 == 1 else (4 * p, -1, p)
-    rows = _zeta_power_rows(n)
-    out = [0] * euler_phi(n)
-    for a in range(1, p):
-        s = sign * _legendre(a, p)
-        for i, c in enumerate(rows[(n // p * a + shift) % n]):
-            out[i] += s * c
-    return CyclotomicReal._make(n, out, 1)
+    terms = ((n // p * a + shift, sign * _legendre(a, p)) for a in range(1, p))
+    return CyclotomicReal._make(n, _power_sum(n, terms), 1)
 
 
 def sqrt_rational(value: Rational) -> CyclotomicReal:
@@ -878,10 +877,8 @@ def rewrite_in_conductor(x: CyclotomicReal, n: int) -> "CyclotomicReal | None":
         return x.to_conductor(n)
     g = math.gcd(c, n)
     span = RowSpace(euler_phi(c))
-    for j in range(euler_phi(g)):
-        basis_vec = [0] * euler_phi(g)
-        basis_vec[j] = 1
-        span.add(CyclotomicReal._make(g, basis_vec, 1).to_conductor(c).coefficients())
+    for j in range(euler_phi(g)):  # zeta_g^j = zeta_c^(j*c/g)
+        span.add(_power_sum(c, [(j * (c // g), 1)]))
     coords = span.coordinates(x.coefficients())
     if coords is None:
         return None

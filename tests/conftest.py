@@ -1,8 +1,10 @@
+from functools import cache
 from math import gcd
 
 import pytest
 
 from origami_rings import Angle, SlopeSet
+from origami_rings.cyclotomic import cyclotomic_polynomial, euler_phi
 
 
 @pytest.fixture
@@ -30,3 +32,19 @@ def angle_pool(denominators) -> list[Angle]:
             if gcd(k, n) == 1:
                 out.append(Angle(k, n))
     return out
+
+
+@cache
+def _zeta_power_rows_reference(n):
+    """The former table: basis vectors of zeta_n^j for j = 0 .. n-1, each
+    the previous one times zeta, reduced by zeta^phi = -(Phi_n - X^phi)."""
+    phi = euler_phi(n)
+    top = tuple(-c for c in cyclotomic_polynomial(n)[:phi])  # zeta^phi
+    rows = []
+    row = tuple([1] + [0] * (phi - 1))
+    for _ in range(n):
+        rows.append(row)
+        shifted = (0,) + row[: phi - 1]
+        lead = row[phi - 1]
+        row = tuple(s + lead * t for s, t in zip(shifted, top)) if lead else shifted
+    return tuple(rows)

@@ -137,6 +137,13 @@ def test_member_not_in(capsys):
     assert "ProvenNotIn" in out
 
 
+def test_square_root_of_a_large_prime(capsys):
+    # its Gauss sum lies at conductor 40028, outside the working field
+    code, out, _ = run(capsys, "member", "sqrt(10007)", "--slopes", PENTAGON)
+    assert code == EXIT_OK
+    assert "ProvenNotIn" in out
+
+
 def test_member_unknown_exit_code(capsys):
     code, out, _ = run(
         capsys, "member", "sqrt(3)", "--slopes", PENTAGON,

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -7,6 +8,7 @@ import mpmath
 import pytest
 from mpmath import iv
 
+from conftest import _zeta_power_rows_reference
 from origami_rings import cyclotomic
 from origami_rings.angles import Angle
 from origami_rings.cyclotomic import (
@@ -19,6 +21,8 @@ from origami_rings.cyclotomic import (
     sqrt_rational,
 )
 from origami_rings.polynomials import RationalPolynomial
+from origami_rings.ring_analysis import ratio_elements
+from origami_rings.slopes import SlopeSet
 
 HALF = Fraction(1, 2)
 
@@ -591,26 +595,31 @@ def test_split_prime_is_the_least_prime_one_mod_n_above_2_to_30(n):
     assert not any(_is_prime_reference(m) for m in range(q - n, 2**30, -n))
 
 
+def _from_rows(n, terms, den=1):
+    """The sum of c * zeta_n^k over (k, c), read off the reference table."""
+    rows, num = _zeta_power_rows_reference(n), [0] * euler_phi(n)
+    for k, c in terms:
+        if not c:
+            continue
+        for i, t in enumerate(rows[k % n]):
+            num[i] += c * t
+    return CyclotomicReal._make(n, num, den)
+
+
 def _sigma(x, a):
     """sigma_a(x), zeta -> zeta^a, on the power basis."""
-    n = x.conductor
-    rows = cyclotomic._zeta_power_rows(n)
-    num = [0] * euler_phi(n)
-    for j, c in enumerate(x._num):
-        for i, t in enumerate(rows[a * j % n]):
-            num[i] += c * t
-    return CyclotomicReal._make(n, num, x._den)
+    return _from_rows(x.conductor, [(a * j, c) for j, c in enumerate(x._num)], x._den)
 
 
 @pytest.mark.parametrize("n", [1, 12, 120, 1980])
 def test_evaluation_is_a_ring_map_at_the_roots_of_phi_n(n):
     q, units = cyclotomic.split_prime(n), cyclotomic.units(n)
-    roots = cyclotomic._split_roots(n).tolist()
+    roots = cyclotomic._root_powers(n)[[a % n for a in units]].tolist()
     assert len(set(roots)) == len(units) == euler_phi(n)
     primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime_reference(r)]
     for w in roots:  # exact order n
         assert pow(w, n, q) == 1 and all(pow(w, n // r, q) != 1 for r in primes)
-    zeta = CyclotomicReal._make(n, cyclotomic._zeta_power_rows(n)[1 % n], 1)
+    zeta = CyclotomicReal._make(n, _zeta_power_rows_reference(n)[1 % n], 1)
     assert cyclotomic.evaluate(zeta, n).tolist() == roots
     rng = random.Random(n)
     at = {a % n: k for k, a in enumerate(units)}
@@ -626,3 +635,91 @@ def test_evaluation_is_a_ring_map_at_the_roots_of_phi_n(n):
         # the denominator is invertible mod q exactly when q does not divide it
         assert cyclotomic.evaluate(x * Fraction(1, q), n) is None
         assert cyclotomic.evaluate(x * Fraction(q, 3 * q + 1), n).tolist() == [0] * len(units)
+    zero = CyclotomicReal.from_rational(0)
+    assert cyclotomic.evaluate(zero, n).tolist() == [0] * len(units)
+
+
+def _same(x, y):
+    return (x.conductor, x._num, x._den) == (y.conductor, y._num, y._den)
+
+
+# slope sets whose p-values and ratio elements are real elements at n
+_SETS_AT = {
+    12: ["0", "pi/6", "pi/3", "pi/2"],
+    120: ["0", "pi/5", "pi/4", "pi/3"],
+    1980: ["0", "pi/11", "5pi/9", "7pi/10"],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 15, 120, 1980])
+def test_power_sums_match_the_power_table_reference(n):
+    rng = random.Random(n)
+    # promotion from every divisor c of n
+    for c in cyclotomic._divisors(n):
+        x = _draw(rng, c, 8)
+        want = _from_rows(n, [(j * (n // c), a) for j, a in enumerate(x._num)], x._den)
+        assert _same(x.to_conductor(n), want)
+    # sigma_a on every unit up to n = 120 and on a sample at 1980: random
+    # elements, real ones and numerators that are multiples of q, which
+    # vanish mod q, so the exact branch decides
+    q, units = cyclotomic.split_prime(n), cyclotomic.units(n)
+    xs = [_draw(rng, n, 8), _draw(rng, n, 30), _from_rows(n, [(1, 1), (-1, 1)])]
+    if n in _SETS_AT:
+        u = SlopeSet(_SETS_AT[n])
+        xs += list(u.p_table.values()) + [r.to_conductor(n) for r in ratio_elements(u)]
+    xs += [_from_rows(n, [(1, q), (-1, q)], 2), _from_rows(n, [(1, q), (2, 3 * q)])]
+    sample = units if n <= 120 else rng.sample(units, 6) + [n - 1]
+    outcomes = set()
+    for x in xs:
+        for a in sample:
+            fixed = _same(_sigma(x, a), x)
+            assert x.is_fixed_by(a) == fixed, (x, a)
+            outcomes.add((fixed, all(c % q == 0 for c in x._num)))
+    assert (True, False) in outcomes and (True, True) in outcomes
+    if n > 2:  # sigma_a moves some elements, among them multiples of q
+        assert (False, False) in outcomes and (False, True) in outcomes
+    # cos and sin of the angles of conductor n, as zeta^m + zeta^-m and
+    # zeta^(n/4 - m) + zeta^(m - n/4) over 2, theta = 2*pi*m/n
+    angles = [Angle(k, d) for d in cyclotomic._divisors(n) for k in range(d)
+              if math.gcd(k, d) == 1 and Angle(k, d).conductor == n]
+    for angle in angles if n <= 120 else rng.sample(angles, 20):
+        m = angle.numerator * n // (2 * angle.denominator)
+        assert _same(cos_of(angle), _from_rows(n, [(m, 1), (-m, 1)], 2))
+        assert _same(sin_of(angle), _from_rows(n, [(n // 4 - m, 1), (m - n // 4, 1)], 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 103])
+def test_square_roots_match_the_gauss_sums_of_the_reference_table(p):
+    # sqrt(p) is the Gauss sum over zeta_p for p = 1 mod 4, and -zeta_4
+    # times it over zeta_4p for p = 3 mod 4; sqrt(2) is zeta_8 + zeta_8^-1
+    if p == 2:
+        want = _from_rows(8, [(1, 1), (-1, 1)])
+    elif p % 4 == 1:
+        want = _from_rows(p, [(a, cyclotomic._legendre(a, p)) for a in range(1, p)])
+    else:
+        terms = [(4 * a + p, -cyclotomic._legendre(a, p)) for a in range(1, p)]
+        want = _from_rows(4 * p, terms)
+    x = sqrt_rational(p)
+    assert _same(x, want)
+    assert x * x == p and x.sign() == 1
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_conductors_build_no_table_of_zeta_powers():
+    # sqrt(10007) is a Gauss sum at conductor 40028 and the p-values of
+    # this set lie at 13860: a table of all n reduced powers of zeta
+    # would take about 6 GB and 310 MB.  Squaring sqrt(10007) would take
+    # minutes, since Phi_40028 has 10,007 nonzero coefficients.
+    cyclotomic._sqrt_prime.cache_clear()
+    assert _traced_peak(lambda: sqrt_rational(10007)) < 32 * 2**20
+    u = SlopeSet(["0", "pi/9", "2pi/11", "pi/5", "3pi/7"])
+    assert u.working_conductor == 13860
+    assert _traced_peak(lambda: u.p_table) < 32 * 2**20

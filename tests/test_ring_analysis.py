@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import _zeta_power_rows_reference
 from origami_rings.angles import Angle
 from origami_rings.expressions import parse_expression
 from origami_rings import cyclotomic, ring_analysis
@@ -257,7 +258,7 @@ def test_pentagon_lattice_stays_small(pentagon):
 
 def _two_cos(d: int, c: int) -> CyclotomicReal:
     """2*cos(2*pi/d) written on the power basis of Q(zeta_c), d | c."""
-    rows = cyclotomic._zeta_power_rows(d)
+    rows = _zeta_power_rows_reference(d)
     coeffs = [a + b for a, b in zip(rows[1 % d], rows[(d - 1) % d])]
     return CyclotomicReal.from_coeffs(d, coeffs).to_conductor(c)
 
@@ -303,17 +304,18 @@ def test_outside_query_builds_no_compositum_table(pentagon, monkeypatch):
     # compositum table at their lcm 2280 would hold over 10 MB
     x = sqrt_rational(19)
     big = math.lcm(x.conductor, pentagon.working_conductor)
-    built = []
-    original = cyclotomic._zeta_power_rows
+    reduced = []
+    original = cyclotomic._reduce_product
 
-    def recording(n):
-        built.append(n)
-        return original(n)
+    def recording(raw, n):
+        reduced.append(n)
+        return original(raw, n)
 
-    monkeypatch.setattr(cyclotomic, "_zeta_power_rows", recording)
+    # every promotion and every product reduces modulo Phi_n at its conductor
+    monkeypatch.setattr(cyclotomic, "_reduce_product", recording)
     v = membership_in_MR(x, pentagon)
     assert v.kind is MembershipKind.PROVEN_NOT_IN
-    assert big == 2280 and big not in built
+    assert big == 2280 and reduced and big not in reduced
 
 
 SCAN_BOUNDS = SearchBounds(max_den_exp=0, max_num_deg=1, max_candidates=1)
