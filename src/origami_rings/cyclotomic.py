@@ -442,12 +442,10 @@ class CyclotomicReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_rational and o.conductor == 1:
-            return CyclotomicReal._make(
-                self.conductor,
-                (o._num[0] * c for c in self._num),
-                self._den * o._den,
-            )
+        # a conductor-1 rational on either side scales the other one
+        x, r = (o, self) if self.conductor == 1 else (self, o)
+        if r.conductor == 1:
+            return CyclotomicReal._make(x.conductor, (r._num[0] * c for c in x._num), x._den * r._den)
         a, b, n = self._common(o)
         raw = _convolve(a._num, b._num)
         return CyclotomicReal._make(n, _reduce_product(raw, n), a._den * b._den)
@@ -843,8 +841,9 @@ def sqrt_rational(value: Rational) -> CyclotomicReal:
 def minimal_polynomial(x: CyclotomicReal):
     """Monic minimal polynomial of x over Q.
 
-    Powers of x are fed into a rational row space until the first linear
-    relation appears; least degree makes the relation irreducible.
+    Powers of x are fed into a RowSpace, the rational view of one
+    Hermite sweep, until the first linear relation appears; least degree
+    makes the relation irreducible.
     """
     from .linalg import RowSpace
     from .polynomials import RationalPolynomial
@@ -864,9 +863,10 @@ def rewrite_in_conductor(x: CyclotomicReal, n: int) -> "CyclotomicReal | None":
 
     Returns None when x is provably outside Q(zeta_n).  Inside Q(zeta_c),
     c the conductor of x, the field Q(zeta_n) meets Q(zeta_c) in
-    Q(zeta_g) with g = gcd(c, n) (Washington, GTM 83, ch. 2), so a
-    rational solve against the basis of Q(zeta_g) promoted to c decides
-    membership without building the compositum.
+    Q(zeta_g) with g = gcd(c, n) (Washington, GTM 83, ch. 2), so one
+    Hermite sweep of the basis of Q(zeta_g) promoted to c, with the
+    numerator of x adjoined last, decides membership without building
+    the compositum; its coordinates are divided by the denominator of x.
     """
     from .linalg import RowSpace
 
@@ -879,9 +879,9 @@ def rewrite_in_conductor(x: CyclotomicReal, n: int) -> "CyclotomicReal | None":
     span = RowSpace(euler_phi(c))
     for j in range(euler_phi(g)):  # zeta_g^j = zeta_c^(j*c/g)
         span.add(_power_sum(c, [(j * (c // g), 1)]))
-    coords = span.coordinates(x.coefficients())
+    coords = span.add(x._num)
     if coords is None:
         return None
     den = math.lcm(*(q.denominator for q in coords))
-    small = CyclotomicReal._make(g, [int(q * den) for q in coords], den)
+    small = CyclotomicReal._make(g, [int(q * den) for q in coords], den * x._den)
     return small.to_conductor(n)

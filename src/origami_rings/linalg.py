@@ -1,82 +1,64 @@
-"""Exact linear algebra over Q and over Z.
+"""Exact linear algebra over Q and over Z, on one elimination.
 
-Two small engines drive everything here:
+IntegerLattice keeps a Z-basis in Hermite normal form with tracking,
+deciding membership of integer vectors in the Z-span of the generators
+and returning the integer combination.  A generator that does not raise
+the rank comes back as the primitive integer relation it closes.
+Reducing the entries above each pivot keeps both the rows and their
+tracked combinations small (Cohen, GTM 138, section 2.4).
 
-* RowSpace keeps a rational echelon basis with transformation tracking,
-  so a dependent vector comes back with its coordinates over the
-  generators that were added.  It powers minimal polynomials (first
-  linear relation among powers) and rational span tests.
-
-* IntegerLattice keeps a Z-basis in Hermite normal form, again with
-  tracking, deciding membership of integer vectors in the Z-span of the
-  generators and returning the integer combination.  A generator that
-  does not raise the rank comes back as the primitive integer relation
-  it closes.  Reducing the entries above each pivot keeps both the rows
-  and their tracked combinations small (Cohen, GTM 138, section 2.4).
+RowSpace is its rational view: each vector is cleared of denominators
+and adjoined to one IntegerLattice, and a relation becomes rational
+coordinates.  It powers minimal polynomials (first linear relation
+among powers) and rational span tests.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Sequence
 
 
 class RowSpace:
-    """Echelon basis of a growing subspace of Q^n with coordinates."""
+    """A growing subspace of Q^n that gives coordinates of dependent vectors.
+
+    Generator k is adjoined to an IntegerLattice as s_k * v_k, s_k the
+    least common denominator of v_k.  The Hermite rows are independent,
+    so in a relation sum c_i * s_i * v_i = 0 that v_k closes, c_k != 0
+    and v_k = sum -c_i * s_i / (c_k * s_k) * v_i.
+    """
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self._rows: list[tuple[list[Fraction], list[Fraction]]] = []
-        self._count = 0  # generators offered so far
+        self._lattice = IntegerLattice(dimension)
+        self._scales: list[int] = []  # s_i of every generator offered so far
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return self._lattice.rank
 
-    def _reduce(self, vec: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-        combo = [Fraction(0)] * self._count
-        for row, row_combo in self._rows:
-            pivot = next(i for i, c in enumerate(row) if c)
-            c = vec[pivot]
-            if c:
-                factor = c / row[pivot]
-                for i in range(pivot, self.dimension):
-                    vec[i] -= factor * row[i]
-                for i, rc in enumerate(row_combo):
-                    combo[i] -= factor * rc
-        return vec, combo
-
-    def add(self, vector: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        """Offer a generator.  Returns None if it enlarged the space,
-        else its coordinates over the previously offered generators."""
-        vec = [Fraction(v) for v in vector]
-        if len(vec) != self.dimension:
+    def add(self, vector: Sequence[Rational]) -> Optional[list[Fraction]]:
+        """Offer a generator (ints or Fractions).  Returns None if it
+        enlarged the space, else its coordinates over every previously
+        offered generator."""
+        if len(vector) != self.dimension:
             raise ValueError("vector has wrong dimension")
-        vec, combo = self._reduce(vec)
-        self._count += 1
-        if any(vec):
-            # the reduced row equals generator + sum combo[i]*generator_i
-            own = list(combo) + [Fraction(1)]
-            self._pad()
-            self._rows.append((vec, own))
-            self._rows.sort(key=lambda r: next(i for i, c in enumerate(r[0]) if c))
+        scale = math.lcm(*(v.denominator for v in vector))
+        self._scales.append(scale)
+        relation = self._lattice.add([v.numerator * (scale // v.denominator) for v in vector])
+        if relation is None:
             return None
-        return [-c for c in combo]
+        *earlier, own = relation
+        own *= scale
+        return [Fraction(-c * s, own) for c, s in zip(earlier, self._scales)]
 
-    def _pad(self):
-        for _, combo in self._rows:
-            combo.extend([Fraction(0)] * (self._count - len(combo)))
-
-    def coordinates(self, vector: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        """Coordinates of vector over the offered generators, or None."""
-        vec = [Fraction(v) for v in vector]
-        if len(vec) != self.dimension:
-            raise ValueError("vector has wrong dimension")
-        self._pad()
-        vec, combo = self._reduce(vec)
-        if any(vec):
-            return None
-        return [-c for c in combo]
+    def coordinates(self, vector: Sequence[Rational]) -> Optional[list[Fraction]]:
+        """Coordinates of vector over the offered generators, or None;
+        the span is left unchanged."""
+        return copy.deepcopy(self).add(vector)
 
 
 class IntegerLattice:

@@ -350,6 +350,24 @@ def test_product_matches_schoolbook_reference():
                     assert cyclotomic._convolve([a] * length, [b] * length) == expected
 
 
+def test_conductor_1_rational_on_either_side_scales_without_a_convolution(monkeypatch):
+    # the shortcut skips the promotion and the product modulo Phi_n, and
+    # its result is canonical, so both sides give the reference's bytes
+    rng = random.Random(9)
+    xs = [_element(rng, n, 64, 5) for n in (1, 12, 120, 1980)]
+    xs += [sqrt_rational(7), CyclotomicReal.from_rational(0, 120)]
+    rationals = [CyclotomicReal.from_rational(r) for r in (0, 1, Fraction(-3, 4), 2**70 + 1)]
+    expected = [(r, x, _mul_reference(r, x)) for r in rationals for x in xs]
+
+    def no_convolution(*args):
+        raise AssertionError("convolution for a conductor-1 rational")
+
+    monkeypatch.setattr(cyclotomic, "_convolve", no_convolution)
+    for r, x, want in expected:
+        for got in (r * x, x * r):
+            assert (got.conductor, got._num, got._den) == (want.conductor, want._num, want._den)
+
+
 def _inv_reference(x):
     """The former inverse: extended Euclid on Fraction polynomials."""
     if x.is_rational:

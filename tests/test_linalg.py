@@ -3,15 +3,24 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from origami_rings.linalg import IntegerLattice, RowSpace
 
 
 def test_rowspace_detects_dependence():
+    # Fractions and plain ints alike
+    for one, zero in ((Fraction(1), Fraction(0)), (1, 0)):
+        rs = RowSpace(2)
+        assert rs.add([one, zero]) is None
+        assert rs.add([zero, one]) is None
+        combo = rs.add([2 * one, 3 * one])
+        assert combo == [Fraction(2), Fraction(3)]
+    # mixed denominators: each generator is cleared by its own scale
     rs = RowSpace(2)
-    assert rs.add([Fraction(1), Fraction(0)]) is None
-    assert rs.add([Fraction(0), Fraction(1)]) is None
-    combo = rs.add([Fraction(2), Fraction(3)])
-    assert combo == [Fraction(2), Fraction(3)]
+    assert rs.add([Fraction(1, 2), Fraction(1, 3)]) is None
+    assert rs.add([Fraction(1, 4), 0]) is None
+    assert rs.add([Fraction(5, 6), Fraction(2, 9)]) == [Fraction(2, 3), Fraction(2)]
 
 
 def test_rowspace_combination_reconstructs_vector():
@@ -20,19 +29,23 @@ def test_rowspace_combination_reconstructs_vector():
     rs = RowSpace(dim)
     stored = []
     while len(stored) < 3:
-        v = [Fraction(rng.randint(-4, 4)) for _ in range(dim)]
+        v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
         if rs.add(v) is None:
             stored.append(v)
+    # an earlier dependent generator still counts as offered
+    dependent = [a - 2 * b for a, b in zip(stored[0], stored[2])]
+    assert rs.add(dependent) == [Fraction(1), Fraction(0), Fraction(-2)]
+    offered = stored + [dependent]
     # a dependent vector must come back as exactly the claimed mix
-    mix = [Fraction(2), Fraction(-1), Fraction(3)]
+    mix = [Fraction(2), Fraction(-1), Fraction(3, 5)]
     target = [
         sum(m * row[j] for m, row in zip(mix, stored))
         for j in range(dim)
     ]
     combo = rs.add(target)
-    assert combo is not None
+    assert combo is not None and len(combo) == len(offered)
     rebuilt = [
-        sum(c * row[j] for c, row in zip(combo, stored))
+        sum(c * row[j] for c, row in zip(combo, offered))
         for j in range(dim)
     ]
     assert rebuilt == target
@@ -45,6 +58,18 @@ def test_rowspace_coordinates():
     coords = rs.coordinates([Fraction(3), Fraction(3), Fraction(-2)])
     assert coords == [Fraction(3), Fraction(-2)]
     assert rs.coordinates([Fraction(1), Fraction(0), Fraction(0)]) is None
+    # asking leaves the span as it was: same rank, same later answers
+    assert rs.rank == 2
+    assert rs.coordinates([3, 3, -2]) == coords
+    assert rs.coordinates([0, 0, 0]) == [0, 0]
+    assert rs.add([Fraction(1, 2), 0, 0]) is None and rs.rank == 3
+    assert rs.coordinates([1, 0, 5]) == [0, 5, 2]
+    for wrong in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            rs.add(wrong)
+        with pytest.raises(ValueError):
+            rs.coordinates(wrong)
+    assert rs.rank == 3
 
 
 def test_integer_lattice_membership_identity():

@@ -18,6 +18,7 @@ from origami_rings.cyclotomic import (
     minimal_polynomial,
     rewrite_in_conductor,
     sqrt_rational,
+    units,
 )
 from origami_rings.linalg import IntegerLattice, RowSpace
 from origami_rings.polynomials import RationalPolynomial
@@ -286,15 +287,19 @@ def test_rewrite_in_conductor_matches_compositum_route():
         for n in range(1, 61):
             if n % c == 0 or math.lcm(c, n) > 120:
                 continue
-            xs = [_two_cos(c, c), _two_cos(math.gcd(c, n), c)]
+            g, big = math.gcd(c, n), math.lcm(c, n)
+            xs = [_two_cos(c, c), _two_cos(g, c)]
             for x, expected in zip(xs, _rewrite_through_compositum(xs, n)):
                 got = rewrite_in_conductor(x, n)
                 if expected is None:
                     assert got is None
+                    # without linalg: some sigma_a, a = 1 mod g, moves x
+                    assert any(not x.is_fixed_by(a) for a in units(c) if a % g == 1 % g)
                     outside += 1
                 else:
                     assert got.conductor == n
                     assert (got._num, got._den) == (expected._num, expected._den)
+                    assert got.to_conductor(big) == x.to_conductor(big)
                     inside += 1
     assert inside and outside
 
@@ -437,6 +442,24 @@ def test_conductor_1980_set_builds_no_rowspace_of_full_degree(monkeypatch):
     v = membership_in_MR(cos_of(Angle(1, 990)), u, SCAN_BOUNDS)
     assert v.is_proven_not_in
     assert v.reason == "outside the field generated by the projection constants"
+
+
+def test_minimal_polynomial_matches_the_galois_degree(pentagon):
+    # with one free constant, deg mu(p) = [Q(p):Q] = phi(n)/|H|; mu(p) = 0
+    # is checked by Horner in CyclotomicReal, with no linear algebra
+    sets = [pentagon] + [u for u in _seeded_sets(41, (4,), 12) if len(u.free_slopes) == 1]
+    assert len(sets) >= 6
+    for u in sets:
+        (free,) = u.free_slopes
+        p = u.p_table[free]
+        coefficients = minimal_polynomial(p).coefficients
+        assert coefficients[-1] == 1, str(u)
+        value = CyclotomicReal.from_rational(0)
+        for c in reversed(coefficients):
+            value = value * p + c
+        assert value.is_zero, str(u)
+        degree = euler_phi(u.working_conductor) // len(_fixing_group(u))
+        assert len(coefficients) - 1 == degree, str(u)
 
 
 def _primitive_minimal_polynomial(x: CyclotomicReal) -> list[int]:
