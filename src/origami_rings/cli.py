@@ -27,6 +27,7 @@ from .export import (
     DEFAULT_PRECISION,
     SCHEMA_VERSION,
     csv_text,
+    indented_json,
     json_text,
     text_table,
 )
@@ -152,7 +153,7 @@ def _run_classify(args) -> int:
             "result": result.kind.value,
             "reason": result.reason,
         }
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(indented_json(doc), args.out)
     else:
         _emit(f"{u}: {result}", args.out)
     return EXIT_OK
@@ -194,7 +195,7 @@ def _run_ring(args) -> int:
                 for s in report.frame_scan
             ],
         }
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(indented_json(doc), args.out)
     else:
         lines = [f"{u} with frame ({u.alpha}, {u.beta}): {report.status.value}"]
         if report.decided_by:
@@ -248,7 +249,7 @@ def _run_generate(args) -> int:
                     for k, (points, truncated) in enumerate(levels)
                 ],
             }
-            _emit(json.dumps(doc, indent=2), args.out)
+            _emit(indented_json(doc), args.out)
         else:
             lines = []
             for k, (points, truncated) in enumerate(levels):
@@ -300,7 +301,7 @@ def _run_member(args) -> int:
                 "max_den_exp": verdict.bounds.max_den_exp,
                 "max_num_deg": verdict.bounds.max_num_deg,
             }
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(indented_json(doc), args.out)
     else:
         lines = [f"{args.value} in M_R({u}): {verdict.kind.value}"]
         if verdict.reason:
@@ -340,7 +341,7 @@ def _run_pvalues(args) -> int:
             ],
             "delta": [v.decimal(args.precision) for v in deltas],
         }
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(indented_json(doc), args.out)
     else:
         lines = [
             f"{u} with frame ({u.alpha}, {u.beta}), conductor {u.working_conductor}"

@@ -29,6 +29,8 @@ product (row j of the matrix is x * zeta^j); sums go over the lcm of the
 denominators, and rows are normalized as CyclotomicReal is.  A kernel
 runs in int64 when its result is provably below 2^62, for a product when
 bits(A) + bits(M) + bits(phi) + 1 <= 62, and otherwise on Python ints.
+A batch's decimals round enclosures of all its rows at once, one int64
+product per limb of the aligned cos endpoints.
 
 One cached O(n) vector of the powers of a root of unity w modulo a split
 prime q evaluates an element at all roots of Phi_n mod q (evaluate).
@@ -56,57 +58,55 @@ Rational = Union[int, Fraction]
 
 
 @cache
-def _divisors(n: int) -> tuple[int, ...]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+def _primes(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n, increasing, by trial division."""
+    out, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return tuple(out + [m] if m > 1 else out)
 
 
 @cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, lowest first.
 
-    Phi_n = prod over d | n of (x^d - 1)^mu(n/d): multiply by the factors
-    with mu = +1, then divide exactly by those with mu = -1.
+    Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and Phi_2m(x) =
+    Phi_m(-x) for odd m > 1.  An odd squarefree m = p_1 ... p_k grows prime
+    by prime from Phi_p1 = 1 + x + ... + x^(p1-1), as Phi_mp(x) =
+    Phi_m(x^p) / Phi_m(x): an exact division, lowest coefficient first, by
+    the sparse Phi_m with constant term 1.
     """
-    poly = [1]
-    mus = [(d, _moebius(n // d)) for d in _divisors(n)]
-    for d, mu in mus:
-        if mu == 1:
-            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
-    for d, mu in mus:
-        if mu == -1:
-            q: list[int] = []
-            for i in range(len(poly) - d):
-                q.append((q[i - d] if i >= d else 0) - poly[i])
-            poly = q
-    return tuple(poly)
+    odd = [p for p in _primes(n) if p > 2]
+    poly = [1] * odd[0] if odd else [-1, 1]  # Phi_1 = x - 1
+    for p in odd[1:]:
+        tail = [(k, c) for k, c in enumerate(poly) if c and k]
+        quotient: list[int] = []
+        for i in range((len(poly) - 1) * (p - 1) + 1):
+            top = poly[i // p] if i % p == 0 else 0
+            quotient.append(top - sum(c * quotient[i - k] for k, c in tail if k <= i))
+        poly = quotient
+    if n % 2 == 0:
+        poly = [c if k % 2 == 0 else -c for k, c in enumerate(poly)] if odd else [1, 1]
+    step = n // math.prod(_primes(n))
+    spread = [0] * ((len(poly) - 1) * step + 1)
+    spread[::step] = poly
+    return tuple(spread)
 
 
 @cache
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    primes = _primes(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 @cache
 def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    mu, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if m > 1 else mu
+    primes = _primes(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 @cache
@@ -254,6 +254,23 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+def _decimal_text(lo: int, hi: int, den: int, digits: int) -> "str | None":
+    """The midpoint of [lo/den, hi/den] to digits decimals, rounded half to
+    even as Fraction.__round__ does; None while the enclosure is wider than
+    a hundredth of the last digit."""
+    if digits < 0:
+        raise ValueError("digits must be nonnegative")
+    scale = 10**digits
+    if (hi - lo) * scale * 100 > den:
+        return None
+    scaled, rest = divmod(abs(lo + hi) * scale, 2 * den)
+    if rest > den or (rest == den and scaled % 2):
+        scaled += 1
+    sign = "-" if lo + hi < 0 else ""
+    text = str(scaled).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+
+
 # ---------------------------------------------------------------------------
 # certified interval evaluation
 
@@ -275,6 +292,10 @@ class Interval:
 
     def __str__(self) -> str:
         return f"[{float(self.lo)!r}, {float(self.hi)!r}]"
+
+
+# Enclosures start at this binary precision and double until narrow enough.
+_FIRST_PREC = 64
 
 
 @lru_cache(maxsize=None)
@@ -548,14 +569,13 @@ class CyclotomicReal:
                 hi += c * b << (e - exp)
         return lo, hi, self._den << -exp
 
-    def _refine(self, done) -> tuple[int, int, int]:
-        """Enclosures at doubling precision until done(lo, hi, den) holds."""
-        prec = 64
-        while True:
-            box = self._enclosure_at(prec)
-            if done(*box):
-                return box
+    def _refine(self, done):
+        """The first done(lo, hi, den) that is not None, over enclosures at
+        doubling precision from _FIRST_PREC."""
+        prec = _FIRST_PREC
+        while (out := done(*self._enclosure_at(prec))) is None:
             prec *= 2
+        return out
 
     def interval(self, max_width: Rational = Fraction(1, 10**15)) -> Interval:
         """A certified enclosure no wider than max_width: an exact dyadic
@@ -563,10 +583,11 @@ class CyclotomicReal:
         w = Fraction(max_width)
         if w <= 0:
             raise ValueError("max_width must be positive")
-        lo, hi, den = self._refine(
-            lambda lo, hi, den: (hi - lo) * w.denominator <= w.numerator * den
+        return self._refine(
+            lambda lo, hi, den: Interval(Fraction(lo, den), Fraction(hi, den))
+            if (hi - lo) * w.denominator <= w.numerator * den
+            else None
         )
-        return Interval(Fraction(lo, den), Fraction(hi, den))
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1."""
@@ -574,8 +595,7 @@ class CyclotomicReal:
             return 0
         if self.is_rational:
             return -1 if self._num[0] < 0 else 1
-        lo, _, _ = self._refine(lambda lo, hi, den: lo > 0 or hi < 0)
-        return 1 if lo > 0 else -1
+        return self._refine(lambda lo, hi, den: 1 if lo > 0 else -1 if hi < 0 else None)
 
     def __float__(self) -> float:
         return float(self.interval(Fraction(1, 10**17)).midpoint)
@@ -583,16 +603,7 @@ class CyclotomicReal:
     def decimal(self, digits: int = 12) -> str:
         """Decimal string certified to the requested number of digits: an
         enclosure's midpoint, rounded half to even as Fraction.__round__ does."""
-        if digits < 0:
-            raise ValueError("digits must be nonnegative")
-        scale = 10**digits
-        lo, hi, den = self._refine(lambda lo, hi, den: (hi - lo) * scale * 100 <= den)
-        scaled, rest = divmod(abs(lo + hi) * scale, 2 * den)
-        if rest > den or (rest == den and scaled % 2):
-            scaled += 1
-        sign = "-" if lo + hi < 0 else ""
-        text = str(scaled).rjust(digits + 1, "0")
-        return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+        return self._refine(lambda lo, hi, den: _decimal_text(lo, hi, den, digits))
 
     # -- misc ----------------------------------------------------------------
 
@@ -648,6 +659,66 @@ class Batch(NamedTuple):
 
     def values(self) -> list[CyclotomicReal]:
         return [CyclotomicReal(self.n, num, den, _raw=True) for num, den in self.rows()]
+
+    def decimals(self, digits: int) -> list[str]:
+        """x.decimal(digits) for each row x, from the first enclosures of all
+        rows at once (_enclosures); a row whose enclosure is too wide, or every
+        row of a batch on Python ints, finishes through decimal itself."""
+        boxes = _enclosures(self)
+        if boxes is None:
+            return [x.decimal(digits) for x in self.values()]
+        return [
+            _decimal_text(lo, hi, den, digits) or self.take([i]).values()[0].decimal(digits)
+            for i, (lo, hi, den) in enumerate(boxes)
+        ]
+
+    def coefficient_strings(self) -> list[tuple[str, ...]]:
+        """x.coefficient_strings() for each row x; each distinct numerator
+        over each denominator is written once."""
+        texts: dict[int, dict[int, str]] = {}
+        out = []
+        for row, den in zip(self.num.tolist(), self.den.tolist()):
+            known = texts.setdefault(den, {})
+            for c in set(row).difference(known):
+                known[c] = _ratio_text(c, den)
+            out.append(tuple(map(known.__getitem__, row)))
+        return out
+
+
+# Enclosure limbs narrower than this make more int64 products than the
+# Python-int sums of decimal save.
+_MIN_LIMB_BITS = 16
+
+
+def _enclosures(b: Batch) -> "list[tuple[int, int, int]] | None":
+    """The _FIRST_PREC enclosure (lo, hi, den) of each row, as _enclosure_at
+    gives it up to a common power of two; None for a batch on Python ints.
+
+    Endpoints are fetched for the columns nonzero in some row only and
+    aligned to one exponent.  With P and N the positive and negative parts
+    of the rows, (lo, hi) = [P | N] @ [[a, b], [b, a]] for the endpoint
+    columns a, b; the endpoints are cut into signed limbs of w bits, so each
+    limb is one int64 product of 2|J| terms below 2^(bits + w + bits(2|J|))
+    <= 2^62, and the limbs are summed on Python ints.
+    """
+    cols = np.flatnonzero(b.num.any(axis=0))
+    width = _INT64_BITS - b.num_bits - (2 * len(cols)).bit_length()
+    if b.num.dtype == object or width < _MIN_LIMB_BITS:
+        return None
+    ends = [_cos_endpoints(b.n, j, _FIRST_PREC) for j in cols.tolist()]
+    exp = min([0] + [e for _, _, e in ends])
+    lo = [a << (e - exp) for a, _, e in ends]
+    hi = [c << (e - exp) for _, c, e in ends]
+    table = np.array([lo + hi, hi + lo], object).T
+    rows = b.num[:, cols]
+    sides = np.hstack([np.maximum(rows, 0), np.minimum(rows, 0)])
+    magnitude, sign, mask = abs(table), np.sign(table), (1 << width) - 1
+    total = np.zeros((len(b.num), 2), object)
+    for shift in range(0, _bits(table), width):
+        limb = (sign * (magnitude >> shift & mask)).astype(np.int64)
+        total += (sides @ limb).astype(object) << shift
+    den = b.den.astype(object) << -exp
+    return list(zip(total[:, 0].tolist(), total[:, 1].tolist(), den.tolist()))
 
 
 def _cast(fits: bool, *arrays: np.ndarray) -> list[np.ndarray]:
@@ -747,9 +818,8 @@ def _root_powers(n: int) -> np.ndarray:
     """w^k mod split_prime(n) for k < n, w of exact order n; the roots of
     Phi_n mod q are the w^a for the units a."""
     q = split_prime(n)
-    primes = [d for d in _divisors(n) if mpmath.libmp.isprime(d)]
     powers = (pow(c, (q - 1) // n, q) for c in range(2, q))
-    w = next(w for w in powers if all(pow(w, n // r, q) != 1 for r in primes))
+    w = next(w for w in powers if all(pow(w, n // r, q) != 1 for r in _primes(n)))
     out, p = np.empty(n, np.int64), 1
     for k in range(n):
         out[k], p = p, p * w % q

@@ -39,28 +39,15 @@ class PointRecord:
     s_coeffs: tuple[str, ...]
 
 
-def _cartesian_parts(points: Sequence[PlanePoint]) -> list[tuple]:
-    """(Re, Im) of each point as PlanePoint.to_cartesian gives them, batched."""
-    groups: dict[tuple, list[int]] = {}
-    for i, pt in enumerate(points):
-        n = math.lcm(pt.r.conductor, pt.s.conductor)
-        groups.setdefault((pt.frame, n), []).append(i)
-    parts = {}
-    for (frame, n), index in groups.items():
-        r = stack([points[i].r.to_conductor(n) for i in index], n)
-        s = stack([points[i].s.to_conductor(n) for i in index], n)
-        unit_re, unit_im = frame.unit_parts()
-        # r + (s - r) unit_re, written so both products land on its conductor
-        re = batch_add(batch_mul(r, 1 - unit_re), batch_mul(s, unit_re))
-        im = batch_mul(batch_sub(s, r), unit_im)
-        parts.update(zip(index, zip(re.values(), im.values())))
-    return [parts[i] for i in range(len(points))]
-
-
 def point_records(
     levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION
 ) -> list[PointRecord]:
-    """Flatten levels into one record per point at its birth level."""
+    """Flatten levels into one record per point at its birth level.
+
+    Points of one frame and field are exported as one batch: their
+    Cartesian parts (Re, Im) as PlanePoint.to_cartesian gives them, the
+    certified decimals of those, and the coefficient strings of r and s.
+    """
     births: dict[tuple, tuple[int, PlanePoint]] = {}
     conductor = 1
     for level in levels:
@@ -68,18 +55,27 @@ def point_records(
             conductor = max(conductor, pt.r.conductor)
             key = (pt.r.conductor, pt.r._num, pt.r._den, pt.s._num, pt.s._den)
             births.setdefault(key, (level.level, pt))
-    points = [pt for _, pt in births.values()]
-    return [
-        PointRecord(
-            level=level,
-            re=re.decimal(precision),
-            im=im.decimal(precision),
-            conductor=conductor,
-            r_coeffs=pt.r.to_conductor(conductor).coefficient_strings(),
-            s_coeffs=pt.s.to_conductor(conductor).coefficient_strings(),
-        )
-        for (level, pt), (re, im) in zip(births.values(), _cartesian_parts(points))
-    ]
+    born = list(births.values())
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, pt) in enumerate(born):
+        n = math.lcm(pt.r.conductor, pt.s.conductor)
+        groups.setdefault((pt.frame, n), []).append(i)
+    records: list = [None] * len(born)
+    for (frame, n), index in groups.items():
+        r = stack([born[i][1].r.to_conductor(n) for i in index], n)
+        s = stack([born[i][1].s.to_conductor(n) for i in index], n)
+        unit_re, unit_im = frame.unit_parts()
+        # r + (s - r) unit_re, written so both products land on its conductor
+        re = batch_add(batch_mul(r, 1 - unit_re), batch_mul(s, unit_re))
+        im = batch_mul(batch_sub(s, r), unit_im)
+        if n != conductor:
+            r, s = (stack([v.to_conductor(conductor) for v in b.values()], conductor)
+                    for b in (r, s))
+        columns = zip(re.decimals(precision), im.decimals(precision),
+                      r.coefficient_strings(), s.coefficient_strings())
+        for i, (re_text, im_text, r_text, s_text) in zip(index, columns):
+            records[i] = PointRecord(born[i][0], re_text, im_text, conductor, r_text, s_text)
+    return records
 
 
 def to_json_document(
@@ -152,7 +148,52 @@ def json_text(
     levels: Sequence[LevelSet],
     precision: int = DEFAULT_PRECISION,
 ) -> str:
-    return json.dumps(to_json_document(u, levels, precision), indent=2)
+    return indented_json(to_json_document(u, levels, precision))
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def indented_json(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, for a document of dicts
+    with str keys, lists, tuples, strings, numbers, booleans and None.
+
+    With an indent CPython's json falls back to its pure-Python encoder;
+    here strings go through json's C escaper and containers are joined
+    with str.join.
+    """
+    return _indented(doc, "\n")
+
+
+def _indented(value, pad: str) -> str:
+    """value as indented_json writes it, pad being its line's newline and indent."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_escape(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {str}:
+            items = list(map(_escape, value))
+        else:
+            items = [_indented(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 CSV_COLUMNS = ["level", "re", "im", "conductor", "r", "s"]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from origami_rings import cli
+from origami_rings import cli, export
 from origami_rings.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -395,3 +395,33 @@ def test_output_bytes_are_stable(capsys, tmp_path, argv, exit_code, digest):
     code, _, _ = run(capsys, *argv, "--out", str(target))
     assert code == exit_code
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--slopes", PENTAGON),
+        RING_ARGS,
+        ("member", "sqrt(3)", "--slopes", PENTAGON),
+        ("pvalues", "--slopes", PENTAGON),
+        ("generate", "--slopes", PENTAGON, "--levels", "2"),
+        # floats, among them eps = 1e-07
+        ("generate", "--slopes", PENTAGON, "--levels", "2", "--float-preview",
+         "--eps", "1e-7"),
+    ],
+    ids=["classify", "ring", "member", "pvalues", "generate", "generate-float-preview"],
+)
+def test_json_documents_are_written_as_json_dumps_with_indent_2(capsys, monkeypatch, argv):
+    docs = []
+    writer = export.indented_json
+
+    def capture(doc):
+        docs.append(doc)
+        return writer(doc)
+
+    monkeypatch.setattr(export, "indented_json", capture)
+    monkeypatch.setattr(cli, "indented_json", capture)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code in (EXIT_OK, EXIT_UNKNOWN)
+    assert len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2) + "\n"

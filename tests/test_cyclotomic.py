@@ -65,6 +65,48 @@ def test_cyclotomic_polynomial_matches_quotient_definition():
         assert cyclotomic_polynomial(n) == _cyclotomic_polynomial_reference(n), n
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _moebius_reference(n):
+    mu, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
+
+
+def _cyclotomic_polynomial_divisor_product(n):
+    """The former construction: Phi_n = prod over d | n of (x^d - 1)^mu(n/d),
+    multiplying by the factors with mu = +1, then dividing exactly by those
+    with mu = -1."""
+    poly = [1]
+    mus = [(d, _moebius_reference(n // d)) for d in _divisors(n)]
+    for d, mu in mus:
+        if mu == 1:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d, mu in mus:
+        if mu == -1:
+            q = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            poly = q
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_from_the_radical_matches_the_divisor_product():
+    for n in [*range(1, 2001), 13860]:
+        poly = cyclotomic_polynomial(n)
+        assert poly == _cyclotomic_polynomial_divisor_product(n), n
+        # euler_phi comes from the factorization, not from Phi_n
+        assert euler_phi(n) == len(poly) - 1, n
+
+
 def test_euler_phi():
     assert [euler_phi(n) for n in (1, 2, 3, 4, 12, 60, 120)] == [
         1, 1, 2, 2, 4, 16, 32,
@@ -602,6 +644,49 @@ def test_batch_mul_by_a_rational_scales_the_rows(n, bits, monkeypatch):
             assert got.rows() == want.rows()
 
 
+@pytest.mark.parametrize("n", [1, 12, 120, 1980])
+def test_batch_decimals_and_coefficient_strings_match_each_row(n, monkeypatch):
+    # 8-bit rows take the int64 limb products; 50-bit rows are int64 but
+    # leave no room for a limb, and 100-bit rows are Python ints: both
+    # finish row by row through decimal
+    rng = random.Random(n + 3)
+    fetched = []
+    endpoints = cyclotomic._cos_endpoints
+
+    def spy(n, j, prec):
+        fetched.append(j)
+        return endpoints(n, j, prec)
+
+    monkeypatch.setattr(cyclotomic, "_cos_endpoints", spy)
+    for bits, kernel in ((8, True), (50, False), (100, False)):
+        xs = [_draw(rng, n, bits) for _ in range(3)]
+        # a sparse row, so that the batch has zero columns
+        sparse = [0] * euler_phi(n)
+        sparse[0], sparse[-1] = _coefficient(rng, bits), _coefficient(rng, bits)
+        xs += [CyclotomicReal._make(n, sparse, 3), CyclotomicReal.from_rational(0, n)]
+        for batch in (cyclotomic.stack(xs, n), cyclotomic.stack(xs[3:], n)):
+            del fetched[:]
+            boxes = cyclotomic._enclosures(batch)
+            assert (boxes is not None) == kernel, (bits, batch.num.dtype)
+            nonzero = {j for row, _ in batch.rows() for j, c in enumerate(row) if c}
+            assert set(fetched) <= nonzero
+            if boxes is not None:
+                # the enclosure of _enclosure_at, up to a common power of two
+                for (lo, hi, den), x in zip(boxes, batch.values()):
+                    a, b, d = x._enclosure_at(cyclotomic._FIRST_PREC)
+                    assert (Fraction(lo, den), Fraction(hi, den)) == (Fraction(a, d), Fraction(b, d))
+                # 30 digits are past the first precision, so every irrational
+                # row takes the _refine path; rationals have exact enclosures
+                texts = [cyclotomic._decimal_text(*box, 30) for box in boxes]
+                assert (None in texts) == (n > 1) and texts[-1] == "0." + "0" * 30
+            for digits in (0, 12, 30):
+                assert batch.decimals(digits) == [x.decimal(digits) for x in batch.values()]
+            strings = [x.coefficient_strings() for x in batch.values()]
+            assert batch.coefficient_strings() == strings
+    empty = cyclotomic.stack([], n)
+    assert empty.decimals(12) == [] and empty.coefficient_strings() == []
+
+
 def _is_prime_reference(m):
     return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
@@ -673,7 +758,7 @@ _SETS_AT = {
 def test_power_sums_match_the_power_table_reference(n):
     rng = random.Random(n)
     # promotion from every divisor c of n
-    for c in cyclotomic._divisors(n):
+    for c in _divisors(n):
         x = _draw(rng, c, 8)
         want = _from_rows(n, [(j * (n // c), a) for j, a in enumerate(x._num)], x._den)
         assert _same(x.to_conductor(n), want)
@@ -698,7 +783,7 @@ def test_power_sums_match_the_power_table_reference(n):
         assert (False, False) in outcomes and (False, True) in outcomes
     # cos and sin of the angles of conductor n, as zeta^m + zeta^-m and
     # zeta^(n/4 - m) + zeta^(m - n/4) over 2, theta = 2*pi*m/n
-    angles = [Angle(k, d) for d in cyclotomic._divisors(n) for k in range(d)
+    angles = [Angle(k, d) for d in _divisors(n) for k in range(d)
               if math.gcd(k, d) == 1 and Angle(k, d).conductor == n]
     for angle in angles if n <= 120 else rng.sample(angles, 20):
         m = angle.numerator * n // (2 * angle.denominator)

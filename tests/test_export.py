@@ -1,18 +1,21 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from origami_rings.construction import generate
+from origami_rings.construction import LevelSet, generate
 from origami_rings.export import (
     csv_text,
     from_json_document,
+    indented_json,
     json_text,
     point_records,
     text_table,
     to_json_document,
 )
+from origami_rings.geometry import PlanePoint
 
 
 def test_point_records_tag_birth_level(triangle):
@@ -89,3 +92,54 @@ def test_round_trip_keeps_truncation_flags(pentagon, cap, k_max):
     levels = generate(pentagon, k_max, point_cap=cap)
     _, back = from_json_document(to_json_document(pentagon, levels))
     assert [l.truncated for l in back] == [l.truncated for l in levels]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}], "d": [{"e": []}]},
+        [[[]], [{}]],
+        "",
+        'quote " backslash \\ slash /',
+        "controls \x00\x01\x1f\t\n\r\b\f\x7f",
+        "non-ASCII \u00e9 \u00df \u6f22 \U0001f600 \u2028",
+        ["plain", 'q"', "b\\", "\u00e9", "\n"],
+        True,
+        False,
+        None,
+        0,
+        -(2**70),
+        -0.0,
+        1e-7,
+        1.5e300,
+        float("inf"),
+        float("-inf"),
+        float("nan"),
+        {"mixed": [1, "a", None, True, False, -0.0, 1e-7, ["x", 2], {"k": ("v",)}]},
+        ("tuple", ["of", ("nested", ())]),
+    ],
+)
+def test_indented_json_is_json_dumps_with_indent_2(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
+
+
+def test_point_records_of_mixed_conductors_match_each_point(pentagon):
+    # hand-built levels: the frame's unit on conductor 1 beside points of
+    # the working field, so one batch is promoted to the shared conductor
+    frame = pentagon.frame
+    generated = generate(pentagon, 1)[-1].points
+    points = [PlanePoint(0, 1, frame), PlanePoint(Fraction(1, 3), -2, frame), *generated]
+    levels = [LevelSet(0, points[:2], False), LevelSet(1, points, False)]
+    records = point_records(levels, precision=9)
+    conductor = max(pt.r.conductor for pt in points)
+    assert {pt.r.conductor for pt in points} == {1, conductor}
+    assert [r.level for r in records] == [0, 0] + [1] * len(generated)
+    for record, pt in zip(records, points):
+        re, im = pt.to_cartesian()
+        assert (record.re, record.im) == (re.decimal(9), im.decimal(9))
+        assert record.conductor == conductor
+        assert record.r_coeffs == pt.r.to_conductor(conductor).coefficient_strings()
+        assert record.s_coeffs == pt.s.to_conductor(conductor).coefficient_strings()
