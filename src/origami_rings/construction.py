@@ -17,6 +17,7 @@ order, and the cap cuts in after at most one row of extra work.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Optional, Sequence
 
 from .angles import Angle
@@ -41,8 +42,6 @@ class LevelSet:
         self.level = level
         self.points = tuple(points)
         self.truncated = truncated
-        self._frame = points[0].frame if points else None
-        self._conductor = points[0].r.conductor if points else 1
         self._keys = None  # built on the first membership test
 
     def __len__(self) -> int:
@@ -52,18 +51,16 @@ class LevelSet:
         return iter(self.points)
 
     def __contains__(self, point) -> bool:
-        if not isinstance(point, PlanePoint) or self._frame is None:
+        if not isinstance(point, PlanePoint) or not self.points:
             return False
+        if self._keys is None:  # every point in the first one's frame, on one conductor
+            frame = self._frame = self.points[0].frame
+            moved = [p.in_frame(frame) for p in self.points]
+            n = self._conductor = math.lcm(*(v.conductor for p in moved for v in (p.r, p.s)))
+            self._keys = {(_key(p.r.to_conductor(n)), _key(p.s.to_conductor(n))) for p in moved}
         moved = point.in_frame(self._frame)
-        coords = []
-        for value in (moved.r, moved.s):
-            rewritten = rewrite_in_conductor(value, self._conductor)
-            if rewritten is None:
-                return False
-            coords.append(rewritten)
-        if self._keys is None:
-            self._keys = frozenset((_key(p.r), _key(p.s)) for p in self.points)
-        return (_key(coords[0]), _key(coords[1])) in self._keys
+        coords = tuple(rewrite_in_conductor(v, self._conductor) for v in (moved.r, moved.s))
+        return None not in coords and tuple(map(_key, coords)) in self._keys
 
     def __repr__(self):
         flag = ", truncated" if self.truncated else ""

@@ -34,6 +34,10 @@ product per limb of the aligned cos endpoints.
 
 One cached O(n) vector of the powers of a root of unity w modulo a split
 prime q evaluates an element at all roots of Phi_n mod q (evaluate).
+
+An element is rewritten into a subfield Q(zeta_m) by an exact trace over
+the degree, kept only when it promotes back to the element (_descend);
+the hash reads the canonical form on the least conductor so reached.
 """
 
 from __future__ import annotations
@@ -101,24 +105,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def euler_phi(n: int) -> int:
     primes = _primes(n)
     return n // math.prod(primes) * math.prod(p - 1 for p in primes)
-
-
-@cache
-def _moebius(n: int) -> int:
-    primes = _primes(n)
-    return (-1) ** len(primes) if math.prod(primes) == n else 0
-
-
-@cache
-def _trace_row(n: int) -> tuple[int, ...]:
-    """Traces of the basis powers zeta_n^j down to Q, j = 0 .. phi(n)-1."""
-    phi = euler_phi(n)
-    out = []
-    for j in range(phi):
-        g = math.gcd(n, j) if j else n
-        m = n // g
-        out.append(_moebius(m) * phi // euler_phi(m))
-    return tuple(out)
 
 
 # Shorter operands take the schoolbook loop, which skips zeros and wins on
@@ -540,15 +526,12 @@ class CyclotomicReal:
         return a._num == b._num and a._den == b._den
 
     def __hash__(self):
-        # conductor-independent invariants: normalized traces of x and x^2
-        phi = euler_phi(self.conductor)
-        tr = _trace_row(self.conductor)
-        t1 = Fraction(sum(c * t for c, t in zip(self._num, tr)), self._den * phi)
-        sq = self * self
-        tr2 = _trace_row(sq.conductor)
-        phi2 = euler_phi(sq.conductor)
-        t2 = Fraction(sum(c * t for c, t in zip(sq._num, tr2)), sq._den * phi2)
-        return hash((t1, t2))
+        # the canonical form on the least conductor, where equal values meet
+        x = self
+        for p in _primes(self.conductor):
+            while x.conductor % p == 0 and (y := _descend(x, p)) is not None:
+                x = y
+        return hash((x.conductor, x._num, x._den))
 
     # -- numeric evaluation --------------------------------------------------
 
@@ -928,30 +911,37 @@ def minimal_polynomial(x: CyclotomicReal):
         power = power * x
 
 
+def _descend(x: CyclotomicReal, p: int) -> "CyclotomicReal | None":
+    """x on conductor m = c/p, p a prime of x's conductor c, or None when x
+    lies outside Q(zeta_m).  The trace down to Q(zeta_m) sends zeta_c^j to
+    p * zeta_m^(j/p) or 0 when p | m, else to (p - 1 or -1) * zeta_m^(b*j),
+    b = p^-1 mod m, as p divides j or not; x lies in Q(zeta_m) exactly when
+    the trace over the degree promotes back to x, so both answers certify."""
+    c = x.conductor
+    m = c // p
+    if m % p == 0:
+        degree = p
+        terms = ((j // p, p * a) for j, a in enumerate(x._num) if a and j % p == 0)
+    else:
+        degree, b = p - 1, pow(p, -1, m)
+        terms = ((b * j, a * (p - 1) if j % p == 0 else -a)
+                 for j, a in enumerate(x._num) if a)
+    y = CyclotomicReal._make(m, _power_sum(m, terms), x._den * degree)
+    return y if y.to_conductor(c) == x else None
+
+
 def rewrite_in_conductor(x: CyclotomicReal, n: int) -> "CyclotomicReal | None":
     """Rewrite x on the basis of Q(zeta_n) if x lies in that field.
 
     Returns None when x is provably outside Q(zeta_n).  Inside Q(zeta_c),
     c the conductor of x, the field Q(zeta_n) meets Q(zeta_c) in
-    Q(zeta_g) with g = gcd(c, n) (Washington, GTM 83, ch. 2), so one
-    Hermite sweep of the basis of Q(zeta_g) promoted to c, with the
-    numerator of x adjoined last, decides membership without building
-    the compositum; its coordinates are divided by the denominator of x.
+    Q(zeta_g) with g = gcd(c, n) (Washington, GTM 83, ch. 2), so x
+    descends to g one prime of c/g at a time (_descend), largest first,
+    and is then promoted to n.
     """
-    from .linalg import RowSpace
-
-    c = x.conductor
-    if c == n:
-        return x
-    if n % c == 0:
-        return x.to_conductor(n)
-    g = math.gcd(c, n)
-    span = RowSpace(euler_phi(c))
-    for j in range(euler_phi(g)):  # zeta_g^j = zeta_c^(j*c/g)
-        span.add(_power_sum(c, [(j * (c // g), 1)]))
-    coords = span.add(x._num)
-    if coords is None:
-        return None
-    den = math.lcm(*(q.denominator for q in coords))
-    small = CyclotomicReal._make(g, [int(q * den) for q in coords], den * x._den)
-    return small.to_conductor(n)
+    g = math.gcd(x.conductor, n)
+    while x.conductor != g:
+        x = _descend(x, _primes(x.conductor // g)[-1])
+        if x is None:
+            return None
+    return x.to_conductor(n)

@@ -49,13 +49,12 @@ def point_records(
     certified decimals of those, and the coefficient strings of r and s.
     """
     births: dict[tuple, tuple[int, PlanePoint]] = {}
-    conductor = 1
     for level in levels:
         for pt in level.points:
-            conductor = max(conductor, pt.r.conductor)
-            key = (pt.r.conductor, pt.r._num, pt.r._den, pt.s._num, pt.s._den)
+            key = (pt.r.conductor, pt.s.conductor, pt.r._num, pt.r._den, pt.s._num, pt.s._den)
             births.setdefault(key, (level.level, pt))
     born = list(births.values())
+    conductor = math.lcm(*(v.conductor for _, pt in born for v in (pt.r, pt.s)))
     groups: dict[tuple, list[int]] = {}
     for i, (_, pt) in enumerate(born):
         n = math.lcm(pt.r.conductor, pt.s.conductor)

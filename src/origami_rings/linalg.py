@@ -10,7 +10,7 @@ tracked combinations small (Cohen, GTM 138, section 2.4).
 RowSpace is its rational view: each vector is cleared of denominators
 and adjoined to one IntegerLattice, and a relation becomes rational
 coordinates.  It powers minimal polynomials (first linear relation
-among powers) and rational span tests.
+among powers).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 from origami_rings import cyclotomic
 from origami_rings.angles import Angle
 from origami_rings.construction import LevelSet, contains, generate
-from origami_rings.cyclotomic import CyclotomicReal, sqrt_rational
+from origami_rings.cyclotomic import CyclotomicReal, cos_of, sqrt_rational
 from origami_rings.float_preview import generate_float
 from origami_rings.geometry import PlanePoint, meet
 from origami_rings.slopes import SlopeSet
@@ -79,6 +79,20 @@ def test_contains(triangle):
     g = SlopeSet(["0", "pi/4", "pi/2"]).frame
     one_again = PlanePoint(1, 1, g)
     assert contains(levels, one_again)
+
+
+def test_level_set_contains_its_own_points_across_conductors_and_frames(pentagon):
+    # r on conductor 20 beside r = 0 on conductor 1, and a point stored in
+    # another frame: each is found, whatever the first point's field
+    f = pentagon.frame
+    g = SlopeSet(["0", "pi/4", "pi/2"]).frame
+    first = PlanePoint(cos_of(Angle(1, 5)), 1, f)
+    points = [first, PlanePoint(0, 0, f), PlanePoint(sqrt_rational(3), 2, g)]
+    level = LevelSet(0, points, False)
+    assert all(pt in level for pt in points)
+    assert first.in_frame(g) in level
+    assert PlanePoint(1, 1, f) not in level
+    assert PlanePoint(cos_of(Angle(1, 7)), 1, f) not in level
 
 
 def test_real_points_of_triangle_are_integers(triangle):

@@ -9,14 +9,16 @@ import pytest
 from mpmath import iv
 
 from conftest import _zeta_power_rows_reference
-from origami_rings import cyclotomic
+from origami_rings import cyclotomic, linalg
 from origami_rings.angles import Angle
+from origami_rings.construction import generate
 from origami_rings.cyclotomic import (
     CyclotomicReal,
     cos_of,
     cyclotomic_polynomial,
     euler_phi,
     minimal_polynomial,
+    rewrite_in_conductor,
     sin_of,
     sqrt_rational,
 )
@@ -284,6 +286,46 @@ def test_equality_across_conductors():
     assert hash(a) == hash(b)
     assert sin_of(Angle(1, 3)) == sin_of(Angle(2, 3))
     assert sin_of(Angle(1, 5)) != sin_of(Angle(2, 5))
+
+
+def test_hash_agrees_across_conductors(pentagon):
+    # pentagon p-values and level-2 coordinates on the working conductor,
+    # promoted by 3, 5 and 7; some lie in a field below the stored one
+    rng = random.Random(16)
+    values = list(pentagon.p_table.values())
+    values += rng.sample([v for pt in generate(pentagon, 2)[-1] for v in (pt.r, pt.s)], 40)
+    lower = [
+        y for x in values for p in cyclotomic._primes(x.conductor)
+        if (y := rewrite_in_conductor(x, x.conductor // p)) is not None
+    ]
+    assert lower and any(not y.is_rational for y in lower)
+    for x in values + lower:
+        for k in (3, 5, 7):
+            y = x.to_conductor(x.conductor * k)
+            assert y == x and hash(y) == hash(x)
+    for y in lower:
+        assert hash(y) == hash(y.to_conductor(pentagon.working_conductor))
+
+
+def test_hash_separates_galois_conjugates():
+    assert hash(sqrt_rational(2)) != hash(-sqrt_rational(2))
+    assert hash(cos_of(Angle(2, 5))) != hash(cos_of(Angle(4, 5)))
+
+
+def test_rewrite_in_conductor_descends_without_a_lattice(monkeypatch):
+    # 40 -> 20 descends by 2 with 2 | 20; 60 -> 20 by 3, 12 -> 4 by 3 and
+    # 28 -> 4 by 7 descend by a prime outside the smaller conductor
+    def no_lattice(*args):
+        raise AssertionError("lattice built for a rewrite")
+
+    monkeypatch.setattr(linalg.IntegerLattice, "__init__", no_lattice)
+    c5 = cos_of(Angle(1, 5))
+    for x, n in ((c5.to_conductor(40), 60), (c5.to_conductor(60), 40), (c5, 120)):
+        got = rewrite_in_conductor(x, n)
+        assert got.conductor == n and got == c5
+    assert rewrite_in_conductor(sqrt_rational(7), 120) is None
+    assert rewrite_in_conductor(cos_of(Angle(1, 6)), 40) is None
+    assert rewrite_in_conductor(cos_of(Angle(1, 20)), 60) is None
 
 
 def _schoolbook(a, b):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from origami_rings.angles import Angle
 from origami_rings.construction import LevelSet, generate
+from origami_rings.cyclotomic import cos_of
 from origami_rings.export import (
     csv_text,
     from_json_document,
@@ -143,3 +145,13 @@ def test_point_records_of_mixed_conductors_match_each_point(pentagon):
         assert record.conductor == conductor
         assert record.r_coeffs == pt.r.to_conductor(conductor).coefficient_strings()
         assert record.s_coeffs == pt.s.to_conductor(conductor).coefficient_strings()
+
+
+def test_json_document_conductor_covers_every_coordinate(pentagon):
+    # r conductors 12 and 20: the document needs their lcm 60, not the max
+    frame = pentagon.frame
+    points = [PlanePoint(cos_of(Angle(1, 6)), 0, frame), PlanePoint(cos_of(Angle(1, 5)), 1, frame)]
+    doc = json.loads(json_text(pentagon, [LevelSet(0, points, False)]))
+    assert doc["conductor"] == 60
+    _, back = from_json_document(doc)
+    assert back[0].points == tuple(points)
