@@ -8,10 +8,10 @@ by their exact coefficient vectors.
 
 Enumeration order is deterministic: direction pairs ascend, line
 invariants keep first-seen order, so a truncated run (point_cap) always
-returns the same prefix.  A level is computed on integer arrays
-(cyclotomic.Batch), one row of the pair grid at a time: one line of the
-first direction against every line of the second.  That keeps the
-order, and the cap cuts in after at most one row of extra work.
+returns the same prefix.  A level runs geometry's line_value and meet on
+integer arrays (cyclotomic.Batch), one row of the pair grid at a time:
+one line of the first direction against every line of the second.  That
+keeps the order, and the cap cuts in after at most one row of extra work.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .angles import Angle
 from .cyclotomic import Batch, CyclotomicReal, rewrite_in_conductor, stack
-from .cyclotomic import batch_add, batch_mul, batch_sub
-from .geometry import PlanePoint
+from .geometry import PlanePoint, line_value, meet
 from .slopes import SlopeSet
 
 DEFAULT_POINT_CAP = 50_000
@@ -81,26 +80,23 @@ def generate(
     if point_cap is not None and point_cap < 2:
         raise ValueError("point_cap must be at least 2, the size of level 0")
     cap = point_cap if point_cap is not None else float("inf")
-    frame = u.frame
-    n = u.working_conductor
-    table = u.p_table
-    gaps = {}  # (g, d) -> 1/(p(g) - p(d)) and p(g)/(p(g) - p(d))
-    for g, d in itertools.combinations(u.nonzero_slopes, 2):
-        gap_inv = (table[g] - table[d]).inv()
-        gaps[g, d] = gap_inv, table[g] * gap_inv
+    frame, n, table = u.frame, u.working_conductor, u.p_table
+    gap_inv = {
+        (g, d): (table[g] - table[d]).inv()
+        for g, d in itertools.combinations(u.nonzero_slopes, 2)
+    }
 
     seed = [CyclotomicReal.from_rational(c, n) for c in (0, 1)]
     current = {(_key(v), _key(v)): PlanePoint(v, v, frame) for v in seed}
     levels = [LevelSet(0, list(current.values()), False)]
 
     for level in range(1, k_max + 1):
-        # one invariant value per line actually present at this level, in
-        # first-seen order: s - r for horizontal lines, r + (s - r) p(g) else
+        # one invariant value per line actually present at this level, in first-seen order
         r = stack([pt.r for pt in current.values()], n)
-        gap = batch_sub(stack([pt.s for pt in current.values()], n), r)
+        s = stack([pt.s for pt in current.values()], n)
         line_values: dict[Angle, Batch] = {}
         for g in u.slopes:
-            values = gap if g.is_zero else batch_add(r, batch_mul(gap, table[g]))
+            values = line_value(r, s, table.get(g))
             first = {key: i for i, key in reversed(list(enumerate(values.rows())))}
             line_values[g] = values.take(sorted(first.values()))
 
@@ -108,18 +104,11 @@ def generate(
         truncated = len(new_points) >= cap
         for g, d in itertools.combinations(u.slopes, 2):
             first_lines, second_lines = line_values[g], line_values[d]
+            p1, inverse = table.get(g), gap_inv.get((g, d))
             for i in range(len(first_lines.den)):
                 if truncated:
                     break
-                v1 = first_lines.take(slice(i, i + 1))
-                if g.is_zero:
-                    r = batch_sub(second_lines, batch_mul(v1, table[d]))
-                    s = batch_add(r, v1)
-                else:
-                    gap_inv, p_gap_inv = gaps[g, d]
-                    diff = batch_sub(v1, second_lines)
-                    r = batch_sub(v1, batch_mul(diff, p_gap_inv))
-                    s = batch_add(r, batch_mul(diff, gap_inv))
+                r, s = meet(first_lines.take(slice(i, i + 1)), second_lines, p1, table[d], inverse)
                 for key in zip(r.rows(), s.rows()):
                     if key not in new_points:
                         r_value, s_value = (CyclotomicReal(n, *k, _raw=True) for k in key)

@@ -333,13 +333,12 @@ class CyclotomicReal:
     def from_coeffs(
         cls, conductor: int, coeffs: Sequence[Rational]
     ) -> "CyclotomicReal":
-        """Build from basis coefficients; rejects non-real elements."""
+        """Build from all phi(conductor) basis coefficients; rejects non-real elements."""
         phi = euler_phi(conductor)
         fracs = [Fraction(c) for c in coeffs]
-        if len(fracs) > phi:
-            raise ValueError(f"expected at most {phi} coefficients, got {len(fracs)}")
-        fracs += [Fraction(0)] * (phi - len(fracs))
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
+        if len(fracs) != phi:
+            raise ValueError(f"expected {phi} coefficients, got {len(fracs)}")
+        den = math.lcm(*(f.denominator for f in fracs))
         num = [int(f * den) for f in fracs]
         x = cls._make(conductor, num, den)
         if not x.is_fixed_by(-1):
@@ -637,6 +636,30 @@ class Batch(NamedTuple):
     def take(self, index) -> "Batch":
         return self._replace(num=self.num[index], den=self.den[index])
 
+    def __add__(self, other: "Batch") -> "Batch":
+        return _combine(self, other, np.add)
+
+    def __sub__(self, other: "Batch") -> "Batch":
+        return _combine(self, other, np.subtract)
+
+    def __mul__(self, x: CyclotomicReal) -> "Batch":
+        """self * x for a fixed x, on lcm(n, x.conductor) as x * y would be."""
+        m = math.lcm(self.n, x.conductor)
+        x = x.to_conductor(m)
+        if x.is_rational and m == self.n:  # such as p = 0 and p = 1: scale the rows
+            c = x._num[0]
+            fits = max(self.num_bits + c.bit_length(), self.den_bits + x._den.bit_length())
+            num, den = _cast(fits <= _INT64_BITS, self.num, self.den)
+            return _normalized(m, num * c, den * x._den)
+        matrix, bits = _multiplier(self.n, x._num, m) or (None, _INT64_BITS)
+        size = self.num_bits + bits + euler_phi(self.n).bit_length() + 1
+        if max(size, self.den_bits + x._den.bit_length()) <= _INT64_BITS:
+            num, den = _cast(True, self.num, self.den)
+            return _normalized(m, num @ matrix, den * x._den)
+        ys = [CyclotomicReal(self.n, tuple(row), 1, _raw=True) * x for row in self.num.tolist()]
+        num = np.array([y._num for y in ys], object).reshape(len(ys), euler_phi(m))
+        return _normalized(m, num, self.den.astype(object) * [y._den for y in ys])
+
     def rows(self) -> list[tuple[tuple[int, ...], int]]:  # (numerator, denominator)
         return list(zip(map(tuple, self.num.tolist()), self.den.tolist()))
 
@@ -725,18 +748,12 @@ def stack(values: Sequence[CyclotomicReal], n: int) -> Batch:
 def _combine(a: Batch, b: Batch, op) -> Batch:
     """op(a, b) over the lcm of the denominators; a one-row operand
     broadcasts against every row of the other."""
+    if a.n != b.n:
+        raise ValueError(f"batches on conductors {a.n} and {b.n}")
     bits = max(a.num_bits + b.den_bits, b.num_bits + a.den_bits, a.den_bits + b.den_bits)
     an, ad, bn, bd = _cast(bits < _INT64_BITS, a.num, a.den, b.num, b.den)
     den = np.lcm(ad, bd)
     return _normalized(a.n, op(an * (den // ad)[:, None], bn * (den // bd)[:, None]), den)
-
-
-def batch_add(a: Batch, b: Batch) -> Batch:
-    return _combine(a, b, np.add)
-
-
-def batch_sub(a: Batch, b: Batch) -> Batch:
-    return _combine(a, b, np.subtract)
 
 
 @lru_cache(maxsize=64)  # a 9-slope set's multipliers; one at phi 480 holds 1.8 MB
@@ -757,25 +774,6 @@ def _multiplier(n: int, x: tuple[int, ...], m: int) -> "tuple[np.ndarray, int] |
         row[at] += lead * by
     matrix = np.array(rows, np.int64)
     return matrix, _bits(matrix)
-
-
-def batch_mul(b: Batch, x: CyclotomicReal) -> Batch:
-    """b * x for a fixed x, on lcm(b.n, x.conductor) as x * y would be."""
-    m = math.lcm(b.n, x.conductor)
-    x = x.to_conductor(m)
-    if x.is_rational and m == b.n:  # such as p = 0 and p = 1: scale the rows
-        c = x._num[0]
-        fits = max(b.num_bits + c.bit_length(), b.den_bits + x._den.bit_length())
-        num, den = _cast(fits <= _INT64_BITS, b.num, b.den)
-        return _normalized(m, num * c, den * x._den)
-    matrix, bits = _multiplier(b.n, x._num, m) or (None, _INT64_BITS)
-    size = b.num_bits + bits + euler_phi(b.n).bit_length() + 1
-    if max(size, b.den_bits + x._den.bit_length()) <= _INT64_BITS:
-        num, den = _cast(True, b.num, b.den)
-        return _normalized(m, num @ matrix, den * x._den)
-    ys = [CyclotomicReal(b.n, tuple(row), 1, _raw=True) * x for row in b.num.tolist()]
-    num = np.array([y._num for y in ys], object).reshape(len(ys), euler_phi(m))
-    return _normalized(m, num, b.den.astype(object) * [y._den for y in ys])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Serialization of generated point sets.
 
-Points are exported once each, tagged with the first level that
-produced them, as both a certified decimal approximation and the exact
-coefficient vectors of their two coordinates.  The JSON document
-(schema 1) round-trips: parsing it back yields PlanePoints equal to the
-originals under exact comparison.
+Points are exported once each, in the frame of the first point, tagged
+with the first level that produced them, as both a certified decimal
+approximation of geometry.cartesian and the exact coefficient vectors of
+their two coordinates.  The JSON document (schema 1) round-trips:
+parsing it back yields PlanePoints equal to the originals under exact
+comparison, and a malformed one raises ValueError.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Optional, Sequence
 
 from .angles import Angle
 from .construction import LevelSet
-from .cyclotomic import CyclotomicReal, batch_add, batch_mul, batch_sub, stack
-from .geometry import PlanePoint
+from .cyclotomic import Batch, CyclotomicReal, stack
+from .geometry import PlanePoint, cartesian
 from .slopes import SlopeSet
 
 SCHEMA_VERSION = 1
@@ -42,39 +43,39 @@ class PointRecord:
 def point_records(
     levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION
 ) -> list[PointRecord]:
-    """Flatten levels into one record per point at its birth level.
-
-    Points of one frame and field are exported as one batch: their
-    Cartesian parts (Re, Im) as PlanePoint.to_cartesian gives them, the
-    certified decimals of those, and the coefficient strings of r and s.
+    """Flatten levels into one record per point at its birth level, each in
+    the frame of the first point.  The points make one batch on the shared
+    conductor: its Cartesian parts (Re, Im), their decimals, and the strings
+    of r and s.
     """
+    frame = next((pt.frame for level in levels for pt in level.points), None)
     births: dict[tuple, tuple[int, PlanePoint]] = {}
     for level in levels:
         for pt in level.points:
+            if pt.frame is not frame:
+                pt = pt.in_frame(frame)
             key = (pt.r.conductor, pt.s.conductor, pt.r._num, pt.r._den, pt.s._num, pt.s._den)
             births.setdefault(key, (level.level, pt))
-    born = list(births.values())
-    conductor = math.lcm(*(v.conductor for _, pt in born for v in (pt.r, pt.s)))
-    groups: dict[tuple, list[int]] = {}
-    for i, (_, pt) in enumerate(born):
-        n = math.lcm(pt.r.conductor, pt.s.conductor)
-        groups.setdefault((pt.frame, n), []).append(i)
-    records: list = [None] * len(born)
-    for (frame, n), index in groups.items():
-        r = stack([born[i][1].r.to_conductor(n) for i in index], n)
-        s = stack([born[i][1].s.to_conductor(n) for i in index], n)
-        unit_re, unit_im = frame.unit_parts()
-        # r + (s - r) unit_re, written so both products land on its conductor
-        re = batch_add(batch_mul(r, 1 - unit_re), batch_mul(s, unit_re))
-        im = batch_mul(batch_sub(s, r), unit_im)
-        if n != conductor:
-            r, s = (stack([v.to_conductor(conductor) for v in b.values()], conductor)
-                    for b in (r, s))
-        columns = zip(re.decimals(precision), im.decimals(precision),
-                      r.coefficient_strings(), s.coefficient_strings())
-        for i, (re_text, im_text, r_text, s_text) in zip(index, columns):
-            records[i] = PointRecord(born[i][0], re_text, im_text, conductor, r_text, s_text)
-    return records
+    if not births:
+        return []
+    points = [pt for _, pt in births.values()]
+    conductor = math.lcm(*(v.conductor for pt in points for v in (pt.r, pt.s)))
+    r, s = _stacked(points, conductor)
+    # cartesian needs a conductor that the unit parts divide too
+    m = math.lcm(conductor, *(v.conductor for v in frame.unit_parts()))
+    re, im = cartesian(*(_stacked(points, m) if m != conductor else (r, s)), frame)
+    columns = zip(births.values(), re.decimals(precision), im.decimals(precision),
+                  r.coefficient_strings(), s.coefficient_strings())
+    return [
+        PointRecord(level, re_text, im_text, conductor, r_text, s_text)
+        for (level, _), re_text, im_text, r_text, s_text in columns
+    ]
+
+
+def _stacked(points: Sequence[PlanePoint], n: int) -> tuple[Batch, Batch]:
+    """The r and the s coordinates of the points, as two batches on conductor n."""
+    return (stack([pt.r.to_conductor(n) for pt in points], n),
+            stack([pt.s.to_conductor(n) for pt in points], n))
 
 
 def to_json_document(
@@ -109,32 +110,34 @@ def to_json_document(
 
 
 def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
-    """Rebuild the slope set and exact cumulative levels from schema 1."""
+    """Rebuild the slope set and exact cumulative levels from schema 1;
+    a malformed document raises ValueError."""
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema: {doc.get('schema')!r}")
     if doc.get("kind") != "origami-points":
         raise ValueError(f"not a point-set document: {doc.get('kind')!r}")
-    u = SlopeSet(
-        [Angle.parse(s) for s in doc["slopes"]],
-        alpha=Angle.parse(doc["alpha"]),
-        beta=Angle.parse(doc["beta"]),
-    )
+    if not {"slopes", "alpha", "beta"} <= doc.keys():
+        raise ValueError("document has no slope set (slopes, alpha, beta)")
+    alpha, beta = Angle.parse(doc["alpha"]), Angle.parse(doc["beta"])
+    u = SlopeSet([Angle.parse(s) for s in doc["slopes"]], alpha=alpha, beta=beta)
     conductor = int(doc["conductor"])
+    entries = doc["points"]
+    k_max = int(doc.get("k_max", max((int(e["level"]) for e in entries), default=0)))
     by_level: dict[int, list[PlanePoint]] = {}
-    for entry in doc["points"]:
-        r = CyclotomicReal.from_coeffs(
-            conductor, [Fraction(c) for c in entry["r"]]
-        )
-        s = CyclotomicReal.from_coeffs(
-            conductor, [Fraction(c) for c in entry["s"]]
-        )
-        by_level.setdefault(int(entry["level"]), []).append(
-            PlanePoint(r, s, u.frame)
-        )
+    for i, entry in enumerate(entries):
+        level = int(entry["level"])
+        if not 0 <= level <= k_max:
+            raise ValueError(f"point {i}: level {level} is outside 0..{k_max}")
+        try:
+            r, s = (CyclotomicReal.from_coeffs(conductor, [Fraction(c) for c in entry[key]])
+                    for key in "rs")
+        except ZeroDivisionError:
+            raise ValueError(f"point {i}: a coefficient has a zero denominator") from None
+        by_level.setdefault(level, []).append(PlanePoint(r, s, u.frame))
     truncated = bool(doc.get("truncated", False))
     levels = []
     cumulative: list[PlanePoint] = []
-    for k in range(int(doc.get("k_max", max(by_level, default=0))) + 1):
+    for k in range(k_max + 1):
         cumulative = cumulative + by_level.get(k, [])
         # the cap, once hit, truncates every later level too
         cut = truncated and k >= max([1, *by_level])

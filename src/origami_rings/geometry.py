@@ -135,9 +135,7 @@ class PlanePoint:
 
     def to_cartesian(self) -> tuple[CyclotomicReal, CyclotomicReal]:
         """Exact Cartesian parts (Re, Im)."""
-        unit_re, unit_im = self.frame.unit_parts()
-        gap = self.s - self.r
-        return (self.r + gap * unit_re, gap * unit_im)
+        return cartesian(self.r, self.s, self.frame)
 
     @classmethod
     def from_cartesian(
@@ -194,6 +192,22 @@ class PlanePoint:
         return f"PlanePoint({self.r!r}, {self.s!r}, frame={self.frame})"
 
 
+def cartesian(r, s, frame: Frame):
+    """Cartesian parts (Re, Im) of the point (r, s) of the frame; r and s are
+    numbers, or Batches on a conductor that the unit parts' conductors divide."""
+    unit_re, unit_im = frame.unit_parts()
+    gap = s - r
+    return r + gap * unit_re, gap * unit_im
+
+
+def line_value(r, s, p):
+    """The invariant of the line of p-value p through the point (r, s), numbers
+    or Batches: its projection, or s - r (the height) for a horizontal p None."""
+    if p is None:
+        return s - r
+    return r + (s - r) * p
+
+
 def project(point: PlanePoint, gamma: Angle) -> CyclotomicReal:
     """Projection of the point onto the real axis along direction gamma.
 
@@ -202,7 +216,7 @@ def project(point: PlanePoint, gamma: Angle) -> CyclotomicReal:
     """
     if gamma.is_zero:
         raise ZeroSlopeError("projection along the horizontal direction")
-    return point.r + (point.s - point.r) * point.frame.p_value(gamma)
+    return line_value(point.r, point.s, point.frame.p_value(gamma))
 
 
 def from_coords(r: Scalar, s: Scalar, alpha: Angle, beta: Angle) -> PlanePoint:
@@ -251,15 +265,10 @@ class Line:
         self.slope = slope
 
     def invariant(self) -> CyclotomicReal:
-        """The value shared by all points of the line.
-
-        For a nonzero direction this is the projection of any point of
-        the line along that direction; horizontal lines use s - r
-        (proportional to the height) instead.
-        """
-        if self.slope.is_zero:
-            return self.through.s - self.through.r
-        return project(self.through, self.slope)
+        """The value shared by all points of the line (line_value)."""
+        point, slope = self.through, self.slope
+        p = None if slope.is_zero else point.frame.p_value(slope)
+        return line_value(point.r, point.s, p)
 
     def contains(self, point: PlanePoint) -> bool:
         other = Line(point.in_frame(self.through.frame), self.slope)
@@ -277,11 +286,12 @@ class Line:
         return f"Line(through={self.through!r}, slope={self.slope})"
 
 
-def meet(v1, v2, p1, p2, gap_inv) -> tuple[CyclotomicReal, CyclotomicReal]:
+def meet(v1, v2, p1, p2, gap_inv):
     """Coordinates (r, s) where lines of directions gamma != delta meet.
 
     v1, v2 are the line invariants, p1 = p(gamma), p2 = p(delta) and
-    gap_inv = 1/(p1 - p2); a horizontal first line passes None for both.
+    gap_inv = 1/(p1 - p2); a horizontal first line passes None for both.  v1
+    and v2 are numbers or Batches of one conductor (a one-row v1 meets each row).
     """
     if p1 is None:
         r = v2 - v1 * p2

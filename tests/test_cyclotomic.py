@@ -645,12 +645,12 @@ def test_batch_kernels_match_elementwise_arithmetic(n, bits):
     ys = [_draw(rng, n, bits) for _ in range(4)]
     a, b = cyclotomic.stack(xs, n), cyclotomic.stack(ys, n)
     assert a.values() == xs
-    assert cyclotomic.batch_add(a, b).values() == [x + y for x, y in zip(xs, ys)]
-    assert cyclotomic.batch_sub(a, b).values() == [x - y for x, y in zip(xs, ys)]
+    assert (a + b).values() == [x + y for x, y in zip(xs, ys)]
+    assert (a - b).values() == [x - y for x, y in zip(xs, ys)]
     row = a.take(slice(0, 1))
-    assert cyclotomic.batch_sub(row, b).values() == [xs[0] - y for y in ys]
+    assert (row - b).values() == [xs[0] - y for y in ys]
     for fixed in (ys[0], _draw(rng, n, 4), CyclotomicReal.from_rational(Fraction(-3, 4))):
-        assert cyclotomic.batch_mul(a, fixed).values() == [x * fixed for x in xs]
+        assert (a * fixed).values() == [x * fixed for x in xs]
 
 
 @pytest.mark.parametrize("n, bits", [(12, 8), (12, 100), (120, 8)])
@@ -660,7 +660,7 @@ def test_batch_mul_promotes_as_the_scalar_product_does(n, bits):
     a = cyclotomic.stack(xs, n)
     for m in (3 * n, 5 * n):
         wide = _draw(rng, m, 4)
-        got = cyclotomic.batch_mul(a, wide).values()
+        got = (a * wide).values()
         assert [v.conductor for v in got] == [m] * len(xs)
         assert got == [x * wide for x in xs]
 
@@ -679,7 +679,7 @@ def test_batch_mul_by_a_rational_scales_the_rows(n, bits, monkeypatch):
     monkeypatch.setattr(cyclotomic, "_multiplier", no_matrix)
     for c in (0, 1, Fraction(-3, 4), 2**40 + 1, Fraction(1, 2**61 - 1)):
         for conductor in (1, n):
-            got = cyclotomic.batch_mul(a, CyclotomicReal.from_rational(c, conductor))
+            got = a * CyclotomicReal.from_rational(c, conductor)
             want = cyclotomic.stack([x * c for x in xs], n)
             assert (got.num_bits, got.den_bits) == (want.num_bits, want.den_bits)
             assert got.num.dtype == want.num.dtype and got.den.dtype == want.den.dtype

@@ -17,7 +17,7 @@ from origami_rings.export import (
     text_table,
     to_json_document,
 )
-from origami_rings.geometry import PlanePoint
+from origami_rings.geometry import Frame, PlanePoint
 
 
 def test_point_records_tag_birth_level(triangle):
@@ -155,3 +155,48 @@ def test_json_document_conductor_covers_every_coordinate(pentagon):
     assert doc["conductor"] == 60
     _, back = from_json_document(doc)
     assert back[0].points == tuple(points)
+
+
+def test_point_records_keep_points_of_other_frames(pentagon):
+    # (0, 1) in the frame (a, b) and in (b, a) are two points: both are
+    # exported, each written in the frame of the first point
+    a, b = pentagon.alpha, pentagon.beta
+    points = [PlanePoint(0, 1, Frame(a, b)), PlanePoint(0, 1, Frame(b, a))]
+    assert points[0] != points[1]
+    records = point_records([LevelSet(0, points, False)], precision=9)
+    assert len(records) == 2
+    for record, pt in zip(records, points):
+        re, im = pt.to_cartesian()
+        assert (record.re, record.im) == (re.decimal(9), im.decimal(9))
+        moved = pt.in_frame(points[0].frame)
+        assert record.r_coeffs == moved.r.to_conductor(record.conductor).coefficient_strings()
+        assert record.s_coeffs == moved.s.to_conductor(record.conductor).coefficient_strings()
+    _, back = from_json_document(to_json_document(pentagon, [LevelSet(0, points, False)]))
+    assert back[0].points == tuple(points)
+
+
+def _spoil_point(doc, **changes):
+    doc["points"][-1].update(changes)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda doc: _spoil_point(doc, r=doc["points"][-1]["r"][:-1]), "coefficients"),
+        (lambda doc: _spoil_point(doc, level=-1), "outside"),
+        (lambda doc: _spoil_point(doc, level=doc["k_max"] + 1), "outside"),
+        (lambda doc: _spoil_point(doc, s=["1/0"] + doc["points"][-1]["s"][1:]), "zero denominator"),
+        # what to_json_document(None, levels) writes
+        (lambda doc: [doc.pop(key) for key in ("slopes", "alpha", "beta")], "no slope set"),
+    ],
+    ids=["short-vector", "level-below-0", "level-above-k-max", "zero-denominator", "no-slopes"],
+)
+def test_from_json_document_rejects_malformed_input(triangle, spoil, message):
+    levels = generate(triangle, 1)
+    doc = to_json_document(triangle, levels)
+    from_json_document(doc)  # the unspoilt document reads back
+    spoil(doc)
+    if message == "no slope set":
+        assert doc == to_json_document(None, levels)
+    with pytest.raises(ValueError, match=message):
+        from_json_document(doc)

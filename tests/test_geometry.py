@@ -1,9 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from origami_rings.angles import Angle
-from origami_rings.cyclotomic import CyclotomicReal, cos_of, sin_of, sqrt_rational
+from origami_rings.construction import generate
+from origami_rings.cyclotomic import CyclotomicReal, cos_of, sin_of, sqrt_rational, stack
 from origami_rings.geometry import (
     DegenerateFrameError,
     Frame,
@@ -11,9 +14,12 @@ from origami_rings.geometry import (
     ParallelLinesError,
     PlanePoint,
     ZeroSlopeError,
+    cartesian,
     from_coords,
     from_frame,
     intersect,
+    line_value,
+    meet,
     project,
     to_frame,
 )
@@ -183,3 +189,44 @@ def test_point_algebra():
     assert (z - w).s == 3
     assert (-z).r == -1
     assert (z * 2).s == 4
+
+
+def test_formulas_on_batches_match_them_row_by_row(pentagon):
+    # line_value, meet and cartesian take Batches as they take numbers
+    rng = random.Random(17)
+    frame, n, table = pentagon.frame, pentagon.working_conductor, pentagon.p_table
+    points = rng.sample(generate(pentagon, 2)[-1].points, 8)
+    r, s = stack([pt.r for pt in points], n), stack([pt.s for pt in points], n)
+    g, d = Angle(1, 5), Angle(1, 4)
+    for p in (None, table[g], table[d]):
+        assert line_value(r, s, p).values() == [line_value(pt.r, pt.s, p) for pt in points]
+    second = line_value(r, s, table[d])
+    gap_inv = (table[g] - table[d]).inv()
+    for p1, inverse in ((None, None), (table[g], gap_inv)):  # horizontal, sloped first line
+        first = line_value(r, s, p1).take(slice(2, 3))
+        got = meet(first, second, p1, table[d], inverse)
+        v1 = first.values()[0]
+        want = [meet(v1, v2, p1, table[d], inverse) for v2 in second.values()]
+        assert [b.values() for b in got] == [list(c) for c in zip(*want)]
+
+    units = [v.conductor for v in frame.unit_parts()]
+    assert units == [24, 24]
+    for angle, conductor in ((Angle(1, 6), 12), (Angle(1, 5), 20)):
+        c = cos_of(angle)
+        pts = [
+            PlanePoint(c * rng.randint(1, 9) + Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                       c * rng.randint(-9, -1) - rng.randint(0, 9), frame)
+            for _ in range(4)
+        ]
+        assert {v.conductor for pt in pts for v in (pt.r, pt.s)} == {conductor}
+        m = math.lcm(conductor, *units)
+        r = stack([pt.r.to_conductor(m) for pt in pts], m)
+        s = stack([pt.s.to_conductor(m) for pt in pts], m)
+        re, im = cartesian(r, s, frame)
+        assert re.values() == [pt.to_cartesian()[0] for pt in pts]
+        assert im.values() == [pt.to_cartesian()[1] for pt in pts]
+        # the unit parts lie on 24: stacked on the points' own conductor, the
+        # products land on m and the sum refuses to mix the two
+        r, s = stack([pt.r for pt in pts], conductor), stack([pt.s for pt in pts], conductor)
+        with pytest.raises(ValueError, match="conductors"):
+            cartesian(r, s, frame)
