@@ -842,19 +842,15 @@ def sin_of(angle: Angle) -> CyclotomicReal:
     return CyclotomicReal._make(n, _power_sum(n, [(n // 4 - m, 1), (n // 4 + m, -1)]), 2)
 
 
-def _legendre(a: int, p: int) -> int:
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 @cache
 def _sqrt_prime(p: int) -> CyclotomicReal:
     """The positive square root of a prime, via quadratic Gauss sums."""
     if p == 2:  # zeta_8 + 1/zeta_8 = 2 cos(pi/4)
         return CyclotomicReal._make(8, _power_sum(8, [(1, 1), (-1, 1)]), 1)
-    # the Gauss sum is sqrt(p) if p = 1 mod 4, else i*sqrt(p): take -zeta_4 times it
+    # the Gauss sum, the sum of zeta_p^(x^2) over x mod p, is sqrt(p) if
+    # p = 1 mod 4, else i*sqrt(p): take -zeta_4 times it
     n, sign, shift = (p, 1, 0) if p % 4 == 1 else (4 * p, -1, p)
-    terms = ((n // p * a + shift, sign * _legendre(a, p)) for a in range(1, p))
+    terms = ((n // p * x * x + shift, sign) for x in range(p))
     return CyclotomicReal._make(n, _power_sum(n, terms), 1)
 
 
@@ -865,27 +861,15 @@ def sqrt_rational(value: Rational) -> CyclotomicReal:
         raise ValueError("square root of a negative rational is not real")
     if q == 0:
         return CyclotomicReal.from_rational(0)
-    # sqrt(a/b) = sqrt(a*b)/b
-    m = q.numerator * q.denominator
-    outer, inner = 1, 1
-    d = 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            outer *= d
-            m //= d * d
-        if m % d == 0:
-            inner *= d
-            m //= d
-        d += 1
-    inner *= m
-    result = CyclotomicReal.from_rational(Fraction(outer, q.denominator))
-    f = 2
-    rem = inner
-    while rem > 1:
-        while rem % f:
-            f += 1
-        result = result * _sqrt_prime(f)
-        rem //= f
+    # sqrt(a/b) = sqrt(a*b)/b = t * sqrt(s)/b, s the squarefree part of a*b
+    m = s = q.numerator * q.denominator
+    for p in _primes(m):
+        while s % (p * p) == 0:
+            s //= p * p
+    result = CyclotomicReal.from_rational(Fraction(math.isqrt(m // s), q.denominator))
+    for p in _primes(m):
+        if s % p == 0:
+            result = result * _sqrt_prime(p)
     return result
 
 

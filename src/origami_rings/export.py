@@ -1,6 +1,7 @@
 """Serialization of generated point sets.
 
-Points are exported once each, in the frame of the first point, tagged
+Points are exported once each, in the frame of the slope set when the
+document names one and else in the frame of the first point, tagged
 with the first level that produced them, as both a certified decimal
 approximation of geometry.cartesian and the exact coefficient vectors of
 their two coordinates.  The JSON document (schema 1) round-trips:
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 from .angles import Angle
 from .construction import LevelSet
 from .cyclotomic import Batch, CyclotomicReal, stack
-from .geometry import PlanePoint, cartesian
+from .geometry import Frame, PlanePoint, cartesian
 from .slopes import SlopeSet
 
 SCHEMA_VERSION = 1
@@ -41,14 +42,14 @@ class PointRecord:
 
 
 def point_records(
-    levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION
+    levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION, frame: Optional[Frame] = None
 ) -> list[PointRecord]:
     """Flatten levels into one record per point at its birth level, each in
-    the frame of the first point.  The points make one batch on the shared
-    conductor: its Cartesian parts (Re, Im), their decimals, and the strings
-    of r and s.
+    frame, by default the frame of the first point.  The points make one
+    batch on the shared conductor: its Cartesian parts (Re, Im), their
+    decimals, and the strings of r and s.
     """
-    frame = next((pt.frame for level in levels for pt in level.points), None)
+    frame = frame or next((pt.frame for level in levels for pt in level.points), None)
     births: dict[tuple, tuple[int, PlanePoint]] = {}
     for level in levels:
         for pt in level.points:
@@ -83,7 +84,7 @@ def to_json_document(
     levels: Sequence[LevelSet],
     precision: int = DEFAULT_PRECISION,
 ) -> dict:
-    records = point_records(levels, precision)
+    records = point_records(levels, precision, u.frame if u is not None else None)
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "origami-points",
@@ -120,8 +121,13 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
         raise ValueError("document has no slope set (slopes, alpha, beta)")
     alpha, beta = Angle.parse(doc["alpha"]), Angle.parse(doc["beta"])
     u = SlopeSet([Angle.parse(s) for s in doc["slopes"]], alpha=alpha, beta=beta)
+    _require(doc, ("conductor", "points"), "document")
     conductor = int(doc["conductor"])
+    if conductor < 1:
+        raise ValueError(f"conductor must be a positive integer, got {conductor}")
     entries = doc["points"]
+    for i, entry in enumerate(entries):
+        _require(entry, ("level", "r", "s"), f"point {i}")
     k_max = int(doc.get("k_max", max((int(e["level"]) for e in entries), default=0)))
     by_level: dict[int, list[PlanePoint]] = {}
     for i, entry in enumerate(entries):
@@ -143,6 +149,12 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
         cut = truncated and k >= max([1, *by_level])
         levels.append(LevelSet(k, list(cumulative), cut))
     return u, levels
+
+
+def _require(mapping: dict, keys: Sequence[str], where: str) -> None:
+    missing = [key for key in keys if key not in mapping]
+    if missing:
+        raise ValueError(f"{where} has no {missing[0]!r}")
 
 
 def json_text(

@@ -1,14 +1,14 @@
 """Parser for exact value expressions.
 
-The grammar covers integers, fractions, sqrt of a nonnegative rational,
-sin/cos of rational multiples of pi, parentheses and the four
-arithmetic operations:
+The grammar covers integers, fractions, sqrt of any expression whose
+value is a nonnegative rational, sin/cos of rational multiples of pi,
+parentheses and the four arithmetic operations:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := '-'* atom
     atom   := NUMBER | NUMBER '/' NUMBER
-            | 'sqrt' '(' rational ')'
+            | 'sqrt' '(' expr ')'
             | ('sin' | 'cos') '(' pifraction ')'
             | '(' expr ')'
 
@@ -134,13 +134,13 @@ class _Parser:
             return inner
         if kind == "name" and value == "sqrt":
             self.expect_op("(")
-            radicand = self.signed_rational()
+            start = self.peek()[2]
+            radicand = self.expr()
+            text = self.text[start : self.peek()[2]].strip()
             self.expect_op(")")
-            if radicand < 0:
-                raise ExpressionError(
-                    "sqrt of a negative rational", str(radicand), pos
-                )
-            return sqrt_rational(radicand)
+            if not (radicand.is_rational and radicand.as_rational() >= 0):
+                raise ExpressionError("sqrt needs a nonnegative rational", text, start)
+            return sqrt_rational(radicand.as_rational())
         if kind == "name" and value in ("sin", "cos"):
             self.expect_op("(")
             multiple = self.pi_fraction()
@@ -154,28 +154,6 @@ class _Parser:
             out = sin_of(angle) if value == "sin" else cos_of(angle)
             return -out if flip else out
         raise ExpressionError("expected a value", value or "end of input", pos)
-
-    def signed_rational(self) -> Fraction:
-        negative = False
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "-":
-                self.advance()
-                negative = not negative
-            else:
-                break
-        kind, value, pos = self.advance()
-        if kind != "number":
-            raise ExpressionError("expected a rational", value or "end", pos)
-        out = Fraction(int(value))
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "/":
-            self.advance()
-            kind, value, pos = self.advance()
-            if kind != "number" or int(value) == 0:
-                raise ExpressionError("expected a nonzero denominator", value, pos)
-            out /= int(value)
-        return -out if negative else out
 
     def pi_fraction(self) -> Fraction:
         """A nonnegative rational multiple of pi, as the multiplier.

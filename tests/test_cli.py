@@ -115,6 +115,19 @@ def test_float_preview_json(capsys):
     assert len(doc["levels"]) == 2
 
 
+def test_float_preview_csv(capsys):
+    code, out, _ = run(
+        capsys, "generate", "--slopes", "0,pi/4,pi/3", "--levels", "1",
+        "--float-preview", "--format", "csv", "--precision", "3",
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "level,re,im",
+        "0,0.000,0.000", "0,1.000,0.000",
+        "1,0.000,0.000", "1,1.000,0.000", "1,2.366,2.366", "1,-1.366,-2.366",
+    ]
+
+
 def test_member_proven_in(capsys):
     code, out, _ = run(capsys, "member", "sqrt(3)", "--slopes", PENTAGON)
     assert code == EXIT_OK
@@ -151,6 +164,31 @@ def test_member_unknown_exit_code(capsys):
     )
     assert code == EXIT_UNKNOWN
     assert "Unknown" in out
+
+
+def test_member_unknown_json_carries_the_bounds(capsys):
+    code, out, _ = run(
+        capsys, "member", "sqrt(3)", "--slopes", PENTAGON,
+        "--max-den-exp", "0", "--max-num-deg", "1", "--format", "json",
+    )
+    assert code == EXIT_UNKNOWN
+    doc = json.loads(out)
+    assert doc["verdict"] == "Unknown"
+    assert doc["bounds"] == {"max_den_exp": 0, "max_num_deg": 1}
+
+
+def test_ring_text_decided_by_the_frame_scan(capsys):
+    code, out, _ = run(
+        capsys, "ring", "--slopes", "0,pi/4,pi/2,5pi/7",
+        "--max-den-exp", "0", "--max-num-deg", "1",
+    )
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "{0, pi/4, pi/2, 5pi/7} with frame (5pi/7, pi/2): Ring",
+        "decided by ratios in frame (pi/2, pi/4)",
+    ]
+    assert lines[-1] == "  frame (pi/2, pi/4): Ring"
 
 
 def test_member_bad_expression(capsys):

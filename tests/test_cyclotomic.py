@@ -833,16 +833,22 @@ def test_power_sums_match_the_power_table_reference(n):
         assert _same(sin_of(angle), _from_rows(n, [(n // 4 - m, 1), (m - n // 4, 1)], 2))
 
 
+def _legendre(a, p):
+    """The Legendre symbol (a/p) of a unit a by Euler's criterion."""
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 103])
 def test_square_roots_match_the_gauss_sums_of_the_reference_table(p):
-    # sqrt(p) is the Gauss sum over zeta_p for p = 1 mod 4, and -zeta_4
-    # times it over zeta_4p for p = 3 mod 4; sqrt(2) is zeta_8 + zeta_8^-1
+    # sqrt(p) is the Gauss sum, the sum of (a/p) zeta_p^a over the units a,
+    # for p = 1 mod 4, and -zeta_4 times it over zeta_4p for p = 3 mod 4;
+    # sqrt(2) is zeta_8 + zeta_8^-1
     if p == 2:
         want = _from_rows(8, [(1, 1), (-1, 1)])
     elif p % 4 == 1:
-        want = _from_rows(p, [(a, cyclotomic._legendre(a, p)) for a in range(1, p)])
+        want = _from_rows(p, [(a, _legendre(a, p)) for a in range(1, p)])
     else:
-        terms = [(4 * a + p, -cyclotomic._legendre(a, p)) for a in range(1, p)]
+        terms = [(4 * a + p, -_legendre(a, p)) for a in range(1, p)]
         want = _from_rows(4 * p, terms)
     x = sqrt_rational(p)
     assert _same(x, want)

@@ -175,6 +175,15 @@ def test_point_records_keep_points_of_other_frames(pentagon):
     assert back[0].points == tuple(points)
 
 
+def test_json_document_writes_points_in_the_frame_it_names(pentagon):
+    # points in the frame (pi/4, pi/3) of a set whose frame is (pi/3, pi/4)
+    frame = Frame(pentagon.beta, pentagon.alpha)
+    assert frame != pentagon.frame
+    points = [PlanePoint(0, 1, frame), PlanePoint(1, 1, frame)]
+    _, back = from_json_document(to_json_document(pentagon, [LevelSet(0, points, False)]))
+    assert back[0].points == tuple(points)
+
+
 def _spoil_point(doc, **changes):
     doc["points"][-1].update(changes)
 
@@ -188,8 +197,16 @@ def _spoil_point(doc, **changes):
         (lambda doc: _spoil_point(doc, s=["1/0"] + doc["points"][-1]["s"][1:]), "zero denominator"),
         # what to_json_document(None, levels) writes
         (lambda doc: [doc.pop(key) for key in ("slopes", "alpha", "beta")], "no slope set"),
+        (lambda doc: doc.pop("conductor"), "document has no 'conductor'"),
+        (lambda doc: doc.pop("points"), "document has no 'points'"),
+        (lambda doc: doc["points"][-1].pop("level"), r"point \d+ has no 'level'"),
+        (lambda doc: doc["points"][-1].pop("r"), r"point \d+ has no 'r'"),
+        (lambda doc: doc.update(conductor=0), "conductor must be a positive integer"),
+        (lambda doc: doc.update(conductor=-3), "conductor must be a positive integer"),
     ],
-    ids=["short-vector", "level-below-0", "level-above-k-max", "zero-denominator", "no-slopes"],
+    ids=["short-vector", "level-below-0", "level-above-k-max", "zero-denominator", "no-slopes",
+         "no-conductor", "no-points", "point-without-level", "point-without-r",
+         "conductor-0", "conductor-negative"],
 )
 def test_from_json_document_rejects_malformed_input(triangle, spoil, message):
     levels = generate(triangle, 1)

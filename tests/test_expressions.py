@@ -18,8 +18,14 @@ def test_sqrt():
     assert parse_expression("sqrt(3)") == sqrt_rational(3)
     assert parse_expression("sqrt(9)").as_rational() == 3
     assert parse_expression("sqrt(1/2)") == sqrt_rational(Fraction(1, 2))
-    with pytest.raises(ExpressionError):
-        parse_expression("sqrt(-2)")
+    # the radicand is any expression with a nonnegative rational value
+    assert parse_expression("sqrt(2*3)") == sqrt_rational(6)
+    assert parse_expression("sqrt(-(-2))") == sqrt_rational(2)
+    assert parse_expression("sqrt(sin(pi/6))") == sqrt_rational(Fraction(1, 2))
+    for bad in ["sqrt(-2)", "sqrt(sqrt(2))", "sqrt(1-2)", "sqrt(1/0)", "sqrt()"]:
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(bad)
+        assert info.value.position >= 0, bad
 
 
 def test_trig_atoms():
