@@ -45,6 +45,20 @@ def signed_sin(a: Angle, b: Angle) -> CyclotomicReal:
     return value if sgn > 0 else -value
 
 
+@lru_cache(maxsize=None)
+def _inverse_sin(angle: Angle) -> CyclotomicReal:
+    """Exact 1/sin(angle), made once per direction at its own conductor."""
+    return sin_of(angle).inv()
+
+
+def inverse_signed_sin(a: Angle, b: Angle) -> CyclotomicReal:
+    """Exact 1/sin(a - b) for distinct directions a, b in [0, pi): the
+    cached inverse of sin|a - b|, shared by every pair with that gap."""
+    sgn, diff = angle_difference(a, b)
+    value = _inverse_sin(diff)
+    return value if sgn > 0 else -value
+
+
 @dataclass(frozen=True)
 class Frame:
     """An ordered pair of distinct nonzero directions (alpha, beta)."""
@@ -93,14 +107,20 @@ def _p_value(frame: Frame, gamma: Angle) -> CyclotomicReal:
     if gamma == frame.beta:
         return CyclotomicReal.from_rational(1)
     numerator = signed_sin(frame.alpha, gamma) * sin_of(frame.beta)
-    denominator = signed_sin(frame.alpha, frame.beta) * sin_of(gamma)
-    return numerator * denominator.inv()
+    return numerator * inverse_signed_sin(frame.alpha, frame.beta) * _inverse_sin(gamma)
 
 
 @lru_cache(maxsize=None)
 def _unit_parts(frame: Frame) -> tuple[CyclotomicReal, CyclotomicReal]:
-    scale = sin_of(frame.beta) * signed_sin(frame.alpha, frame.beta).inv()
+    scale = sin_of(frame.beta) * inverse_signed_sin(frame.alpha, frame.beta)
     return (-cos_of(frame.alpha) * scale, -sin_of(frame.alpha) * scale)
+
+
+@lru_cache(maxsize=None)
+def _inverse_unit_im(frame: Frame) -> CyclotomicReal:
+    """1/Im of the unit point, -sin(alpha-beta) / (sin(alpha)*sin(beta))."""
+    gap = -signed_sin(frame.alpha, frame.beta)
+    return gap * _inverse_sin(frame.alpha) * _inverse_sin(frame.beta)
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +161,8 @@ class PlanePoint:
     def from_cartesian(
         cls, re: Scalar, im: Scalar, frame: Frame
     ) -> "PlanePoint":
-        unit_re, unit_im = frame.unit_parts()
-        gap = _as_cyclotomic(im) * unit_im.inv()
-        r = _as_cyclotomic(re) - gap * unit_re
+        gap = _as_cyclotomic(im) * _inverse_unit_im(frame)
+        r = _as_cyclotomic(re) - gap * frame.unit_parts()[0]
         return cls(r, r + gap, frame)
 
     def in_frame(self, frame: Frame) -> "PlanePoint":

@@ -45,7 +45,7 @@ from .cyclotomic import (
     split_prime,
     units,
 )
-from .geometry import PlanePoint, ZeroSlopeError, _as_cyclotomic, signed_sin
+from .geometry import PlanePoint, ZeroSlopeError, _as_cyclotomic, inverse_signed_sin
 from .linalg import IntegerLattice
 from .slopes import SlopeSet
 
@@ -271,18 +271,18 @@ def e_norm_sq(u: SlopeSet) -> CyclotomicReal:
 
     Closed form sin(beta)^2 / sin(alpha-beta)^2.
     """
-    ratio = sin_of(u.beta) * signed_sin(u.alpha, u.beta).inv()
+    ratio = sin_of(u.beta) * inverse_signed_sin(u.alpha, u.beta)
     return ratio * ratio
 
 
 def trace_element(u: SlopeSet) -> CyclotomicReal:
     """The mixed element 2*cos(alpha)*sin(beta) / sin(alpha-beta)."""
-    return 2 * cos_of(u.alpha) * sin_of(u.beta) * signed_sin(u.alpha, u.beta).inv()
+    return 2 * cos_of(u.alpha) * sin_of(u.beta) * inverse_signed_sin(u.alpha, u.beta)
 
 
 def ratio_elements(u: SlopeSet) -> tuple[CyclotomicReal, CyclotomicReal]:
     """(sin(alpha)^2, sin(beta)^2) each over sin(alpha-beta)^2."""
-    gap_inv = signed_sin(u.alpha, u.beta).inv()
+    gap_inv = inverse_signed_sin(u.alpha, u.beta)
     qa = sin_of(u.alpha) * gap_inv
     qb = sin_of(u.beta) * gap_inv
     return qa * qa, qb * qb
@@ -393,10 +393,11 @@ class _MonomialLattice:
     """Z-span of bounded monomials in the numerator generators.
 
     A combination of the monomials has its image mod q = split_prime(n) in
-    the span of the pointwise powers E(p)^e, kept as echelon rows `basis`
-    (None when q divides a denominator).  The exact `lattice`, `common_den`,
-    Babai rows `_kernel` and the pivot block of the Hermite rows are built
-    at the first exact query.
+    the span of the pointwise powers E(p)^e.  That span is kept as one fully
+    reduced echelon matrix `rows` over F_q, 1 at its own pivot and 0 at the
+    other `pivots` (both None when q divides a denominator).  The exact
+    `lattice`, `common_den`, Babai rows `_kernel` and the pivot block of the
+    Hermite rows are built at the first exact query.
     """
 
     def __init__(self, u: SlopeSet, bounds: SearchBounds):
@@ -409,21 +410,30 @@ class _MonomialLattice:
         self.exponents = [e for e, _ in _graded_products(1, (1,) * count, self.degree, self.degree)]
         self.q = q = split_prime(n)
         self.images = [evaluate(v, n) for v in self.values]
-        self.basis = None
+        self.rows = self.pivots = None
         if all(e is not None for e in self.images):
-            self.basis, ones = [], np.ones(euler_phi(n), np.int64)
+            ones = np.ones(euler_phi(n), np.int64)
+            self.rows, self.pivots = np.zeros((0, len(ones)), np.int64), []
             mul = lambda a, b: a * b % q
             for _, image in _graded_products(ones, self.images, self.degree, self.degree, mul):
                 if (r := self.residual(image)).any():
                     col = int(np.flatnonzero(r)[0])
-                    self.basis.append((col, r * pow(int(r[col]), -1, q) % q))
+                    r = r * pow(int(r[col]), -1, q) % q
+                    # clear the new pivot from the earlier rows, one outer product
+                    self.rows = np.vstack([(self.rows - np.outer(self.rows[:, col], r)) % q, r])
+                    self.pivots.append(col)
 
     def residual(self, image: np.ndarray) -> np.ndarray:
-        """image less its projection onto the span of the basis rows mod q,
-        zero exactly on that span; each row is zero at the earlier pivots."""
-        for col, row in self.basis:
-            if image[col]:
-                image = (image - image[col] * row) % self.q
+        """The element of image + span mod q that is zero at every pivot,
+        image - image[pivots] @ rows, so zero exactly on the span.  The
+        product is split into limbs of w bits, w from the row count k: each
+        partial sum of k products below 2^(w + bits(q)) stays below 2^63."""
+        q, k = self.q, len(self.pivots)
+        width = 63 - q.bit_length() - k.bit_length()
+        coords = image[self.pivots]
+        for shift in range(0, q.bit_length(), width):
+            limb = coords >> shift & ((1 << width) - 1)
+            image = (image - (limb @ self.rows) % q * pow(2, shift, q)) % q
         return image
 
     @cached_property
@@ -527,12 +537,15 @@ class _Candidates:
 
     Every delta generator is a linear form in the p's, so x * m(p) is an
     integer combination of the powers x * p^e.  The screen reads their
-    images mod q, E(x) * prod E(p_i)^e_i pointwise; an exact power is one
-    product, made when a candidate that passes the screen first needs it,
-    and its pivot coordinates are kept beside it, so the pivot test of a
-    candidate is one integer combination of them.  The forms depend only
-    on the number of generators and the bounds, so their stream is shared
-    by every query in the process and made as far as a query reads it.
+    images mod q, E(x) * prod E(p_i)^e_i pointwise.  Its residual map is
+    F_q-linear, so each power's image is reduced once against the echelon
+    rows and a candidate's residual is the same combination of theirs.  An
+    exact power is one product, made when a candidate that passes the
+    screen first needs it, and its pivot coordinates are kept beside it, so
+    the pivot test of a candidate is one integer combination of them.  The
+    forms depend only on the number of generators and the bounds, so their
+    stream is shared by every query in the process and made as far as a
+    query reads it.
     """
 
     def __init__(self, x: CyclotomicReal, gens: Sequence[CyclotomicReal],
@@ -542,6 +555,7 @@ class _Candidates:
         self.bounds = bounds
         self.powers = {(0,) * len(gens): x}
         self.images: dict[tuple[int, ...], Optional[np.ndarray]] = {}
+        self.residuals: dict[tuple[int, ...], np.ndarray] = {}
         self.coords: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     def __iter__(self):
@@ -599,10 +613,12 @@ class _Candidates:
         zero = (0,) * len(self.gens)
         if zero not in self.images:
             self.images[zero] = evaluate(self.powers[zero], lattice.n)
-        if lattice.basis is None or self.images[zero] is None:
+        if lattice.rows is None or self.images[zero] is None:
             return False
-        total = sum(c % lattice.q * self.image(e, lattice) % lattice.q for e, c in form.items())
-        return bool(lattice.residual(total % lattice.q).any())
+        for e in form.keys() - self.residuals.keys():
+            self.residuals[e] = lattice.residual(self.image(e, lattice))
+        q = lattice.q
+        return bool((sum(c % q * self.residuals[e] % q for e, c in form.items()) % q).any())
 
     def off_lattice(self, form: _Form, lattice: _MonomialLattice) -> bool:
         """Whether a pivot coordinate of x * m(p) is not an integer, which
@@ -715,7 +731,7 @@ def membership_in_MR(
     den_names, den_values, den_forms = zip(*_delta_generators(u))
     candidates = _Candidates(x_n, lattice.values, den_forms, bounds)
     # Once the images span Q(p) mod q, the screen could almost never reject.
-    sieve = lattice.basis is not None and len(lattice.basis) < euler_phi(n) // len(group)
+    sieve = lattice.rows is not None and len(lattice.rows) < euler_phi(n) // len(group)
     for exps, form in candidates:
         if (sieve and candidates.excluded(form, lattice)) or candidates.off_lattice(form, lattice):
             continue

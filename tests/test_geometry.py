@@ -1,10 +1,14 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from origami_rings.angles import Angle
+from conftest import angle_pool
+from origami_rings import geometry, ring_analysis
+from origami_rings.angles import Angle, angle_difference
+from origami_rings.cli import main
 from origami_rings.construction import generate
 from origami_rings.cyclotomic import CyclotomicReal, cos_of, sin_of, sqrt_rational, stack
 from origami_rings.geometry import (
@@ -21,8 +25,11 @@ from origami_rings.geometry import (
     line_value,
     meet,
     project,
+    signed_sin,
     to_frame,
 )
+from origami_rings.ring_analysis import e_norm_sq, ratio_elements, trace_element
+from origami_rings.slopes import SlopeSet
 
 A3 = Angle(1, 3)
 A23 = Angle(2, 3)
@@ -230,3 +237,94 @@ def test_formulas_on_batches_match_them_row_by_row(pentagon):
         r, s = stack([pt.r for pt in pts], conductor), stack([pt.s for pt in pts], conductor)
         with pytest.raises(ValueError, match="conductors"):
             cartesian(r, s, frame)
+
+
+# Reference frame constants: one inverse of each whole product, made at the
+# conductor of that product.
+
+
+def _gap_inverse_reference(frame):
+    return signed_sin(frame.alpha, frame.beta).inv()
+
+
+def _p_value_reference(frame, gamma):
+    numerator = signed_sin(frame.alpha, gamma) * sin_of(frame.beta)
+    return numerator * (signed_sin(frame.alpha, frame.beta) * sin_of(gamma)).inv()
+
+
+def _unit_parts_reference(frame):
+    scale = sin_of(frame.beta) * _gap_inverse_reference(frame)
+    return -cos_of(frame.alpha) * scale, -sin_of(frame.alpha) * scale
+
+
+def _ratio_elements_reference(frame):
+    qa = sin_of(frame.alpha) * _gap_inverse_reference(frame)
+    qb = sin_of(frame.beta) * _gap_inverse_reference(frame)
+    return qa * qa, qb * qb
+
+
+def _from_cartesian_reference(re, im, frame):
+    unit_re, unit_im = _unit_parts_reference(frame)
+    gap = im * unit_im.inv()
+    r = re - gap * unit_re
+    return r, r + gap
+
+
+def _same(a, b):
+    return a == b and (a.conductor, a._num, a._den) == (b.conductor, b._num, b._den)
+
+
+def test_frame_constants_match_the_inverses_of_products():
+    rng = random.Random(61)
+    pool = angle_pool((2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12))
+    conductors, descending = set(), set()
+    for _ in range(40):
+        alpha, beta, gamma = rng.sample(pool, 3)
+        frame = Frame(alpha, beta)
+        u = SlopeSet([Angle.zero(), alpha, beta, gamma], alpha=alpha, beta=beta)
+        conductors.add(u.working_conductor)
+        descending.add(alpha > beta)
+        assert _same(frame.p_value(gamma), _p_value_reference(frame, gamma))
+        for got, want in zip(frame.unit_parts(), _unit_parts_reference(frame)):
+            assert _same(got, want)
+        for got, want in zip(ratio_elements(u), _ratio_elements_reference(frame)):
+            assert _same(got, want)
+        qb = sin_of(beta) * _gap_inverse_reference(frame)
+        assert _same(e_norm_sq(u), qb * qb)
+        trace = 2 * cos_of(alpha) * sin_of(beta) * _gap_inverse_reference(frame)
+        assert _same(trace_element(u), trace)
+        re = cos_of(gamma) * rng.randint(-9, 9) + Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        im = sin_of(gamma) * rng.randint(1, 9) - rng.randint(0, 9)
+        point = PlanePoint.from_cartesian(re, im, frame)
+        for got, want in zip((point.r, point.s), _from_cartesian_reference(re, im, frame)):
+            assert _same(got, want)
+    # both orders of the pair, on conductors from 28 to 2772
+    assert descending == {True, False} and len(conductors) > 20
+
+
+def test_1980_pvalues_and_ring_invert_only_single_sines(monkeypatch, capsys):
+    # every frame constant is a product of sines and their inverses, and
+    # each inverse is of one sine at its own conductor, never of a product
+    # at the working conductor 1980
+    slopes = [Angle(1, 11), Angle(5, 9), Angle(7, 10)]
+    gaps = [angle_difference(a, b)[1] for a, b in itertools.combinations(slopes, 2)]
+    sines = {(s.conductor, s._num, s._den) for s in map(sin_of, slopes + gaps)}
+    for cached in (geometry._p_value, geometry._unit_parts, geometry._inverse_p_gap,
+                   geometry._inverse_sin, geometry._inverse_unit_im):
+        cached.cache_clear()
+    monkeypatch.setattr(ring_analysis, "_lattice_cache", {})
+    monkeypatch.setattr(ring_analysis, "_field_cache", {})
+    inverted = []
+    inverse = CyclotomicReal.inv
+
+    def recording(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CyclotomicReal, "inv", recording)
+    for command in ("pvalues", "ring"):
+        assert main([command, "--slopes", "0,pi/11,5pi/9,7pi/10", "--format", "json"]) in (0, 3)
+    capsys.readouterr()
+    assert inverted
+    for x in inverted:
+        assert x.conductor < 1980 and (x.conductor, x._num, x._den) in sines

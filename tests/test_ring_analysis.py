@@ -939,3 +939,110 @@ def test_cold_1980_ring_check_builds_no_integer_lattice(monkeypatch):
     assert verdicts == ["Unknown: bounded search exhausted"] * 8
     scans = [str(v) for scan in report.frame_scan for v in scan.verdicts]
     assert scans == ["Unknown: fast paths only"] * 10
+
+
+def _residual_reference(basis, image, q):
+    """The sequential projection: each echelon row (col, row), 1 at col and
+    zero at the earlier pivots, clears col in turn."""
+    for col, row in basis:
+        if image[col]:
+            image = (image - image[col] * row) % q
+    return image
+
+
+def _basis_reference(lattice):
+    """The sequential basis: the monomial images reduced one by one against
+    the rows kept so far, each new row scaled to 1 at its first nonzero entry."""
+    q, basis = lattice.q, []
+    ones = np.ones(euler_phi(lattice.n), np.int64)
+    mul = lambda a, b: a * b % q
+    for _, image in _graded_products(ones, lattice.images, lattice.degree, lattice.degree, mul):
+        if (r := _residual_reference(basis, image, q)).any():
+            col = int(np.flatnonzero(r)[0])
+            basis.append((col, r * pow(int(r[col]), -1, q) % q))
+    return basis
+
+
+def test_residual_matches_the_sequential_projection():
+    rng = np.random.default_rng(53)
+    sets = _seeded_sets(31, (4, 5), 4) + [SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])]
+    for u in sets:
+        lattice = _MonomialLattice(u, SearchBounds(max_num_deg=8))
+        basis = _basis_reference(lattice)
+        assert lattice.pivots == [col for col, _ in basis], str(u)
+        assert (lattice.rows[:, lattice.pivots] == np.eye(len(basis), dtype=np.int64)).all()
+        q, phi = lattice.q, euler_phi(lattice.n)
+        vectors = [rng.integers(0, q, phi), np.full(phi, q - 1, np.int64)]
+        vectors += [row for _, row in basis[:3]]  # members of the span
+        for v in vectors:
+            assert (lattice.residual(v) == _residual_reference(basis, v, q)).all(), str(u)
+    # the largest products: entries q - 1 against rows of q - 1 at every
+    # non-pivot column, with a rank one short of phi(1980)
+    q, phi = cyclotomic.split_prime(1980), 480
+    pivots = sorted(rng.choice(phi, phi - 1, replace=False).tolist())
+    rows = np.full((phi - 1, phi), q - 1, np.int64)
+    rows[:, pivots] = np.eye(phi - 1, dtype=np.int64)
+    extreme = object.__new__(_MonomialLattice)
+    extreme.q, extreme.rows, extreme.pivots = q, rows, pivots
+    for v in (np.full(phi, q - 1, np.int64), rng.integers(0, q, phi)):
+        expected = _residual_reference(list(zip(pivots, rows)), v, q)
+        assert (extreme.residual(v) == expected).all()
+
+
+def _excluded_reference(stream, form, lattice, basis):
+    """The screen on the sum: the images of the powers summed, then reduced."""
+    zero = (0,) * len(stream.gens)
+    if lattice.rows is None or evaluate(stream.powers[zero], lattice.n) is None:
+        return False
+    q = lattice.q
+    total = sum(c % q * stream.image(e, lattice) % q for e, c in form.items())
+    return bool(_residual_reference(basis, total % q, q).any())
+
+
+def test_excluded_matches_the_reduction_of_the_summed_images():
+    small = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
+    u1980 = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
+    cases = [(u, small) for u in _seeded_sets(31, (4, 5), 4)] + [(u1980, SearchBounds())]
+    outcomes = set()
+    for u, bounds in cases:
+        lattice = _MonomialLattice(u, bounds)
+        basis = _basis_reference(lattice)
+        q = cyclotomic.split_prime(u.working_conductor)
+        for ratio in ratio_elements(u):
+            x = rewrite_in_conductor(ratio, u.working_conductor)
+            for y in (x, x * Fraction(1, q)):  # q divides the second denominator
+                stream = _candidates(y, u, bounds)
+                for _, form in stream:
+                    got = stream.excluded(form, lattice)
+                    assert got == _excluded_reference(stream, form, lattice, basis), str(u)
+                    outcomes.add((y is x, got))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_cold_1980_ring_check_reduces_each_power_once(monkeypatch):
+    # each monomial image is reduced once while the basis is built, and each
+    # power x * p^e once per query, not each candidate
+    u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
+    monkeypatch.setattr(ring_analysis, "_lattice_cache", {})
+    monkeypatch.setattr(ring_analysis, "_field_cache", {})
+    reductions = queries = 0
+    residual, init = _MonomialLattice.residual, _Candidates.__init__
+
+    def counting_residual(self, image):
+        nonlocal reductions
+        reductions += 1
+        return residual(self, image)
+
+    def counting_init(self, *args):
+        nonlocal queries
+        queries += 1
+        init(self, *args)
+
+    monkeypatch.setattr(_MonomialLattice, "residual", counting_residual)
+    monkeypatch.setattr(_Candidates, "__init__", counting_init)
+    assert ring_check(u).status is RingStatus.UNKNOWN
+    cold, lattice = (reductions, queries), _monomial_lattice(u, SearchBounds())
+    one = CyclotomicReal.from_rational(1, u.working_conductor)
+    powers = {e for _, form in _candidates(one, u, SearchBounds()) for e in form}
+    assert cold[1] and len(powers) == 17
+    assert cold[0] <= len(lattice.exponents) + cold[1] * len(powers)
