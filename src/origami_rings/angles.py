@@ -26,6 +26,20 @@ _ANGLE_RE = re.compile(
 )
 
 
+def pi_multiple(text: str) -> Fraction:
+    """The rational k/n of a text '0', 'pi', 'pi/4', '2pi/15' or '2*pi/15'
+    for k*pi/n; any nonnegative multiple, so '3pi/2' gives 3/2."""
+    if text.strip() == "0":
+        return Fraction(0)
+    m = _ANGLE_RE.match(text)
+    if m is None:
+        raise ValueError(f"cannot parse angle {text!r}")
+    den = int(m.group("den") or 1)
+    if den == 0:
+        raise ValueError("angle denominator must be nonzero")
+    return Fraction(int(m.group("num") or 1), den)
+
+
 @total_ordering
 @dataclass(frozen=True)
 class Angle:
@@ -53,20 +67,12 @@ class Angle:
 
     @classmethod
     def parse(cls, text: str) -> "Angle":
-        """Parse '0', 'pi/4', '2pi/3', '2*pi/3' or a bare fraction '2/3'."""
-        s = text.strip()
-        if s in ("0", "0/1"):
-            return cls(0)
-        m = _ANGLE_RE.match(s)
+        """Parse a bare fraction '2/3' (meaning 2*pi/3) or a pi_multiple text."""
+        m = re.match(r"^\s*(\d+)\s*/\s*(\d+)\s*$", text)
         if m:
-            num = int(m.group("num") or 1)
-            den = int(m.group("den") or 1)
-            return cls(num, den)
-        # bare fraction of pi, e.g. "2/3" meaning 2*pi/3
-        m2 = re.match(r"^\s*(\d+)\s*/\s*(\d+)\s*$", s)
-        if m2:
-            return cls(int(m2.group(1)), int(m2.group(2)))
-        raise ValueError(f"cannot parse angle {text!r}")
+            return cls(int(m.group(1)), int(m.group(2)))
+        frac = pi_multiple(text)
+        return cls(frac.numerator, frac.denominator)
 
     @classmethod
     def zero(cls) -> "Angle":

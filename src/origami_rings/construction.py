@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .angles import Angle
 from .cyclotomic import Batch, CyclotomicReal, rewrite_in_conductor, stack
-from .geometry import PlanePoint, line_value, meet
+from .geometry import PlanePoint, _inverse_p_gap, line_value, meet
 from .slopes import SlopeSet
 
 DEFAULT_POINT_CAP = 50_000
@@ -82,7 +82,7 @@ def generate(
     cap = point_cap if point_cap is not None else float("inf")
     frame, n, table = u.frame, u.working_conductor, u.p_table
     gap_inv = {
-        (g, d): (table[g] - table[d]).inv()
+        (g, d): _inverse_p_gap(frame, g, d).to_conductor(n)
         for g, d in itertools.combinations(u.nonzero_slopes, 2)
     }
 

@@ -8,11 +8,13 @@ polynomial, gcd-normalized), so equality and zero tests are exact
 vector comparisons after conductor promotion.  Every sum of terms
 c * zeta^k reaches the power basis by one long division by the monic,
 sparse Phi_n: a product's convolution (schoolbook for short vectors,
-else one Kronecker-substitution big-integer product) and, through
-_power_sum, promotion, the Galois action and the constructors.  An inverse
-is found modulo a prime q by Euclid in F_q[X], lifted by Newton steps
-modulo q^(2^k) and read off by rational reconstruction; it is exact
-because it is returned only once x * y == 1 holds exactly.
+else one Kronecker-substitution big-integer product), each row of a batch
+multiplier (the row before, shifted one place) and, through _power_sum,
+promotion, the Galois action and the constructors.  An inverse is found
+modulo the split prime q of the conductor (below) by an int64 Euclid in
+F_q[X], lifted by Newton steps modulo q^(2^k) and read off by rational
+reconstruction; it is exact because it is returned only once x * y == 1
+holds exactly.
 
 The constructors cover everything the rest of the package needs:
 rationals, sin and cos of rational multiples of pi, and square roots
@@ -32,7 +34,7 @@ bits(A) + bits(M) + bits(phi) + 1 <= 62, and otherwise on Python ints.
 A batch's decimals round enclosures of all its rows at once, one int64
 product per limb of the aligned cos endpoints.
 
-One cached O(n) vector of the powers of a root of unity w modulo a split
+One cached O(n) vector of the powers of a root of unity w modulo the split
 prime q evaluates an element at all roots of Phi_n mod q (evaluate).
 
 An element is rewritten into a subfield Q(zeta_m) by an exact trace over
@@ -179,23 +181,19 @@ def _power_sum(n: int, terms: Iterable[tuple[int, int]]) -> list[int]:
     return _reduce_product(raw, n)
 
 
-# Inverses start modulo this prime, or the next one if it divides the norm.
-_INVERSE_PRIME = 2**31 - 1
-
-
 def _inverse_mod_prime(f: Sequence[int], n: int, q: int) -> "list[int] | None":
-    """g with f*g = 1 mod (q, Phi_n) by Euclid in F_q[X]; None if none exists."""
-    dtype = np.int64 if q < 2**31 else object  # then a - c*b fits in int64
-    r0 = np.array(cyclotomic_polynomial(n), dtype) % q
-    r1 = np.array([c % q for c in f], dtype)
-    s0, s1 = np.zeros(1, dtype), np.ones(1, dtype)  # s_i * f = r_i mod (q, Phi_n)
+    """g with f*g = 1 mod (q, Phi_n) by Euclid in F_q[X]; None if none exists.
+    q < 2^31, so every a - c*b of residues fits in int64."""
+    r0 = np.array(cyclotomic_polynomial(n), np.int64) % q
+    r1 = np.array([c % q for c in f], np.int64)
+    s0, s1 = np.zeros(1, np.int64), np.ones(1, np.int64)  # s_i * f = r_i mod (q, Phi_n)
     while True:
         while len(r1) and not r1[-1]:
             r1 = r1[:-1]
         if len(r1) <= 1:
             break
         top, lead, size = len(r1) - 1, pow(int(r1[-1]), -1, q), len(s1)
-        s0 = np.concatenate([s0, np.zeros(len(r0) - top + size - 1 - len(s0), dtype)])
+        s0 = np.concatenate([s0, np.zeros(len(r0) - top + size - 1 - len(s0), np.int64)])
         for k in range(len(r0) - top - 1, -1, -1):
             c = int(r0[k + top]) * lead % q
             r0[k : k + top] = (r0[k : k + top] - c * r1[:top]) % q
@@ -461,19 +459,20 @@ class CyclotomicReal:
     def inv(self) -> "CyclotomicReal":
         """Exact multiplicative inverse.
 
-        The numerator f is inverted mod (q, Phi_n) by Euclid in F_q[X] (the
-        next prime if q divides the norm of f), lifted by Newton steps mod
-        q^(2^k), and rationally reconstructed; a candidate y is returned
-        only when x * y == 1 holds exactly, so it never depends on q or k.
+        The numerator f is inverted mod (q, Phi_n) by Euclid in F_q[X], q =
+        split_prime(n) or, while q divides the norm of f, the next prime
+        q = 1 (mod n) below 2^31; it is lifted by Newton steps mod q^(2^k)
+        and rationally reconstructed.  A candidate y is returned only when
+        x * y == 1 holds exactly, so it never depends on q or k.
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         n, f = self.conductor, self._num
         if self.is_rational:
             return CyclotomicReal._make(n, (self._den,) + f[1:], f[0])
-        m = _INVERSE_PRIME  # the prime q, then q^(2^k) as g is lifted
+        m = split_prime(n)  # the prime q, then q^(2^k) as g is lifted
         while (g := _inverse_mod_prime(f, n, m)) is None:
-            m = next(p for p in range(m + 1, 2 * m + 1) if mpmath.libmp.isprime(p))
+            m = next(p for p in range(m + n, 2**31, n) if mpmath.libmp.isprime(p))
         while True:
             if (found := _reconstruct(g, m)) is not None:
                 y = CyclotomicReal._make(n, [self._den * c for c in found[0]], found[1])
@@ -758,22 +757,17 @@ def _combine(a: Batch, b: Batch, op) -> Batch:
 
 @lru_cache(maxsize=64)  # a 9-slope set's multipliers; one at phi 480 holds 1.8 MB
 def _multiplier(n: int, x: tuple[int, ...], m: int) -> "tuple[np.ndarray, int] | None":
-    """(matrix, bits), row j being x * zeta_n^j in Q(zeta_m), n | m, by shifting
-    rows through _phi_tail; None once a running bound on the entries passes 2^62."""
-    step, tail = m // n, _phi_tail(m)
-    at, by = [len(x) + o for o, _ in tail], np.array([t for _, t in tail], np.int64)
-    bound, grow = max(map(abs, x)), max(abs(t) for _, t in tail)
-    rows, row = [], _array(x)
-    for e in range((euler_phi(n) - 1) * step + 1):
+    """(matrix, bits), row j being x * zeta_n^j in Q(zeta_m), n | m: each
+    x * zeta_m^(e+1) is x * zeta_m^e shifted up one place and reduced by
+    _reduce_product.  None unless the matrix fits int64 within 2^62."""
+    step, rows, row = m // n, [list(x)], list(x)
+    for e in range(1, (euler_phi(n) - 1) * step + 1):
+        row = _reduce_product([0] + row, m)
         if e % step == 0:
             rows.append(row)
-        lead, row = int(row[-1]), np.concatenate(([0], row[:-1]))
-        bound += abs(lead) * grow
-        if bound >> _INT64_BITS:
-            return None
-        row[at] += lead * by
-    matrix = np.array(rows, np.int64)
-    return matrix, _bits(matrix)
+    matrix = _array(rows)
+    bits = _bits(matrix)
+    return (matrix, bits) if matrix.dtype == np.int64 and bits <= _INT64_BITS else None
 
 
 # ---------------------------------------------------------------------------

@@ -113,34 +113,37 @@ def to_json_document(
 def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
     """Rebuild the slope set and exact cumulative levels from schema 1;
     a malformed document raises ValueError."""
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema: {doc.get('schema')!r}")
-    if doc.get("kind") != "origami-points":
-        raise ValueError(f"not a point-set document: {doc.get('kind')!r}")
-    if not {"slopes", "alpha", "beta"} <= doc.keys():
-        raise ValueError("document has no slope set (slopes, alpha, beta)")
-    alpha, beta = Angle.parse(doc["alpha"]), Angle.parse(doc["beta"])
-    u = SlopeSet([Angle.parse(s) for s in doc["slopes"]], alpha=alpha, beta=beta)
-    _require(doc, ("conductor", "points"), "document")
-    conductor = int(doc["conductor"])
-    if conductor < 1:
-        raise ValueError(f"conductor must be a positive integer, got {conductor}")
-    entries = doc["points"]
-    for i, entry in enumerate(entries):
-        _require(entry, ("level", "r", "s"), f"point {i}")
-    k_max = int(doc.get("k_max", max((int(e["level"]) for e in entries), default=0)))
-    by_level: dict[int, list[PlanePoint]] = {}
-    for i, entry in enumerate(entries):
-        level = int(entry["level"])
-        if not 0 <= level <= k_max:
-            raise ValueError(f"point {i}: level {level} is outside 0..{k_max}")
-        try:
-            r, s = (CyclotomicReal.from_coeffs(conductor, [Fraction(c) for c in entry[key]])
-                    for key in "rs")
-        except ZeroDivisionError:
-            raise ValueError(f"point {i}: a coefficient has a zero denominator") from None
-        by_level.setdefault(level, []).append(PlanePoint(r, s, u.frame))
-    truncated = bool(doc.get("truncated", False))
+    try:
+        if doc.get("schema") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema: {doc.get('schema')!r}")
+        if doc.get("kind") != "origami-points":
+            raise ValueError(f"not a point-set document: {doc.get('kind')!r}")
+        if not {"slopes", "alpha", "beta"} <= doc.keys():
+            raise ValueError("document has no slope set (slopes, alpha, beta)")
+        alpha, beta = Angle.parse(doc["alpha"]), Angle.parse(doc["beta"])
+        u = SlopeSet([Angle.parse(s) for s in doc["slopes"]], alpha=alpha, beta=beta)
+        _require(doc, ("conductor", "points"), "document")
+        conductor = int(doc["conductor"])
+        if conductor < 1:
+            raise ValueError(f"conductor must be a positive integer, got {conductor}")
+        entries = doc["points"]
+        for i, entry in enumerate(entries):
+            _require(entry, ("level", "r", "s"), f"point {i}")
+        k_max = int(doc.get("k_max", max((int(e["level"]) for e in entries), default=0)))
+        by_level: dict[int, list[PlanePoint]] = {}
+        for i, entry in enumerate(entries):
+            level = int(entry["level"])
+            if not 0 <= level <= k_max:
+                raise ValueError(f"point {i}: level {level} is outside 0..{k_max}")
+            try:
+                r, s = (CyclotomicReal.from_coeffs(conductor, [Fraction(c) for c in entry[key]])
+                        for key in "rs")
+            except ZeroDivisionError:
+                raise ValueError(f"point {i}: a coefficient has a zero denominator") from None
+            by_level.setdefault(level, []).append(PlanePoint(r, s, u.frame))
+        truncated = bool(doc.get("truncated", False))
+    except (TypeError, AttributeError) as exc:  # a number, list or null of the wrong kind
+        raise ValueError(f"malformed document: {exc}") from None
     levels = []
     cumulative: list[PlanePoint] = []
     for k in range(k_max + 1):

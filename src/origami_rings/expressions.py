@@ -12,16 +12,16 @@ parentheses and the four arithmetic operations:
             | ('sin' | 'cos') '(' pifraction ')'
             | '(' expr ')'
 
-A pi fraction looks like pi, pi/4, 2pi/15 or 2*pi/15.  Parse errors
-carry the offending token and its position.
+A pi fraction is the argument's tokens read by angles.pi_multiple: 0,
+pi, pi/4, 2pi/15 or 2*pi/15, any multiple, folded mod 2pi.  Parse errors
+carry the offending text and its position.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .angles import Angle
+from .angles import Angle, pi_multiple
 from .cyclotomic import CyclotomicReal, cos_of, sin_of, sqrt_rational
 
 
@@ -143,44 +143,22 @@ class _Parser:
             return sqrt_rational(radicand.as_rational())
         if kind == "name" and value in ("sin", "cos"):
             self.expect_op("(")
-            multiple = self.pi_fraction()
+            start, first = self.peek()[2], self.index
+            while self.index < len(self.tokens) and self.tokens[self.index][1] != ")":
+                self.index += 1
+            # spaces keep "2 2pi" from reading as 22pi; pi_multiple allows them
+            text = " ".join(token for _, token, _ in self.tokens[first : self.index])
+            try:
+                folded = pi_multiple(text) % 2
+            except ValueError:
+                shown = text or self.peek()[1] or "end of input"
+                raise ExpressionError("expected a multiple of pi", shown, start) from None
             self.expect_op(")")
-            folded = multiple % 2
-            flip = False
-            if folded >= 1:
-                folded -= 1
-                flip = True
-            angle = Angle(folded.numerator, folded.denominator)
+            flip = folded >= 1  # sin and cos change sign over [pi, 2pi)
+            angle = Angle(folded.numerator - flip * folded.denominator, folded.denominator)
             out = sin_of(angle) if value == "sin" else cos_of(angle)
             return -out if flip else out
         raise ExpressionError("expected a value", value or "end of input", pos)
-
-    def pi_fraction(self) -> Fraction:
-        """A nonnegative rational multiple of pi, as the multiplier.
-
-        Accepts pi, pi/4, 2pi/15, 2*pi/15 and the bare zero angle 0.
-        """
-        numerator = 1
-        kind, value, pos = self.advance()
-        if kind == "number":
-            numerator = int(value)
-            next_kind, next_value, _ = self.peek()
-            if numerator == 0 and not (next_kind == "name" and next_value == "pi"):
-                return Fraction(0)
-            if next_kind == "op" and next_value == "*":
-                self.advance()
-            kind, value, pos = self.advance()
-        if not (kind == "name" and value == "pi"):
-            raise ExpressionError("expected pi", value or "end", pos)
-        denominator = 1
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "/":
-            self.advance()
-            kind, value, pos = self.advance()
-            if kind != "number" or int(value) == 0:
-                raise ExpressionError("expected a nonzero denominator", value, pos)
-            denominator = int(value)
-        return Fraction(numerator, denominator)
 
 
 def parse_expression(text: str) -> CyclotomicReal:

@@ -269,10 +269,9 @@ def e_closed_form(u: SlopeSet) -> tuple[CyclotomicReal, CyclotomicReal]:
 def e_norm_sq(u: SlopeSet) -> CyclotomicReal:
     """Squared distance of the unit point from the origin.
 
-    Closed form sin(beta)^2 / sin(alpha-beta)^2.
+    Closed form sin(beta)^2 / sin(alpha-beta)^2, the second ratio element.
     """
-    ratio = sin_of(u.beta) * inverse_signed_sin(u.alpha, u.beta)
-    return ratio * ratio
+    return ratio_elements(u)[1]
 
 
 def trace_element(u: SlopeSet) -> CyclotomicReal:
@@ -332,23 +331,15 @@ class _Form(dict):
 def _delta_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal, _Form]]:
     """Denominator generators: p, p-1 per free constant plus differences,
     each with its linear form in the numerator generators."""
-    table = u.p_table
-    free = u.free_slopes
-    single = len(free) == 1
-    names = {}
-    for i, g in enumerate(free):
-        names[g] = "p" if single else f"p{i + 1}"
-    unit = [tuple(int(i == j) for j in range(len(free))) for i in range(len(free))]
-    one = (0,) * len(free)
+    gens = _numerator_generators(u)
+    basis = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
+    one = (0,) * len(gens)
     out = []
-    for i, g in enumerate(free):
-        out.append((names[g], table[g], _Form({unit[i]: 1})))
-        out.append((f"{names[g]}-1", table[g] - 1, _Form({unit[i]: 1, one: -1})))
-    for i, g in enumerate(free):
-        for j, d in enumerate(free[i + 1 :], i + 1):
-            out.append(
-                (f"{names[g]}-{names[d]}", table[g] - table[d], _Form({unit[i]: 1, unit[j]: -1}))
-            )
+    for (name, p), e in zip(gens, basis):
+        out.append((name, p, _Form({e: 1})))
+        out.append((f"{name}-1", p - 1, _Form({e: 1, one: -1})))
+    for ((a, p), e), ((b, q), f) in itertools.combinations(zip(gens, basis), 2):
+        out.append((f"{a}-{b}", p - q, _Form({e: 1, f: -1})))
     return out
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from origami_rings import cyclotomic
+from origami_rings import cyclotomic, geometry
 from origami_rings.angles import Angle
 from origami_rings.construction import LevelSet, contains, generate
 from origami_rings.cyclotomic import CyclotomicReal, cos_of, sqrt_rational
@@ -105,9 +105,11 @@ def test_real_points_of_triangle_are_integers(triangle):
 
 def test_generate_at_conductor_1980(monkeypatch):
     # each inverse gap, at phi(1980) = 480, took close to a minute through
-    # Euclid on Fraction polynomials
+    # Euclid on Fraction polynomials; the gaps come from geometry's cache,
+    # emptied so that each one is inverted here
     u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
     assert u.working_conductor == 1980
+    geometry._inverse_p_gap.cache_clear()
     inverted, inv = [], CyclotomicReal.inv
 
     def recording_inv(x):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cache
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import iv
 
@@ -538,21 +539,26 @@ def test_inverse_matches_fraction_euclid_reference(monkeypatch):
     for n in (1540, 1980):
         x = _element(rng, n, 1)
         assert x * x.inv() == 1
-    # an unlucky prime: 2 divides the norm 4 of sqrt(2) in Q(zeta_8), so
-    # Euclid mod 2 fails and the inverse is found mod 3; at modulus 3 every
-    # residue reconstructs, to -sqrt(2), which the exact check rejects
-    monkeypatch.setattr(cyclotomic, "_INVERSE_PRIME", 2)
-    primes, moduli = _spy(monkeypatch, "_inverse_mod_prime"), _spy(monkeypatch, "_reconstruct")
-    assert sqrt_rational(2).inv() == sqrt_rational(2) / 2
-    assert primes == [2, 3] and moduli == [3, 9]
-    # an element divisible by the default prime moves to the next prime,
-    # which lies above 2^31 and so takes the object-array Euclid
+    # an element divisible by q = split_prime(5) has q in its norm, so Euclid
+    # mod q fails and the inverse moves to the next prime 1 mod 5; both lie
+    # below 2^31, and the Euclid runs on int64 arrays only
     monkeypatch.undo()
-    q = cyclotomic._INVERSE_PRIME
-    primes = _spy(monkeypatch, "_inverse_mod_prime")
+    q = cyclotomic.split_prime(5)
     x = q * sqrt_rational(5)
-    assert x.inv() == sqrt_rational(5) / (5 * q)
-    assert primes[0] == q and primes[1] > 2**31
+    assert x.conductor == 5
+    primes, arrays, array = _spy(monkeypatch, "_inverse_mod_prime"), [], np.array
+
+    def recording_array(*args, **kwargs):
+        arrays.append(array(*args, **kwargs))
+        return arrays[-1]
+
+    monkeypatch.setattr(np, "array", recording_array)
+    y = x.inv()
+    monkeypatch.undo()
+    assert y == sqrt_rational(5) / (5 * q)
+    step = next(p for p in range(q + 5, 2**31, 5) if _is_prime_reference(p))
+    assert primes == [q, step] and q % 5 == step % 5 == 1 and step < 2**31
+    assert arrays and all(a.dtype == np.int64 for a in arrays)
 
 
 def _enclosure_reference(x, prec):
@@ -663,6 +669,24 @@ def test_batch_mul_promotes_as_the_scalar_product_does(n, bits):
         got = (a * wide).values()
         assert [v.conductor for v in got] == [m] * len(xs)
         assert got == [x * wide for x in xs]
+
+
+@pytest.mark.parametrize("n, m, bits", [(12, 12, 8), (120, 120, 8), (120, 360, 8), (1980, 1980, 4), (120, 120, 100)])
+def test_multiplier_rows_are_the_products_by_powers_of_zeta(n, m, bits):
+    # row j is x * zeta_n^j on Q(zeta_m), as CyclotomicReal multiplies; a
+    # 100-bit x leaves int64, and then no matrix is built
+    rng = random.Random(n * m + bits)
+    x = _draw(rng, m, bits)
+    built = cyclotomic._multiplier(n, x._num, m)
+    if bits == 100:
+        assert built is None
+        return
+    matrix, width = built
+    assert matrix.dtype == np.int64 and width == cyclotomic._bits(matrix) <= 62
+    assert matrix.shape == (euler_phi(n), euler_phi(m))
+    for j in range(euler_phi(n) - 1, -1, -1 if n < 1980 else -17):  # from the last row
+        zeta = CyclotomicReal._make(n, cyclotomic._power_sum(n, [(j, 1)]), 1)
+        assert CyclotomicReal._make(m, matrix[j].tolist(), x._den) == x * zeta
 
 
 @pytest.mark.parametrize("n, bits", [(12, 8), (120, 30), (1980, 8), (1980, 100)])

@@ -186,6 +186,7 @@ def test_json_document_writes_points_in_the_frame_it_names(pentagon):
 
 def _spoil_point(doc, **changes):
     doc["points"][-1].update(changes)
+    return doc
 
 
 @pytest.mark.parametrize(
@@ -217,3 +218,27 @@ def test_from_json_document_rejects_malformed_input(triangle, spoil, message):
         assert doc == to_json_document(None, levels)
     with pytest.raises(ValueError, match=message):
         from_json_document(doc)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda doc: {**doc, "points": 5},
+        lambda doc: {**doc, "points": [*doc["points"], 5]},
+        lambda doc: _spoil_point(doc, r=5),
+        lambda doc: _spoil_point(doc, s=[None] + doc["points"][-1]["s"][1:]),
+        lambda doc: _spoil_point(doc, level=None),
+        lambda doc: {**doc, "k_max": None},
+        lambda doc: {**doc, "slopes": [0, 1, 2]},
+        lambda doc: {**doc, "alpha": 5},
+        lambda doc: [doc],
+    ],
+    ids=["points-number", "point-number", "r-number", "coefficient-null", "level-null",
+         "k-max-null", "slopes-numbers", "alpha-number", "top-level-list"],
+)
+def test_from_json_document_rejects_values_of_the_wrong_type(triangle, spoil):
+    # a number, list or null where the schema has another type is a
+    # malformed document too, not a TypeError or AttributeError
+    doc = to_json_document(triangle, generate(triangle, 1))
+    with pytest.raises(ValueError, match="malformed document"):
+        from_json_document(spoil(doc))

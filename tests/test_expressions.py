@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from origami_rings.angles import Angle
+from origami_rings.angles import Angle, pi_multiple
 from origami_rings.cyclotomic import cos_of, sin_of, sqrt_rational
 from origami_rings.expressions import ExpressionError, parse_expression
 
@@ -74,3 +74,29 @@ def test_errors_carry_position():
     for bad in ["", "sin()", "sin(1.5)", "sqrt(2", "1 +", "* 3", "two"]:
         with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+
+@pytest.mark.parametrize("text", ["0", "pi/4", "2pi/3", "2*pi/3", " pi/2 ", "pi/3", "5pi/12"])
+def test_trig_arguments_read_pi_fractions_as_angles_do(text):
+    # one reader, angles.pi_multiple, for Angle.parse and sin/cos arguments
+    angle = Angle.parse(text)
+    assert pi_multiple(text) == angle.fraction
+    assert parse_expression(f"sin({text})") == sin_of(angle)
+    assert parse_expression(f"cos({text})") == cos_of(angle)
+
+
+def test_pi_fraction_reader_folds_multiples_and_keeps_its_grammar():
+    assert parse_expression("sin(2·pi/3)") == sin_of(Angle(2, 3))
+    assert parse_expression("2·sin(pi/6)") == 1
+    assert [pi_multiple(t) for t in ("pi", "3pi/2", "7*pi/3")] == [1, Fraction(3, 2), Fraction(7, 3)]
+    assert parse_expression("sin(pi)").is_zero and parse_expression("cos(pi)") == -1
+    assert parse_expression("cos(2pi)") == 1 and parse_expression("sin(7pi/6)") == Fraction(-1, 2)
+    for bad in ["pi", "3pi/2", "pi/0"]:
+        with pytest.raises(ValueError):
+            Angle.parse(bad)
+    # tokens are rejoined with spaces, so "2 2pi" does not read as 22pi;
+    # errors point at the argument's start
+    for bad in ["sin(pi/0)", "sin(2 2pi)", "cos(pi/4 + pi)", "sin((pi))", "sin(2/3)", "sin()"]:
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(bad)
+        assert info.value.position == 4, bad
