@@ -759,7 +759,10 @@ def _combine(a: Batch, b: Batch, op) -> Batch:
 def _multiplier(n: int, x: tuple[int, ...], m: int) -> "tuple[np.ndarray, int] | None":
     """(matrix, bits), row j being x * zeta_n^j in Q(zeta_m), n | m: each
     x * zeta_m^(e+1) is x * zeta_m^e shifted up one place and reduced by
-    _reduce_product.  None unless the matrix fits int64 within 2^62."""
+    _reduce_product.  None unless the matrix fits int64 within 2^62, at
+    once when row 0, x itself, does not."""
+    if max(map(abs, x), default=0).bit_length() > _INT64_BITS:
+        return None
     step, rows, row = m // n, [list(x)], list(x)
     for e in range(1, (euler_phi(n) - 1) * step + 1):
         row = _reduce_product([0] + row, m)

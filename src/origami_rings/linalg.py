@@ -4,8 +4,10 @@ IntegerLattice keeps a Z-basis in Hermite normal form with tracking,
 deciding membership of integer vectors in the Z-span of the generators
 and returning the integer combination.  A generator that does not raise
 the rank comes back as the primitive integer relation it closes.
-Reducing the entries above each pivot keeps both the rows and their
-tracked combinations small (Cohen, GTM 138, section 2.4).
+Reducing the entries above each pivot keeps the rows small (Cohen,
+GTM 138, section 2.4), but not their tracked combinations: those grow
+with every row operation, and only a caller that knows the relations
+can reduce them.
 
 RowSpace is its rational view: each vector is cleared of denominators
 and adjoined to one IntegerLattice, and a relation becomes rational

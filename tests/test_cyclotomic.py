@@ -671,7 +671,8 @@ def test_batch_mul_promotes_as_the_scalar_product_does(n, bits):
         assert got == [x * wide for x in xs]
 
 
-@pytest.mark.parametrize("n, m, bits", [(12, 12, 8), (120, 120, 8), (120, 360, 8), (1980, 1980, 4), (120, 120, 100)])
+@pytest.mark.parametrize("n, m, bits", [(12, 12, 8), (120, 120, 8), (120, 360, 8), (1980, 1980, 4),
+                                        (1980, 1980, 8), (120, 120, 100), (1980, 1980, 100)])
 def test_multiplier_rows_are_the_products_by_powers_of_zeta(n, m, bits):
     # row j is x * zeta_n^j on Q(zeta_m), as CyclotomicReal multiplies; a
     # 100-bit x leaves int64, and then no matrix is built
@@ -687,6 +688,18 @@ def test_multiplier_rows_are_the_products_by_powers_of_zeta(n, m, bits):
     for j in range(euler_phi(n) - 1, -1, -1 if n < 1980 else -17):  # from the last row
         zeta = CyclotomicReal._make(n, cyclotomic._power_sum(n, [(j, 1)]), 1)
         assert CyclotomicReal._make(m, matrix[j].tolist(), x._den) == x * zeta
+
+
+def test_multiplier_turns_away_a_wide_x_before_reducing(monkeypatch):
+    # row 0 is x itself, so a dense 100-bit x at n = 1980 can never give an
+    # int64 matrix and is turned away before any row is reduced
+    x = _draw(random.Random(7), 1980, 100)
+
+    def no_reduction(*args):
+        raise AssertionError("row reduced")
+
+    monkeypatch.setattr(cyclotomic, "_reduce_product", no_reduction)
+    assert cyclotomic._multiplier.__wrapped__(1980, x._num, 1980) is None
 
 
 @pytest.mark.parametrize("n, bits", [(12, 8), (120, 30), (1980, 8), (1980, 100)])

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -249,8 +251,9 @@ def test_search_bounds_validation():
 
 
 def test_pentagon_lattice_stays_small(pentagon):
-    # Hermite reduction keeps rows at 12 bits and combinations at
-    # 2,694 bits here; unreduced they grow past 100,000
+    # Hermite reduction keeps rows at 12 bits here, and dividing the
+    # combinations by mu(p) keeps them at 63 bits (2,694 without);
+    # unreduced they grow past 100,000
     lattice = _monomial_lattice(pentagon, SearchBounds()).lattice
     rows = lattice._pivots.values()
     assert max(abs(c).bit_length() for row, _ in rows for c in row) <= 64
@@ -470,9 +473,8 @@ def _primitive_minimal_polynomial(x: CyclotomicReal) -> list[int]:
     return [c // g for c in ints]
 
 
-def test_first_kernel_row_is_the_primitive_minimal_polynomial(pentagon):
-    # the relation IntegerLattice.add closes first is +-mu(p) cleared to
-    # content 1; its shifts are the Babai rows
+def _one_free_constant_sets(pentagon) -> list[SlopeSet]:
+    """The pentagon and four seeded 4-slope sets with one free constant."""
     rng = random.Random(11)
     pool = [Angle(k, n) for n in (2, 3, 4, 5, 6, 8, 10, 12)
             for k in range(1, n) if math.gcd(k, n) == 1]
@@ -481,7 +483,13 @@ def test_first_kernel_row_is_the_primitive_minimal_polynomial(pentagon):
         u = SlopeSet([Angle.zero()] + rng.sample(pool, 3))
         if len(u.free_slopes) == 1:
             sets.append(u)
-    for u in sets:
+    return sets
+
+
+def test_first_kernel_row_is_the_primitive_minimal_polynomial(pentagon):
+    # the relation IntegerLattice.add closes first is +-mu(p) cleared to
+    # content 1; its shifts are the Babai rows
+    for u in _one_free_constant_sets(pentagon):
         lattice = _monomial_lattice(u, SearchBounds())
         relation = _primitive_minimal_polynomial(lattice.values[0])
         width = len(relation)
@@ -509,9 +517,8 @@ def _size_reduce_reference(rows, combo):
     return c
 
 
-def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
-    lattice = _monomial_lattice(pentagon, SearchBounds())
-    rows = [row for row, _, _ in lattice._kernel]
+def _size_reduce_combos(lattice, pentagon) -> list[list[int]]:
+    """Hit combinations of the pentagon lattice, then seeded random ones."""
     p = lattice.values[0]
     x = rewrite_in_conductor(sqrt_rational(3), pentagon.working_conductor)
     values = [x * p**5 * (p - 1) ** 4] + [p**k for k in range(0, 33, 4)]
@@ -525,12 +532,95 @@ def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
             [rng.randint(-2**bits, 2**bits) for _ in lattice.exponents]
             for _ in range(5)
         ]
+    return combos
+
+
+def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
+    lattice = _monomial_lattice(pentagon, SearchBounds())
+    rows = [row for row, _, _ in lattice._kernel]
     moved = 0
-    for combo in combos:
+    for combo in _size_reduce_combos(lattice, pentagon):
         reduced = lattice._size_reduce(combo)
         assert reduced == _size_reduce_reference(rows, combo)
         moved += reduced != combo
     assert moved
+
+
+def test_pivot_combinations_reproduce_their_rows_and_stay_small(pentagon):
+    # each Hermite row is its tracked combination of the scaled monomials;
+    # reducing the combinations by the kernel rows keeps them at most 128
+    # bits (2,694 on the pentagon before)
+    for u in _one_free_constant_sets(pentagon):
+        lattice = _monomial_lattice(u, SearchBounds())
+        (p,) = lattice.values
+        scaled = []
+        for (e,) in lattice.exponents:
+            y = p**e
+            scaled.append([c * (lattice.common_den // y._den) for c in y._num])
+        for row, combo in lattice.lattice._pivots.values():
+            total = [sum(c * v[k] for c, v in zip(combo, scaled)) for k in range(len(row))]
+            assert total == row, str(u)
+            assert max(abs(c).bit_length() for c in combo) <= 128, str(u)
+
+
+def _has_tie(kernel, combo) -> bool:
+    """Whether a nearest-plane step of combo rounds an exact half,
+    2 * <c, w> = odd * b."""
+    c = list(combo)
+    for row, w, bw in reversed(kernel):
+        a = sum(x * y for x, y in zip(c, w))
+        if 2 * a % bw == 0 and 2 * a // bw % 2:
+            return True
+        q = _round_half_even(a, bw)
+        c = [x - q * y for x, y in zip(c, row)]
+    return False
+
+
+def test_size_reduction_depends_only_on_the_kernel_coset(pentagon):
+    # moving a combination by an integer combination of kernel rows moves
+    # each nearest-plane quotient by an integer, so the output is the same
+    lattice = _monomial_lattice(pentagon, SearchBounds())
+    kernel = lattice._kernel
+    rng = random.Random(5)
+    checked = 0
+    for combo in _size_reduce_combos(lattice, pentagon):
+        if _has_tie(kernel, combo):
+            continue
+        for bits in (1, 30, 3000):
+            moved = list(combo)
+            for row, _, _ in kernel:
+                k = rng.randint(-2**bits, 2**bits)
+                moved = [a + k * b for a, b in zip(moved, row)]
+            assert lattice._size_reduce(moved) == lattice._size_reduce(combo)
+            checked += 1
+    assert checked >= 60
+
+
+# (verdict, numerator terms, denominator exponents) of each query below,
+# digested at the commit before the pivot combinations were reduced
+PENTAGON_MEMBER_QUERIES = (
+    ["sqrt(3)", "sqrt(5)", "sqrt(15)"]
+    + [f"{fn}({k}pi/{n})" for n, ks in ((3, (1,)), (5, (1, 3)), (6, (1, 5)), (10, (1, 7)),
+                                        (15, (1, 13)), (30, (1, 29)))
+       for k in ks for fn in ("cos", "sin")]
+    + ["1/2", "2/5", "7/3", "1/15", "5/6"]
+)
+PENTAGON_MEMBER_DIGEST = "7cf690cdae54810ccf744a13a9a19553f722cef2116029d6fbc7370b18ac2a32"
+
+
+def test_pentagon_member_witnesses_are_pinned(pentagon):
+    entries = []
+    for text in PENTAGON_MEMBER_QUERIES:
+        v = membership_in_MR(parse_expression(text), pentagon)
+        w = v.witness
+        entries.append([
+            text, v.kind.value,
+            None if w is None else [[c, list(e)] for c, e in w.numerator_terms],
+            None if w is None else sorted(w.denominator_exponents.items()),
+        ])
+    assert all(kind == "ProvenIn" for _, kind, _, _ in entries)
+    digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+    assert digest == PENTAGON_MEMBER_DIGEST
 
 
 def _monomials_reference(count, total_degree):
@@ -939,6 +1029,30 @@ def test_cold_1980_ring_check_builds_no_integer_lattice(monkeypatch):
     assert verdicts == ["Unknown: bounded search exhausted"] * 8
     scans = [str(v) for scan in report.frame_scan for v in scan.verdicts]
     assert scans == ["Unknown: fast paths only"] * 10
+
+
+def test_lattice_and_field_caches_keep_the_last_few_sets(monkeypatch):
+    # a set's lattice and fixing group serve only that set's queries, so
+    # ring_check of 12 sets leaves at most _CACHED_SETS of each, and a
+    # second ring_check of the last set builds no new lattice
+    monkeypatch.setattr(ring_analysis, "_lattice_cache", {})
+    monkeypatch.setattr(ring_analysis, "_field_cache", {})
+    bounds = SearchBounds(max_den_exp=2, max_num_deg=8, max_candidates=300)
+    sets = _seeded_sets(61, (4,), 12)
+    for u in sets:
+        report = ring_check(u, bounds)
+    assert len(ring_analysis._lattice_cache) == ring_analysis._CACHED_SETS
+    assert len(ring_analysis._field_cache) == ring_analysis._CACHED_SETS
+    assert (sets[-1], bounds.max_num_deg) in ring_analysis._lattice_cache
+
+    def no_build(self, u, bounds):
+        raise AssertionError(f"lattice of {u} built again")
+
+    monkeypatch.setattr(_MonomialLattice, "__init__", no_build)
+    again = ring_check(sets[-1], bounds)
+    assert [str(v) for c in again.criteria for v in c.verdicts] == [
+        str(v) for c in report.criteria for v in c.verdicts
+    ]
 
 
 def _residual_reference(basis, image, q):
