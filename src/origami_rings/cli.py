@@ -186,14 +186,7 @@ def _run_ring(args) -> int:
                 }
                 for c in report.criteria
             ],
-            "frame_scan": [
-                {
-                    "alpha": str(s.alpha),
-                    "beta": str(s.beta),
-                    "status": s.status.value,
-                }
-                for s in report.frame_scan
-            ],
+            "frame_scan": [],  # schema 1 keeps the key; ring_check runs no frame scan
         }
         _emit(indented_json(doc), args.out)
     else:
@@ -205,11 +198,6 @@ def _run_ring(args) -> int:
             for (label, value), verdict in zip(c.elements, c.verdicts):
                 lines.append(
                     f"    {label} = {value.decimal(args.precision)}: {verdict}"
-                )
-        for s in report.frame_scan:
-            if s.status is not RingStatus.UNKNOWN:
-                lines.append(
-                    f"  frame ({s.alpha}, {s.beta}): {s.status.value}"
                 )
         _emit("\n".join(lines), args.out)
     return EXIT_OK if report.status is not RingStatus.UNKNOWN else EXIT_UNKNOWN

@@ -98,7 +98,7 @@ class Frame:
         return f"({self.alpha}, {self.beta})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _p_value(frame: Frame, gamma: Angle) -> CyclotomicReal:
     if gamma.is_zero:
         raise ZeroSlopeError("p is undefined for the horizontal direction")
@@ -110,20 +110,20 @@ def _p_value(frame: Frame, gamma: Angle) -> CyclotomicReal:
     return numerator * inverse_signed_sin(frame.alpha, frame.beta) * _inverse_sin(gamma)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _unit_parts(frame: Frame) -> tuple[CyclotomicReal, CyclotomicReal]:
     scale = sin_of(frame.beta) * inverse_signed_sin(frame.alpha, frame.beta)
     return (-cos_of(frame.alpha) * scale, -sin_of(frame.alpha) * scale)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _inverse_unit_im(frame: Frame) -> CyclotomicReal:
     """1/Im of the unit point, -sin(alpha-beta) / (sin(alpha)*sin(beta))."""
     gap = -signed_sin(frame.alpha, frame.beta)
     return gap * _inverse_sin(frame.alpha) * _inverse_sin(frame.beta)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _inverse_p_gap(frame: Frame, gamma: Angle, delta: Angle) -> CyclotomicReal:
     return (_p_value(frame, gamma) - _p_value(frame, delta)).inv()
 

@@ -97,10 +97,6 @@ class SlopeSet:
             g: self.frame.p_value(g).to_conductor(n) for g in self.nonzero_slopes
         }
 
-    def with_frame(self, alpha: Angle, beta: Angle) -> "SlopeSet":
-        """The same set with another distinguished pair."""
-        return SlopeSet(self.slopes, alpha=alpha, beta=beta)
-
     def union(self, extra: Iterable[Union[Angle, str]]) -> "SlopeSet":
         """The set enlarged by extra directions, frame re-derived."""
         return SlopeSet(list(self.slopes) + [_as_angle(e) for e in extra])

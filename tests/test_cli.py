@@ -177,18 +177,15 @@ def test_member_unknown_json_carries_the_bounds(capsys):
     assert doc["bounds"] == {"max_den_exp": 0, "max_num_deg": 1}
 
 
-def test_ring_text_decided_by_the_frame_scan(capsys):
-    code, out, _ = run(
-        capsys, "ring", "--slopes", "0,pi/4,pi/2,5pi/7",
-        "--max-den-exp", "0", "--max-num-deg", "1",
-    )
+def test_ring_text_decided_by_criterion_integral(capsys):
+    code, out, _ = run(capsys, "ring", "--slopes", "0,pi/4,pi/2,5pi/7")
     assert code == EXIT_OK
     lines = out.splitlines()
-    assert lines[:2] == [
+    assert lines[:3] == [
         "{0, pi/4, pi/2, 5pi/7} with frame (5pi/7, pi/2): Ring",
-        "decided by ratios in frame (pi/2, pi/4)",
+        "decided by criterion integral",
+        "  criterion integral: Ring",
     ]
-    assert lines[-1] == "  frame (pi/2, pi/4): Ring"
 
 
 def test_member_bad_expression(capsys):
@@ -378,9 +375,10 @@ RING_ARGS = ("ring", "--slopes", PENTAGON, "--max-den-exp", "0", "--max-num-deg"
             "b2758b746c0754592747213545b291223de6cede9d5b8edd585028d3db2c5680",
         ),
         (
+            # "frame_scan" is [] since ring_check runs no frame scan
             RING_ARGS + ("--format", "json"),
             EXIT_UNKNOWN,
-            "caf7f48147fd2bc555fe51d269e77e1ce0027f18fe329bbeb876b1685106ed60",
+            "19912497724da42b99c5cdaf55b0f7e6c3bd80b58b2a7bdb1f2c32e491bcde9a",
         ),
         (
             RING_ARGS,

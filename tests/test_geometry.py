@@ -310,10 +310,9 @@ def test_1980_pvalues_and_ring_invert_only_single_sines(monkeypatch, capsys):
     gaps = [angle_difference(a, b)[1] for a, b in itertools.combinations(slopes, 2)]
     sines = {(s.conductor, s._num, s._den) for s in map(sin_of, slopes + gaps)}
     for cached in (geometry._p_value, geometry._unit_parts, geometry._inverse_p_gap,
-                   geometry._inverse_sin, geometry._inverse_unit_im):
+                   geometry._inverse_sin, geometry._inverse_unit_im,
+                   ring_analysis._monomial_lattice, ring_analysis._fixing_group):
         cached.cache_clear()
-    monkeypatch.setattr(ring_analysis, "_lattice_cache", {})
-    monkeypatch.setattr(ring_analysis, "_field_cache", {})
     inverted = []
     inverse = CyclotomicReal.inv
 
@@ -328,3 +327,26 @@ def test_1980_pvalues_and_ring_invert_only_single_sines(monkeypatch, capsys):
     assert inverted
     for x in inverted:
         assert x.conductor < 1980 and (x.conductor, x._num, x._den) in sines
+
+
+FRAME_CACHES = (geometry._p_value, geometry._unit_parts, geometry._inverse_unit_im,
+                geometry._inverse_p_gap)
+
+
+def test_frame_caches_keep_a_bounded_number_of_sets():
+    # a 5-slope set needs at most 20 entries in any frame cache, so a sweep
+    # leaves each at its bound of 64 and a repeat of the last set still hits
+    for cached in FRAME_CACHES:
+        cached.cache_clear()
+    rng = random.Random(19)
+    pool = angle_pool(range(2, 13))
+    bounds = ring_analysis.SearchBounds(max_den_exp=2, max_num_deg=8, max_candidates=300)
+    for _ in range(40):
+        u = SlopeSet([Angle.zero()] + rng.sample(pool, rng.choice([3, 4])))
+        ring_analysis.ring_check(u, bounds)
+    assert all(cached.cache_info().currsize <= 64 for cached in FRAME_CACHES)
+    assert geometry._p_value.cache_info().currsize == 64
+    generate(u, 1)
+    misses = [cached.cache_info().misses for cached in FRAME_CACHES]
+    generate(u, 1)
+    assert [cached.cache_info().misses for cached in FRAME_CACHES] == misses

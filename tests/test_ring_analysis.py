@@ -25,6 +25,7 @@ from origami_rings.cyclotomic import (
 from origami_rings.linalg import IntegerLattice, RowSpace
 from origami_rings.polynomials import RationalPolynomial
 from origami_rings.ring_analysis import (
+    DEFAULT_MAX_NUM_DEG,
     MembershipKind,
     RingStatus,
     SearchBounds,
@@ -254,7 +255,7 @@ def test_pentagon_lattice_stays_small(pentagon):
     # Hermite reduction keeps rows at 12 bits here, and dividing the
     # combinations by mu(p) keeps them at 63 bits (2,694 without);
     # unreduced they grow past 100,000
-    lattice = _monomial_lattice(pentagon, SearchBounds()).lattice
+    lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG).lattice
     rows = lattice._pivots.values()
     assert max(abs(c).bit_length() for row, _ in rows for c in row) <= 64
     assert max(abs(c).bit_length() for _, combo in rows for c in combo) <= 4096
@@ -326,30 +327,26 @@ def test_outside_query_builds_no_compositum_table(pentagon, monkeypatch):
     assert big == 2280 and reduced and big not in reduced
 
 
-SCAN_BOUNDS = SearchBounds(max_den_exp=0, max_num_deg=1, max_candidates=1)
+TIGHT_BOUNDS = SearchBounds(max_den_exp=0, max_num_deg=1, max_candidates=1)
 
 
-def test_frame_scan_decides_on_integer_ratios():
-    # no search in the default frame, but in (2pi/3, pi/3) both ratios are 1
+def test_default_bounds_decide_the_pinned_frame_by_criterion_integral():
+    # in the frame (2pi/3, pi/3) both ratios are 1, so the set is a ring; in
+    # the pinned frame (pi/5, pi/3) the search finds criterion integral's
+    # witnesses under default bounds
     u = SlopeSet(["0", "pi/5", "pi/3", "2pi/3"], alpha="pi/5", beta="pi/3")
-    report = ring_check(u, bounds=SCAN_BOUNDS)
+    report = ring_check(u)
     assert report.status is RingStatus.RING
-    assert report.decided_by == "ratios in frame (2pi/3, pi/3)"
-    assert len(report.frame_scan) == 1
-    scan = report.frame_scan[0]
-    assert scan.status is RingStatus.RING
-    for (_, value), verdict in zip(scan.elements, scan.verdicts):
-        assert verdict.is_proven_in and value.is_integer
+    assert report.decided_by == "criterion integral"
+    assert report.frame_scan == ()
+    for (_, value), verdict in zip(report.criteria[0].elements, report.criteria[0].verdicts):
         assert verdict.witness.evaluate() == value
 
 
 def test_frame_scan_pentagon_stays_unknown(pentagon):
-    report = ring_check(pentagon, bounds=SCAN_BOUNDS)
+    report = ring_check(pentagon, bounds=TIGHT_BOUNDS)
     assert report.status is RingStatus.UNKNOWN
-    assert len(report.frame_scan) == 5
-    for scan in report.frame_scan:
-        assert scan.status is RingStatus.UNKNOWN
-        assert all(v.is_unknown for v in scan.verdicts)
+    assert report.frame_scan == ()
 
 
 def _in_field(u: SlopeSet, x: CyclotomicReal) -> bool:
@@ -370,7 +367,7 @@ def test_frame_ratios_share_the_field_of_the_default_ratios():
             continue
         checked += 1
         for a, b in itertools.permutations(u.nonzero_slopes, 2):
-            for q in ratio_elements(u.with_frame(a, b)):
+            for q in ratio_elements(SlopeSet(u.slopes, alpha=a, beta=b)):
                 assert _in_field(u, q), (str(u), str(a), str(b))
 
 
@@ -413,7 +410,7 @@ def test_fixing_group_matches_breadth_first_field_basis():
         values = list(integral_relation(u)) + extras
         values += [cos_of(g) for g in u.nonzero_slopes]
         for a, b in itertools.permutations(u.nonzero_slopes, 2):
-            values += ratio_elements(u.with_frame(a, b))
+            values += ratio_elements(SlopeSet(u.slopes, alpha=a, beta=b))
         for x in values:
             x_n = rewrite_in_conductor(x, n)
             if x_n is None:
@@ -441,8 +438,8 @@ def test_conductor_1980_set_builds_no_rowspace_of_full_degree(monkeypatch):
     assert euler_phi(u.working_conductor) == 480
     assert len(_fixing_group(u)) == 4
     for q in ratio_elements(u):
-        assert membership_in_MR(q, u, SCAN_BOUNDS).is_unknown
-    v = membership_in_MR(cos_of(Angle(1, 990)), u, SCAN_BOUNDS)
+        assert membership_in_MR(q, u, TIGHT_BOUNDS).is_unknown
+    v = membership_in_MR(cos_of(Angle(1, 990)), u, TIGHT_BOUNDS)
     assert v.is_proven_not_in
     assert v.reason == "outside the field generated by the projection constants"
 
@@ -490,7 +487,7 @@ def test_first_kernel_row_is_the_primitive_minimal_polynomial(pentagon):
     # the relation IntegerLattice.add closes first is +-mu(p) cleared to
     # content 1; its shifts are the Babai rows
     for u in _one_free_constant_sets(pentagon):
-        lattice = _monomial_lattice(u, SearchBounds())
+        lattice = _monomial_lattice(u, DEFAULT_MAX_NUM_DEG)
         relation = _primitive_minimal_polynomial(lattice.values[0])
         width = len(relation)
         assert len(lattice._kernel) == len(lattice.exponents) - width + 1, str(u)
@@ -536,7 +533,7 @@ def _size_reduce_combos(lattice, pentagon) -> list[list[int]]:
 
 
 def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
-    lattice = _monomial_lattice(pentagon, SearchBounds())
+    lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG)
     rows = [row for row, _, _ in lattice._kernel]
     moved = 0
     for combo in _size_reduce_combos(lattice, pentagon):
@@ -551,7 +548,7 @@ def test_pivot_combinations_reproduce_their_rows_and_stay_small(pentagon):
     # reducing the combinations by the kernel rows keeps them at most 128
     # bits (2,694 on the pentagon before)
     for u in _one_free_constant_sets(pentagon):
-        lattice = _monomial_lattice(u, SearchBounds())
+        lattice = _monomial_lattice(u, DEFAULT_MAX_NUM_DEG)
         (p,) = lattice.values
         scaled = []
         for (e,) in lattice.exponents:
@@ -579,7 +576,7 @@ def _has_tie(kernel, combo) -> bool:
 def test_size_reduction_depends_only_on_the_kernel_coset(pentagon):
     # moving a combination by an integer combination of kernel rows moves
     # each nearest-plane quotient by an integer, so the output is the same
-    lattice = _monomial_lattice(pentagon, SearchBounds())
+    lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG)
     kernel = lattice._kernel
     rng = random.Random(5)
     checked = 0
@@ -706,10 +703,10 @@ def test_one_product_per_monomial_and_per_candidate(pentagon, monkeypatch):
 
     monkeypatch.setattr(CyclotomicReal, "__mul__", counting_mul)
     monkeypatch.setattr(_Candidates, "__iter__", counting_stream)
-    lattice = _MonomialLattice(pentagon, bounds)
+    lattice = _MonomialLattice(pentagon, bounds.max_num_deg)
     lattice.lattice  # the exact monomials are made at the first exact query
     assert 0 < products <= len(lattice.exponents) - 1
-    _monomial_lattice(pentagon, bounds).lattice  # built here, not in the count
+    _monomial_lattice(pentagon, bounds.max_num_deg).lattice  # built here, not in the count
     _fixing_group(pentagon)
     products = 0
     v = membership_in_MR(x, pentagon, bounds)
@@ -801,7 +798,7 @@ def test_span_filter_never_rejects_a_lattice_member():
     rng = random.Random(29)
     checked = accepted = rejected = 0
     for u in _seeded_sets(31, (4, 5), 4):
-        lattice = _monomial_lattice(u, bounds)
+        lattice = _monomial_lattice(u, bounds.max_num_deg)
         degree = euler_phi(u.working_conductor) // len(_fixing_group(u))
         if lattice.lattice.rank >= degree:
             continue  # membership_in_MR runs no filter here
@@ -826,7 +823,7 @@ def test_pivot_coordinates_never_reject_a_lattice_member():
     accepted = rejected = 0
     spans = set()
     for u in _seeded_sets(43, (4, 5), 4):
-        lattice = _monomial_lattice(u, bounds)
+        lattice = _monomial_lattice(u, bounds.max_num_deg)
         degree = euler_phi(u.working_conductor) // len(_fixing_group(u))
         spans.add(lattice.lattice.rank >= degree)
         for _ in range(2):
@@ -884,7 +881,7 @@ def test_span_filter_passes_what_it_cannot_reduce():
     # form the screen excludes is an exact non-member
     u = SlopeSet(["0", "3pi/5", "4pi/5", "11pi/12"])
     bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
-    lattice = _MonomialLattice(u, bounds)
+    lattice = _MonomialLattice(u, bounds.max_num_deg)
     x = rewrite_in_conductor(ratio_elements(u)[0], u.working_conductor)
     stream = _candidates(x, u, bounds)
     forms = [form for _, form in stream]
@@ -899,7 +896,7 @@ def test_span_filter_passes_what_it_cannot_reduce():
 def test_span_filter_spares_the_1980_ratios_the_exact_sweep(monkeypatch):
     u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
     ratios = ratio_elements(u)
-    _monomial_lattice(u, SCAN_BOUNDS)
+    _monomial_lattice(u, TIGHT_BOUNDS.max_num_deg)
     assert len(_fixing_group(u)) == 4
     products = galois = 0
     multiply = CyclotomicReal.__mul__
@@ -923,7 +920,7 @@ def test_span_filter_spares_the_1980_ratios_the_exact_sweep(monkeypatch):
     monkeypatch.setattr(IntegerLattice, "membership", no_sweep)
     for q in ratios:
         products = galois = 0
-        assert membership_in_MR(q, u, SCAN_BOUNDS).is_unknown
+        assert membership_in_MR(q, u, TIGHT_BOUNDS).is_unknown
         assert products <= 16
         # H = {1, a, -a, -1}: one generator modulo +-1
         assert galois == 1
@@ -980,7 +977,7 @@ def test_fixing_group_matches_the_exact_route_on_every_unit(monkeypatch):
     def fixing_groups(some):
         nonlocal checks
         checks = 0
-        monkeypatch.setattr(ring_analysis, "_field_cache", {})
+        _fixing_group.cache_clear()
         return [_fixing_group(u) for u in some]
 
     monkeypatch.setattr(CyclotomicReal, "is_fixed_by", counting)
@@ -1021,35 +1018,36 @@ def test_cold_1980_ring_check_builds_no_integer_lattice(monkeypatch):
         raise AssertionError("IntegerLattice built")
 
     monkeypatch.setattr(IntegerLattice, "__init__", no_lattice)
-    monkeypatch.setattr(ring_analysis, "_lattice_cache", {})
-    monkeypatch.setattr(ring_analysis, "_field_cache", {})
+    _monomial_lattice.cache_clear()
+    _fixing_group.cache_clear()
     report = ring_check(SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"]))
     assert report.status is RingStatus.UNKNOWN and report.decided_by == ""
     verdicts = [str(v) for c in report.criteria for v in c.verdicts]
     assert verdicts == ["Unknown: bounded search exhausted"] * 8
-    scans = [str(v) for scan in report.frame_scan for v in scan.verdicts]
-    assert scans == ["Unknown: fast paths only"] * 10
+    assert report.frame_scan == ()
 
 
 def test_lattice_and_field_caches_keep_the_last_few_sets(monkeypatch):
     # a set's lattice and fixing group serve only that set's queries, so
-    # ring_check of 12 sets leaves at most _CACHED_SETS of each, and a
-    # second ring_check of the last set builds no new lattice
-    monkeypatch.setattr(ring_analysis, "_lattice_cache", {})
-    monkeypatch.setattr(ring_analysis, "_field_cache", {})
+    # ring_check of 12 sets leaves 4 of each, and a second ring_check of
+    # the last set hits both caches and builds no new lattice
+    _monomial_lattice.cache_clear()
+    _fixing_group.cache_clear()
     bounds = SearchBounds(max_den_exp=2, max_num_deg=8, max_candidates=300)
     sets = _seeded_sets(61, (4,), 12)
     for u in sets:
         report = ring_check(u, bounds)
-    assert len(ring_analysis._lattice_cache) == ring_analysis._CACHED_SETS
-    assert len(ring_analysis._field_cache) == ring_analysis._CACHED_SETS
-    assert (sets[-1], bounds.max_num_deg) in ring_analysis._lattice_cache
+    assert _monomial_lattice.cache_info().currsize == 4
+    assert _fixing_group.cache_info().currsize == 4
 
-    def no_build(self, u, bounds):
+    def no_build(self, u, max_num_deg):
         raise AssertionError(f"lattice of {u} built again")
 
     monkeypatch.setattr(_MonomialLattice, "__init__", no_build)
+    hits = _monomial_lattice.cache_info().hits, _fixing_group.cache_info().hits
     again = ring_check(sets[-1], bounds)
+    assert _monomial_lattice.cache_info().hits > hits[0]
+    assert _fixing_group.cache_info().hits > hits[1]
     assert [str(v) for c in again.criteria for v in c.verdicts] == [
         str(v) for c in report.criteria for v in c.verdicts
     ]
@@ -1081,7 +1079,7 @@ def test_residual_matches_the_sequential_projection():
     rng = np.random.default_rng(53)
     sets = _seeded_sets(31, (4, 5), 4) + [SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])]
     for u in sets:
-        lattice = _MonomialLattice(u, SearchBounds(max_num_deg=8))
+        lattice = _MonomialLattice(u, 8)
         basis = _basis_reference(lattice)
         assert lattice.pivots == [col for col, _ in basis], str(u)
         assert (lattice.rows[:, lattice.pivots] == np.eye(len(basis), dtype=np.int64)).all()
@@ -1119,7 +1117,7 @@ def test_excluded_matches_the_reduction_of_the_summed_images():
     cases = [(u, small) for u in _seeded_sets(31, (4, 5), 4)] + [(u1980, SearchBounds())]
     outcomes = set()
     for u, bounds in cases:
-        lattice = _MonomialLattice(u, bounds)
+        lattice = _MonomialLattice(u, bounds.max_num_deg)
         basis = _basis_reference(lattice)
         q = cyclotomic.split_prime(u.working_conductor)
         for ratio in ratio_elements(u):
@@ -1137,8 +1135,8 @@ def test_cold_1980_ring_check_reduces_each_power_once(monkeypatch):
     # each monomial image is reduced once while the basis is built, and each
     # power x * p^e once per query, not each candidate
     u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
-    monkeypatch.setattr(ring_analysis, "_lattice_cache", {})
-    monkeypatch.setattr(ring_analysis, "_field_cache", {})
+    _monomial_lattice.cache_clear()
+    _fixing_group.cache_clear()
     reductions = queries = 0
     residual, init = _MonomialLattice.residual, _Candidates.__init__
 
@@ -1155,7 +1153,7 @@ def test_cold_1980_ring_check_reduces_each_power_once(monkeypatch):
     monkeypatch.setattr(_MonomialLattice, "residual", counting_residual)
     monkeypatch.setattr(_Candidates, "__init__", counting_init)
     assert ring_check(u).status is RingStatus.UNKNOWN
-    cold, lattice = (reductions, queries), _monomial_lattice(u, SearchBounds())
+    cold, lattice = (reductions, queries), _monomial_lattice(u, DEFAULT_MAX_NUM_DEG)
     one = CyclotomicReal.from_rational(1, u.working_conductor)
     powers = {e for _, form in _candidates(one, u, SearchBounds()) for e in form}
     assert cold[1] and len(powers) == 17
