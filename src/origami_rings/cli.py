@@ -110,7 +110,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             if not text.endswith("\n"):
                 fh.write("\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe fails here, not at exit
 
 
 def _bounds(args) -> SearchBounds:
@@ -461,7 +461,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: division by zero: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
-        print(f"error: cannot write '{exc.filename}': {exc.strerror}", file=sys.stderr)
+        if args.out is None and isinstance(exc, BrokenPipeError):
+            # stdout's reader has gone: say nothing, and point stdout at
+            # os.devnull so that its flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_ERROR
+        where = args.out or "<stdout>"  # a write error carries no file name
+        print(f"error: cannot write '{where}': {exc.strerror}", file=sys.stderr)
         return EXIT_ERROR
 
 

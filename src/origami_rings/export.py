@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .angles import Angle
 from .construction import LevelSet
-from .cyclotomic import Batch, CyclotomicReal, stack
+from .cyclotomic import CyclotomicReal, stack
 from .geometry import Frame, PlanePoint, cartesian
 from .slopes import SlopeSet
 
@@ -45,9 +45,11 @@ def point_records(
     levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION, frame: Optional[Frame] = None
 ) -> list[PointRecord]:
     """Flatten levels into one record per point at its birth level, each in
-    frame, by default the frame of the first point.  The points make one
-    batch on the shared conductor: its Cartesian parts (Re, Im), their
-    decimals, and the strings of r and s.
+    frame, by default the frame of the first point.  Each distinct
+    coordinate, r or s on the shared conductor, is stacked and written
+    once, and records with an equal coordinate share its strings tuple;
+    the points' Cartesian parts (Re, Im) and their decimals come from one
+    batch.
     """
     frame = frame or next((pt.frame for level in levels for pt in level.points), None)
     births: dict[tuple, tuple[int, PlanePoint]] = {}
@@ -61,22 +63,29 @@ def point_records(
         return []
     points = [pt for _, pt in births.values()]
     conductor = math.lcm(*(v.conductor for pt in points for v in (pt.r, pt.s)))
-    r, s = _stacked(points, conductor)
+    coords = [v.to_conductor(conductor) for pt in points for v in (pt.r, pt.s)]
+    distinct = {(v._num, v._den): v for v in coords}  # in order of first use
+    index = {key: row for row, key in enumerate(distinct)}
+    rows = [index[v._num, v._den] for v in coords]  # each point's r, then its s
     # cartesian needs a conductor that the unit parts divide too
     m = math.lcm(conductor, *(v.conductor for v in frame.unit_parts()))
-    re, im = cartesian(*(_stacked(points, m) if m != conductor else (r, s)), frame)
+    batch = stack([v.to_conductor(m) for v in distinct.values()], m)
+    re, im = cartesian(batch.take(rows[0::2]), batch.take(rows[1::2]), frame)
+    if m != conductor:
+        batch = stack(list(distinct.values()), conductor)
+    strings = batch.coefficient_strings()
     columns = zip(births.values(), re.decimals(precision), im.decimals(precision),
-                  r.coefficient_strings(), s.coefficient_strings())
+                  rows[0::2], rows[1::2])
     return [
-        PointRecord(level, re_text, im_text, conductor, r_text, s_text)
-        for (level, _), re_text, im_text, r_text, s_text in columns
+        PointRecord(level, re_text, im_text, conductor, strings[r], strings[s])
+        for (level, _), re_text, im_text, r, s in columns
     ]
 
 
-def _stacked(points: Sequence[PlanePoint], n: int) -> tuple[Batch, Batch]:
-    """The r and the s coordinates of the points, as two batches on conductor n."""
-    return (stack([pt.r.to_conductor(n) for pt in points], n),
-            stack([pt.s.to_conductor(n) for pt in points], n))
+def _distinct_strings(records: Sequence[PointRecord]) -> list[tuple[str, ...]]:
+    """The strings tuples of the records, each once (point_records shares
+    one tuple among the records with an equal coordinate)."""
+    return list({id(t): t for r in records for t in (r.r_coeffs, r.s_coeffs)}.values())
 
 
 def to_json_document(
@@ -84,7 +93,11 @@ def to_json_document(
     levels: Sequence[LevelSet],
     precision: int = DEFAULT_PRECISION,
 ) -> dict:
+    """The schema-1 document of levels; points with an equal coordinate
+    share one list object for it."""
     records = point_records(levels, precision, u.frame if u is not None else None)
+    # one list per distinct coordinate, keyed by the id of its strings tuple
+    lists = {id(t): list(t) for t in _distinct_strings(records)}
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "origami-points",
@@ -97,8 +110,8 @@ def to_json_document(
                 "level": r.level,
                 "re": r.re,
                 "im": r.im,
-                "r": list(r.r_coeffs),
-                "s": list(r.s_coeffs),
+                "r": lists[id(r.r_coeffs)],
+                "s": lists[id(r.s_coeffs)],
             }
             for r in records
         ],
@@ -176,14 +189,54 @@ def indented_json(doc) -> str:
     with str keys, lists, tuples, strings, numbers, booleans and None.
 
     With an indent CPython's json falls back to its pure-Python encoder;
-    here strings go through json's C escaper and containers are joined
-    with str.join.
+    here strings go through json's C escaper, fragments are appended to one
+    list that is joined once, and a list of strings that the document holds
+    more than once at one depth is written once.
     """
-    return _indented(doc, "\n")
+    parts: list[str] = []
+    _write(doc, "\n", parts, {})
+    return "".join(parts)
 
 
-def _indented(value, pad: str) -> str:
-    """value as indented_json writes it, pad being its line's newline and indent."""
+def _write(value, pad: str, parts: list[str], memo: dict) -> None:
+    """Append value as indented_json writes it, pad being its line's newline
+    and indent.  memo maps (id, pad) of a list of strings to its text: the
+    document outlives the call, so no id is reused, and one list may sit at
+    two depths."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for k, v in value.items():
+            text = _scalar(v)
+            if text is None:
+                parts.append(f"{sep}{_escape(k)}: ")
+                _write(v, inner, parts, memo)
+            else:
+                parts.append(f"{sep}{_escape(k)}: {text}")
+            sep = "," + inner
+        parts.append(pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        if (text := memo.get((id(value), pad))) is not None:
+            parts.append(text)
+        elif value and set(map(type, value)) == {str}:
+            text = memo[id(value), pad] = (
+                "[" + inner + ("," + inner).join(map(_escape, value)) + pad + "]")
+            parts.append(text)
+        else:
+            sep = "[" + inner
+            for v in value:
+                parts.append(sep)
+                _write(v, inner, parts, memo)
+                sep = "," + inner
+            parts.append(pad + "]" if value else "[]")
+    elif (text := _scalar(value)) is not None:
+        parts.append(text)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _scalar(value) -> Optional[str]:
+    """The text of a string, number, boolean or None; None for anything else."""
     if isinstance(value, str):
         return _escape(value)
     if value is None:
@@ -196,21 +249,7 @@ def _indented(value, pad: str) -> str:
         if math.isfinite(value):
             return float.__repr__(value)
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [f"{_escape(k)}: {_indented(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {str}:
-            items = list(map(_escape, value))
-        else:
-            items = [_indented(v, inner) for v in value]
-        brackets = "[]"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+    return None
 
 
 CSV_COLUMNS = ["level", "re", "im", "conductor", "r", "s"]
@@ -222,17 +261,11 @@ def csv_text(
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
-    for r in point_records(levels, precision):
-        writer.writerow(
-            [
-                r.level,
-                r.re,
-                r.im,
-                r.conductor,
-                ";".join(r.r_coeffs),
-                ";".join(r.s_coeffs),
-            ]
-        )
+    records = point_records(levels, precision)
+    cells = {id(t): ";".join(t) for t in _distinct_strings(records)}
+    for r in records:
+        writer.writerow([r.level, r.re, r.im, r.conductor,
+                         cells[id(r.r_coeffs)], cells[id(r.s_coeffs)]])
     return out.getvalue()
 
 

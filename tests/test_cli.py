@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -294,6 +297,11 @@ def test_config_format_from_the_subcommands_choices(capsys, tmp_path, monkeypatc
     [
         ("ring", "--slopes", "0,pi/3,pi/2", "--out", "{missing}/x.json"),
         ("generate", "--slopes", TRIANGLE, "--levels", "1", "--out", "{directory}"),
+        # opened, then the write fails: the error carries no file name
+        pytest.param(
+            ("generate", "--slopes", TRIANGLE, "--levels", "1", "--out", "/dev/full"),
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
     ],
 )
 def test_out_path_that_cannot_be_written(capsys, tmp_path, argv):
@@ -304,6 +312,26 @@ def test_out_path_that_cannot_be_written(capsys, tmp_path, argv):
     assert code == EXIT_ERROR and out == ""
     assert err.startswith(f"error: cannot write '{argv[-1]}': ")
     assert len(err.splitlines()) == 1
+
+
+def test_closed_stdout_ends_without_a_word():
+    # the reader stops after 64 of the export's 4.3 MB: the CLI used to
+    # print "error: cannot write 'None': Broken pipe"
+    argv = ["generate", "--slopes", PENTAGON, "--levels", "3", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "origami_rings.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    try:
+        head = proc.stdout.read(64)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == EXIT_ERROR
+    assert head.startswith(b'{\n  "schema": 1,')
+    assert err == b""
 
 
 def test_negative_precision_is_an_error(capsys, monkeypatch):
@@ -421,10 +449,24 @@ RING_ARGS = ("ring", "--slopes", PENTAGON, "--max-den-exp", "0", "--max-num-deg"
             EXIT_OK,
             "000d74a6350392c973d169ccfb007f591251983044f5ef0b5e358c8a88f0e660",
         ),
+        (
+            # 4,186 points and 1,096 distinct coordinates
+            ("generate", "--slopes", PENTAGON, "--levels", "3", "--format", "json"),
+            EXIT_OK,
+            "1f3e1c1ac75ae5c0ae30cdc7c04329ac2e0d8fa94326786c2ba015b91d9b6904",
+        ),
+        (
+            # 5,000 coordinates, 375 of them distinct
+            ("generate", "--slopes", "0,pi/6,pi/3,pi/2", "--levels", "4",
+             "--cap", "2500", "--format", "csv"),
+            EXIT_OK,
+            "81fdc2d1190e57db605704c06128677cb73588c341570d4a4ebd779b19944706",
+        ),
     ],
     ids=["generate-json", "generate-csv", "ring-json", "ring-text",
          "pvalues-json", "member-json", "generate-capped-csv", "generate-1980-json",
-         "ring-default-json", "member-third-json"],
+         "ring-default-json", "member-third-json", "generate-level-3-json",
+         "generate-cap-2500-csv"],
 )
 def test_output_bytes_are_stable(capsys, tmp_path, argv, exit_code, digest):
     target = tmp_path / "out"

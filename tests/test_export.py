@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from origami_rings import cyclotomic
 from origami_rings.angles import Angle
 from origami_rings.construction import LevelSet, generate
 from origami_rings.cyclotomic import cos_of
@@ -96,6 +97,10 @@ def test_round_trip_keeps_truncation_flags(pentagon, cap, k_max):
     assert [l.truncated for l in back] == [l.truncated for l in levels]
 
 
+# one list object held many times, as the export's coefficient lists are
+_SHARED = ["1/2", "-3", "0"]
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -122,10 +127,37 @@ def test_round_trip_keeps_truncation_flags(pentagon, cap, k_max):
         float("nan"),
         {"mixed": [1, "a", None, True, False, -0.0, 1e-7, ["x", 2], {"k": ("v",)}]},
         ("tuple", ["of", ("nested", ())]),
+        {"points": [{"r": _SHARED, "s": _SHARED} for _ in range(3)]},
+        # one list at two depths: the indent of its text differs
+        {"a": _SHARED, "b": {"c": _SHARED, "d": [_SHARED, [_SHARED]]}, "e": _SHARED},
+        [tuple(_SHARED), _SHARED, {"f": tuple(_SHARED)}],
+        [{}, {"a": ()}, {"b": [], "c": {}}, [(), [], {}]],
+        [{"x": 1, "y": "z"}, {"y": [1, {"z": None}], "w": [{"v": []}]}],
     ],
 )
 def test_indented_json_is_json_dumps_with_indent_2(value):
     assert indented_json(value) == json.dumps(value, indent=2)
+
+
+def test_equal_coordinates_are_written_once_and_shared(pentagon, monkeypatch):
+    levels = generate(pentagon, 3)
+    calls = []
+    ratio_text = cyclotomic._ratio_text
+
+    def counted(num, den):
+        calls.append((num, den))
+        return ratio_text(num, den)
+
+    monkeypatch.setattr(cyclotomic, "_ratio_text", counted)
+    records = point_records(levels)
+    # 4,186 points: 8,372 coordinates with 1,096 distinct values
+    coords = [t for r in records for t in (r.r_coeffs, r.s_coeffs)]
+    assert len(coords) == 8372
+    assert len({t for t in coords}) == len({id(t) for t in coords}) == 1096
+    assert calls and len(calls) == len(set(calls))
+    doc = to_json_document(pentagon, levels)
+    lists = [pt[key] for pt in doc["points"] for key in "rs"]
+    assert len({tuple(l) for l in lists}) == len({id(l) for l in lists}) == 1096
 
 
 def test_point_records_of_mixed_conductors_match_each_point(pentagon):
