@@ -21,9 +21,13 @@ rationals, sin and cos of rational multiples of pi, and square roots
 of nonnegative rationals (via quadratic Gauss sums).  Signs are decided
 exactly: zero is a representation check, and nonzero signs fall out of
 certified interval evaluation at increasing precision, which must
-terminate because the number is not zero.  An enclosure is the exact
-dyadic integer sum of mpmath's interval endpoints of cos(2*pi*j/n), and
-a decimal rounds its midpoint in integers.
+terminate because the number is not zero.  An enclosure at precision prec
+is an integer sum of c_j times enclosures of cos(2*pi*j/n) on the grid
+2^-prec.  Those are read off fixed-point powers of zeta_n, baby steps
+zeta^j for j < B = ceil(sqrt(phi(n))) and giant steps zeta^(kB), built
+once per (n, prec) from one mpmath enclosure of zeta_n and carrying a
+proven error bound through every product; a decimal rounds an
+enclosure's midpoint in integers.
 
 Batch kernels hold K elements of one field as a K x phi integer matrix
 over a vector of denominators.  A product by a fixed x is one matrix
@@ -32,7 +36,7 @@ denominators, and rows are normalized as CyclotomicReal is.  A kernel
 runs in int64 when its result is provably below 2^62, for a product when
 bits(A) + bits(M) + bits(phi) + 1 <= 62, and otherwise on Python ints.
 A batch's decimals round enclosures of all its rows at once, one int64
-product per limb of the aligned cos endpoints.
+product per limb of the cos endpoints.
 
 One cached O(n) vector of the powers of a root of unity w modulo the split
 prime q evaluates an element at all roots of Phi_n mod q (evaluate).
@@ -282,19 +286,69 @@ class Interval:
 _FIRST_PREC = 64
 
 
-@lru_cache(maxsize=None)
-def _cos_endpoints(n: int, j: int, prec: int) -> tuple[int, int, int]:
-    """mpmath's certified enclosure of cos(2*pi*j/n) at binary precision prec,
-    as integers (lo, hi, e) for the dyadic endpoints lo * 2^e and hi * 2^e."""
+def _fixed(x, bits: int) -> tuple[int, int]:
+    """(v, e) with |v - x * 2^bits| <= e for an mpmath interval x: the floor
+    and ceiling of its scaled endpoints, and v their midpoint."""
+    lo, hi = (Fraction(*mpmath.libmp.to_rational(r)) * 2**bits for r in x._mpi_)
+    lo, hi = math.floor(lo), math.ceil(hi)
+    mid = (lo + hi) // 2
+    return mid, hi - mid
+
+
+def _times(a, b, bits: int) -> tuple[int, int, int]:
+    """The fixed-point product of complex steps (re, im, e) with 2^bits
+    fractional bits.  Each exact value has modulus 1 and each e bounds the
+    modulus of its step's error in ulps, so the exact product of the steps
+    errs by at most e_a + e_b + e_a*e_b/2^bits, and flooring each part adds
+    under two more: e <= e_a + e_b + ceil(3*e_a*e_b / 2^bits) + 2."""
+    (ar, ai, ea), (br, bi, eb) = a, b
+    err = ea + eb - (-3 * ea * eb >> bits) + 2
+    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits, err
+
+
+@lru_cache(maxsize=64)
+def _zeta_steps(n: int, prec: int) -> tuple[tuple, tuple, int]:
+    """(baby, giant, bits): zeta^j for j < B = ceil(sqrt(phi(n))) and
+    zeta^(kB) for kB < phi(n), as fixed-point steps (re, im, e) with
+    bits = prec + 2*bits(phi) + 8 fractional bits, e a proven bound on the
+    modulus of the step's error in ulps (_times).  One mpmath enclosure of
+    zeta_n, iv.cos and iv.sin of 2*pi/n, seeds every power; zeta^0 is exact."""
+    phi = euler_phi(n)
+    bits = prec + 2 * phi.bit_length() + 8
     old = iv.prec
-    iv.prec = prec
+    iv.prec = bits + 8
     try:
-        x = iv.cos(iv.pi * (iv.mpf(2 * j) / iv.mpf(n)))
+        angle = iv.pi * 2 / n
+        (re, re_err), (im, im_err) = _fixed(iv.cos(angle), bits), _fixed(iv.sin(angle), bits)
     finally:
         iv.prec = old
-    (s0, m0, e0, _), (s1, m1, e1, _) = x._mpi_
-    e = min(e0, e1)  # exponents vary with the value and need not be -prec
-    return (-1) ** s0 * int(m0) << (e0 - e), (-1) ** s1 * int(m1) << (e1 - e), e
+    step, one, zeta = math.isqrt(phi - 1) + 1, (1 << bits, 0, 0), (re, im, re_err + im_err)
+    baby = [one]
+    while len(baby) <= step:
+        baby.append(_times(baby[-1], zeta, bits))
+    big = baby.pop()  # zeta^B
+    giant = [one]
+    while len(giant) * step < phi:
+        giant.append(_times(giant[-1], big, bits))
+    return tuple(baby), tuple(giant), bits
+
+
+# The cache is bounded: a dense element at a large conductor, such as the
+# Gauss sum of sqrt(1000003) with 500,002 nonzero coefficients, would fill
+# an unbounded one with an entry per coefficient and precision.
+@lru_cache(maxsize=2**14)
+def _cos_endpoints(n: int, j: int, prec: int) -> tuple[int, int, int]:
+    """A certified enclosure of cos(2*pi*j/n), j < phi(n), at binary precision
+    prec, as integers (lo, hi, -prec) for the endpoints lo * 2^-prec and
+    hi * 2^-prec: Re(zeta^(j mod B) * zeta^(B * (j div B))) from _zeta_steps,
+    widened by the product's error bound and rounded outward.  It is at most
+    two ulps wide, and exactly [1, 1] at j = 0."""
+    baby, giant, bits = _zeta_steps(n, prec)
+    (ar, ai, ea), (br, bi, eb) = baby[j % len(baby)], giant[j // len(baby)]
+    re = ar * br - ai * bi  # on 2^(2*bits), exact, as is its error bound
+    err = (ea + eb << bits) + ea * eb
+    shift = 2 * bits - prec
+    return (re - err) >> shift, -((-re - err) >> shift), -prec
 
 
 # ---------------------------------------------------------------------------
@@ -534,21 +588,20 @@ class CyclotomicReal:
     # -- numeric evaluation --------------------------------------------------
 
     def _enclosure_at(self, prec: int) -> tuple[int, int, int]:
-        """(lo, hi, den) with x in [lo/den, hi/den]: exact dyadic integer sums
-        of c_j times the endpoints of mpmath's enclosure of cos(2*pi*j/n),
-        fetched for nonzero c_j only."""
-        lo = hi = exp = 0
+        """(lo, hi, den) with x in [lo/den, hi/den], den = d * 2^prec: the
+        integer sums of c_j times the endpoints of _cos_endpoints(n, j, prec),
+        fetched for nonzero c_j only, so at most 2 * sum|c_j| ulps wide and
+        exact for a rational x."""
+        lo = hi = 0
         n = self.conductor
         for j, c in enumerate(self._num):
             if c:
-                a, b, e = _cos_endpoints(n, j, prec)
+                a, b, _ = _cos_endpoints(n, j, prec)
                 if c < 0:
                     a, b = b, a
-                if e < exp:
-                    lo, hi, exp = lo << (exp - e), hi << (exp - e), e
-                lo += c * a << (e - exp)
-                hi += c * b << (e - exp)
-        return lo, hi, self._den << -exp
+                lo += c * a
+                hi += c * b
+        return lo, hi, self._den << prec
 
     def _refine(self, done):
         """The first done(lo, hi, den) that is not None, over enclosures at
@@ -559,8 +612,9 @@ class CyclotomicReal:
         return out
 
     def interval(self, max_width: Rational = Fraction(1, 10**15)) -> Interval:
-        """A certified enclosure no wider than max_width: an exact dyadic
-        integer sum of mpmath's interval endpoints (see _enclosure_at)."""
+        """A certified enclosure no wider than max_width: an integer sum of
+        the fixed-point enclosures of the cosines cos(2*pi*j/n), built from
+        one enclosure of zeta_n (see _enclosure_at and _zeta_steps)."""
         w = Fraction(max_width)
         if w <= 0:
             raise ValueError("max_width must be positive")
@@ -667,15 +721,20 @@ class Batch(NamedTuple):
 
     def decimals(self, digits: int) -> list[str]:
         """x.decimal(digits) for each row x, from the first enclosures of all
-        rows at once (_enclosures); a row whose enclosure is too wide, or every
-        row of a batch on Python ints, finishes through decimal itself."""
+        rows at once (_enclosures), each distinct enclosure rounded once (equal
+        rows, such as the Im of points on one horizontal line, share one); a
+        row whose enclosure is too wide, or every row of a batch on Python
+        ints, finishes through decimal itself."""
         boxes = _enclosures(self)
         if boxes is None:
             return [x.decimal(digits) for x in self.values()]
-        return [
-            _decimal_text(lo, hi, den, digits) or self.take([i]).values()[0].decimal(digits)
-            for i, (lo, hi, den) in enumerate(boxes)
-        ]
+        rounded: dict[tuple[int, int, int], "str | None"] = {}
+        out = []
+        for i, box in enumerate(boxes):
+            if box not in rounded:
+                rounded[box] = _decimal_text(*box, digits)
+            out.append(rounded[box] or self.take([i]).values()[0].decimal(digits))
+        return out
 
     def coefficient_strings(self) -> list[tuple[str, ...]]:
         """x.coefficient_strings() for each row x; each distinct numerator
@@ -697,23 +756,22 @@ _MIN_LIMB_BITS = 16
 
 def _enclosures(b: Batch) -> "list[tuple[int, int, int]] | None":
     """The _FIRST_PREC enclosure (lo, hi, den) of each row, as _enclosure_at
-    gives it up to a common power of two; None for a batch on Python ints.
+    gives it; None for a batch on Python ints.
 
-    Endpoints are fetched for the columns nonzero in some row only and
-    aligned to one exponent.  With P and N the positive and negative parts
-    of the rows, (lo, hi) = [P | N] @ [[a, b], [b, a]] for the endpoint
-    columns a, b; the endpoints are cut into signed limbs of w bits, so each
-    limb is one int64 product of 2|J| terms below 2^(bits + w + bits(2|J|))
-    <= 2^62, and the limbs are summed on Python ints.
+    Endpoints are fetched for the columns nonzero in some row only.  With P
+    and N the positive and negative parts of the rows, (lo, hi) = [P | N] @
+    [[a, b], [b, a]] for the endpoint columns a, b; the endpoints are cut
+    into signed limbs of w bits, so each limb is one int64 product of 2|J|
+    terms below 2^(bits + w + bits(2|J|)) <= 2^62, and the limbs are summed
+    on Python ints.
     """
     cols = np.flatnonzero(b.num.any(axis=0))
     width = _INT64_BITS - b.num_bits - (2 * len(cols)).bit_length()
     if b.num.dtype == object or width < _MIN_LIMB_BITS:
         return None
     ends = [_cos_endpoints(b.n, j, _FIRST_PREC) for j in cols.tolist()]
-    exp = min([0] + [e for _, _, e in ends])
-    lo = [a << (e - exp) for a, _, e in ends]
-    hi = [c << (e - exp) for _, c, e in ends]
+    lo = [a for a, _, _ in ends]
+    hi = [c for _, c, _ in ends]
     table = np.array([lo + hi, hi + lo], object).T
     rows = b.num[:, cols]
     sides = np.hstack([np.maximum(rows, 0), np.minimum(rows, 0)])
@@ -722,7 +780,7 @@ def _enclosures(b: Batch) -> "list[tuple[int, int, int]] | None":
     for shift in range(0, _bits(table), width):
         limb = (sign * (magnitude >> shift & mask)).astype(np.int64)
         total += (sides @ limb).astype(object) << shift
-    den = b.den.astype(object) << -exp
+    den = b.den.astype(object) << _FIRST_PREC
     return list(zip(total[:, 0].tolist(), total[:, 1].tolist(), den.tolist()))
 
 

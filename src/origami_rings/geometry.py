@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Union
 
 from .angles import Angle, angle_difference
-from .cyclotomic import CyclotomicReal, cos_of, sin_of
+from .cyclotomic import CyclotomicReal, _power_sum, cos_of, sin_of
 
 Scalar = Union[int, Fraction, CyclotomicReal]
 
@@ -47,8 +47,19 @@ def signed_sin(a: Angle, b: Angle) -> CyclotomicReal:
 
 @lru_cache(maxsize=None)
 def _inverse_sin(angle: Angle) -> CyclotomicReal:
-    """Exact 1/sin(angle), made once per direction at its own conductor."""
-    return sin_of(angle).inv()
+    """Exact 1/sin(angle), made once per direction at its own conductor n.
+
+    For angle = pi*k/d, sin(angle) = zeta^(n/4 - m) * (1 - w) / 2 with
+    m = k*n/(2d) as in sin_of and w = zeta^(2m) of order d, and 1/(1 - w)
+    = -(1/d) * sum_{j<d} j*w^j (Washington, GTM 83, ch. 2), so 1/sin is
+    one power sum over d.
+    """
+    if angle.is_zero:
+        raise ZeroDivisionError("1/sin(0)")
+    n, d = angle.conductor, angle.denominator
+    m = angle.numerator * (n // (2 * d))
+    terms = [(m - n // 4 + 2 * m * j, -2 * j) for j in range(d)]
+    return CyclotomicReal._make(n, _power_sum(n, terms), d)
 
 
 def inverse_signed_sin(a: Angle, b: Angle) -> CyclotomicReal:

@@ -492,11 +492,15 @@ class _MonomialLattice:
         return [a // g for a in t], den // g
 
     def _size_reduce(self, combo: list[int]) -> list[int]:
+        """Babai's nearest plane against the kernel rows, last row first; row
+        j is a shift of mu(p), nonzero in columns j to j + width - 1 only,
+        so each step subtracts over that band."""
         c = list(combo)
-        for row, w, bw in reversed(self._kernel):
+        width = len(c) - len(self._kernel) + 1
+        for j, (row, w, bw) in reversed(list(enumerate(self._kernel))):
             q = _round_half_even(sum(a * b for a, b in zip(c, w)), bw)
             if q:
-                c = [a - q * b for a, b in zip(c, row)]
+                c[j:j + width] = [a - q * b for a, b in zip(c[j:j + width], row[j:j + width])]
         return c
 
     def membership(self, y: CyclotomicReal) -> Optional[list[tuple[int, tuple[int, ...]]]]:

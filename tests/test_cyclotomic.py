@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import tracemalloc
@@ -561,26 +562,26 @@ def test_inverse_matches_fraction_euclid_reference(monkeypatch):
     assert arrays and all(a.dtype == np.int64 for a in arrays)
 
 
-def _enclosure_reference(x, prec):
-    """The former enclosure: Fraction sums of mpmath's endpoints."""
-    lo = hi = Fraction(0)
-    for j, c in enumerate(x._num):
-        if c:
-            old = iv.prec
-            iv.prec = prec
-            try:
-                box = iv.cos(iv.pi * (iv.mpf(2 * j) / iv.mpf(x.conductor)))
-            finally:
-                iv.prec = old
-            clo, chi = (Fraction(*mpmath.libmp.to_rational(r)) for r in box._mpi_)
-            if c > 0:
-                lo, hi = lo + c * clo, hi + c * chi
-            else:
-                lo, hi = lo + c * chi, hi + c * clo
-    return lo / x._den, hi / x._den
+def _mpmath_enclosure(x, prec):
+    """An mpmath interval enclosure of the sum of c_j cos(2 pi j/n) over the
+    denominator, 64 bits finer than 2^-prec, as Fractions."""
+    old = iv.prec
+    iv.prec = prec + 64 + sum(map(abs, x._num)).bit_length()
+    try:
+        total = iv.mpf(0)
+        for j, c in enumerate(x._num):
+            if c:
+                total += c * iv.cos(iv.pi * (iv.mpf(2 * j) / iv.mpf(x.conductor)))
+        box = total / x._den
+    finally:
+        iv.prec = old
+    return tuple(Fraction(*mpmath.libmp.to_rational(r)) for r in box._mpi_)
 
 
-def test_enclosure_matches_fraction_reference():
+def test_enclosure_contains_the_value_and_is_at_most_4_ulps_per_coefficient():
+    # each enclosure holds a 64-bit finer mpmath enclosure of the value, is
+    # at most 4 * sum|c_j| ulps of 2^-prec wide, and is exact for a
+    # rational element
     rng = random.Random(11)
     kinds = (0, 1, 64)
     cases = []
@@ -588,18 +589,63 @@ def test_enclosure_matches_fraction_reference():
         for den in (1, 3, 10):
             coeffs = [_coefficient(rng, rng.choice(kinds)) for _ in range(euler_phi(n))]
             cases.append(CyclotomicReal._make(n, coeffs, den))
-    # cos(pi/2) in Q(zeta_120): mpmath's endpoints sit at 2^-127, far
-    # below a 2^-prec grid at prec 64
+    # c + zeta_120^30: its enclosure sums c and cos(pi/2) = 0
     lone = [0] * euler_phi(120)
     lone[30] = 1
-    assert cyclotomic._cos_endpoints(120, 30, 64)[2] == -127
     for c in (1, -1, 2**64 - 59, -(2**63 + 5)):
         lone[0] = c
         cases.append(CyclotomicReal._make(120, lone, 7))
+        cases.append(CyclotomicReal.from_rational(Fraction(c, 7), 120))
     for prec in (64, 128, 1024):
         for x in cases:
             lo, hi, den = x._enclosure_at(prec)
-            assert (Fraction(lo, den), Fraction(hi, den)) == _enclosure_reference(x, prec)
+            assert den == x._den << prec
+            assert hi - lo <= 4 * sum(map(abs, x._num))
+            if x.is_rational:
+                assert lo == hi and Fraction(lo, den) == x.as_rational()
+            else:
+                ref_lo, ref_hi = _mpmath_enclosure(x, prec)
+                assert Fraction(lo, den) <= ref_lo and ref_hi <= Fraction(hi, den)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 12, 120, 144, 1980, 13860])
+def test_each_cos_enclosure_contains_cos_and_is_at_most_two_ulps_wide(n):
+    for prec in (64, 128, 1024):
+        for j in range(euler_phi(n)):
+            lo, hi, e = cyclotomic._cos_endpoints(n, j, prec)
+            assert e == -prec and hi - lo <= 2
+            if j == 0:
+                assert lo == hi == 1 << prec
+                continue
+            old = iv.prec
+            iv.prec = prec + 64
+            try:
+                box = iv.cos(iv.pi * (iv.mpf(2 * j) / iv.mpf(n)))
+            finally:
+                iv.prec = old
+            ref_lo, ref_hi = (Fraction(*mpmath.libmp.to_rational(r)) for r in box._mpi_)
+            assert Fraction(lo, 2**prec) <= ref_lo and ref_hi <= Fraction(hi, 2**prec), (j, prec)
+
+
+def test_cold_decimal_seeds_its_powers_with_one_enclosure_of_zeta(monkeypatch):
+    # sqrt(10007) lies at conductor 40,028 with 5,004 nonzero coefficients;
+    # its 12 decimals take one table of powers, seeded by iv.cos and iv.sin
+    x = sqrt_rational(10007)
+    assert x.conductor == 40028
+    cyclotomic._zeta_steps.cache_clear()
+    cyclotomic._cos_endpoints.cache_clear()
+    calls = []
+    for name in ("cos", "sin"):
+        original = getattr(iv, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(iv, name, spy)
+    want = decimal.Decimal(10007).sqrt(decimal.Context(prec=40))
+    assert x.decimal(12) == str(want.quantize(decimal.Decimal("1e-12")))
+    assert sorted(calls) == ["cos", "sin"]
 
 
 def test_coefficient_strings_match_fraction_str():
@@ -750,10 +796,9 @@ def test_batch_decimals_and_coefficient_strings_match_each_row(n, monkeypatch):
             nonzero = {j for row, _ in batch.rows() for j, c in enumerate(row) if c}
             assert set(fetched) <= nonzero
             if boxes is not None:
-                # the enclosure of _enclosure_at, up to a common power of two
-                for (lo, hi, den), x in zip(boxes, batch.values()):
-                    a, b, d = x._enclosure_at(cyclotomic._FIRST_PREC)
-                    assert (Fraction(lo, den), Fraction(hi, den)) == (Fraction(a, d), Fraction(b, d))
+                # the enclosure of _enclosure_at, integer for integer
+                for box, x in zip(boxes, batch.values()):
+                    assert box == x._enclosure_at(cyclotomic._FIRST_PREC)
                 # 30 digits are past the first precision, so every irrational
                 # row takes the _refine path; rationals have exact enclosures
                 texts = [cyclotomic._decimal_text(*box, 30) for box in boxes]

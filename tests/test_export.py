@@ -160,6 +160,24 @@ def test_equal_coordinates_are_written_once_and_shared(pentagon, monkeypatch):
     assert len({tuple(l) for l in lists}) == len({id(l) for l in lists}) == 1096
 
 
+def test_each_distinct_cartesian_part_is_rounded_once(pentagon, monkeypatch):
+    # the pentagon to level 3 has 4,186 distinct Re values but only 837
+    # distinct Im values; equal rows share one enclosure and one rounding
+    levels = generate(pentagon, 3)
+    calls = []
+    decimal_text = cyclotomic._decimal_text
+
+    def counted(*args):
+        calls.append(args)
+        return decimal_text(*args)
+
+    monkeypatch.setattr(cyclotomic, "_decimal_text", counted)
+    records = point_records(levels)
+    assert len(records) == len({r.re for r in records}) == 4186
+    assert len({r.im for r in records}) == 837
+    assert len(calls) == 4186 + 837
+
+
 def test_point_records_of_mixed_conductors_match_each_point(pentagon):
     # hand-built levels: the frame's unit on conductor 1 beside points of
     # the working field, so one batch is promoted to the shared conductor

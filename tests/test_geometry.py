@@ -302,10 +302,27 @@ def test_frame_constants_match_the_inverses_of_products():
     assert descending == {True, False} and len(conductors) > 20
 
 
+def test_inverse_sin_closed_form_is_the_field_inverse():
+    # 1/sin(k*pi/N) by the geometric sum is the inverse inv() finds, on the
+    # same conductor and in the same canonical form, for all 1,085 angles
+    # with N < 60; 1/sin(0) stays a division by zero
+    geometry._inverse_sin.cache_clear()
+    angles = [Angle(k, n) for n in range(2, 60) for k in range(1, n) if math.gcd(k, n) == 1]
+    assert len(angles) == 1085
+    for a in angles:
+        x = sin_of(a)
+        y = geometry._inverse_sin(a)
+        assert _same(y, x.inv()) and y.conductor == a.conductor, a
+        assert x * y == 1
+    with pytest.raises(ZeroDivisionError):
+        geometry._inverse_sin(Angle.zero())
+
+
 def test_1980_pvalues_and_ring_invert_only_single_sines(monkeypatch, capsys):
-    # every frame constant is a product of sines and their inverses, and
-    # each inverse is of one sine at its own conductor, never of a product
-    # at the working conductor 1980
+    # every frame constant is a product of sines and their inverses; a sine
+    # inverse is a closed form at the sine's own conductor, so no element
+    # at the working conductor 1980 is inverted, and any that is inverted
+    # is a single sine
     slopes = [Angle(1, 11), Angle(5, 9), Angle(7, 10)]
     gaps = [angle_difference(a, b)[1] for a, b in itertools.combinations(slopes, 2)]
     sines = {(s.conductor, s._num, s._den) for s in map(sin_of, slopes + gaps)}
@@ -324,7 +341,7 @@ def test_1980_pvalues_and_ring_invert_only_single_sines(monkeypatch, capsys):
     for command in ("pvalues", "ring"):
         assert main([command, "--slopes", "0,pi/11,5pi/9,7pi/10", "--format", "json"]) in (0, 3)
     capsys.readouterr()
-    assert inverted
+    assert all(x.conductor != 1980 for x in inverted)
     for x in inverted:
         assert x.conductor < 1980 and (x.conductor, x._num, x._den) in sines
 
