@@ -104,13 +104,22 @@ def _parse_slopes(text: str) -> SlopeSet:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write text, ending in one newline, to the file out or else to stdout:
+    the same characters either way."""
+    end = "" if text.endswith("\n") else "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text, flush=True)  # a closed pipe fails here, not at exit
+            fh.write(end)
+        return
+    # one large write to a pipe whose reader has gone can end short without
+    # an error, so the last newline goes in a write of its own; the flush
+    # then fails here, not at exit
+    if not end:
+        text, end = text[:-1], "\n"
+    sys.stdout.write(text)
+    sys.stdout.write(end)
+    sys.stdout.flush()
 
 
 def _bounds(args) -> SearchBounds:

@@ -603,10 +603,9 @@ class CyclotomicReal:
                 hi += c * b
         return lo, hi, self._den << prec
 
-    def _refine(self, done):
+    def _refine(self, done, prec: int = _FIRST_PREC):
         """The first done(lo, hi, den) that is not None, over enclosures at
-        doubling precision from _FIRST_PREC."""
-        prec = _FIRST_PREC
+        doubling precision from prec."""
         while (out := done(*self._enclosure_at(prec))) is None:
             prec *= 2
         return out
@@ -637,8 +636,18 @@ class CyclotomicReal:
 
     def decimal(self, digits: int = 12) -> str:
         """Decimal string certified to the requested number of digits: an
-        enclosure's midpoint, rounded half to even as Fraction.__round__ does."""
-        return self._refine(lambda lo, hi, den: _decimal_text(lo, hi, den, digits))
+        enclosure's midpoint, rounded half to even as Fraction.__round__ does.
+
+        The enclosure of each cos(2*pi*j/n), j > 0, is at least one ulp wide
+        (_cos_endpoints widens it by a positive error bound), so one at
+        precision P is at least S = sum_{j>0} |c_j| ulps wide; each P of the
+        doubling sequence with S * 10^digits * 100 > den * 2^P, whose
+        enclosure _decimal_text would reject, is skipped unbuilt."""
+        # (negative digits raise in _decimal_text)
+        prec, floor = _FIRST_PREC, sum(map(abs, self._num[1:])) * 100 * 10 ** max(digits, 0)
+        while floor > self._den << prec:
+            prec *= 2
+        return self._refine(lambda lo, hi, den: _decimal_text(lo, hi, den, digits), prec)
 
     # -- misc ----------------------------------------------------------------
 
@@ -688,6 +697,10 @@ class Batch(NamedTuple):
 
     def take(self, index) -> "Batch":
         return self._replace(num=self.num[index], den=self.den[index])
+
+    def to_conductor(self, m: int) -> "Batch":
+        """The rows promoted to Q(zeta_m), n | m."""
+        return self if m == self.n else self * CyclotomicReal.from_rational(1, m)
 
     def __add__(self, other: "Batch") -> "Batch":
         return _combine(self, other, np.add)
@@ -791,7 +804,11 @@ def _cast(fits: bool, *arrays: np.ndarray) -> list[np.ndarray]:
 def _normalized(n: int, num: np.ndarray, den: np.ndarray) -> Batch:
     """As _normalize, row by row, for positive den; a zero row ends over 1."""
     g = np.gcd(np.gcd.reduce(num, axis=1), den)
-    num, den = num // g[:, None], den // g
+    return _batch(n, num // g[:, None], den // g)
+
+
+def _batch(n: int, num: np.ndarray, den: np.ndarray) -> Batch:
+    """Normalized rows as a Batch, int64 when both fit."""
     bits = _bits(num), _bits(den)
     return Batch(n, *_cast(max(bits) <= _INT64_BITS, num, den), *bits)
 
@@ -800,6 +817,14 @@ def stack(values: Sequence[CyclotomicReal], n: int) -> Batch:
     """Values that all lie on conductor n, as one batch."""
     num = _array([v._num for v in values]).reshape(len(values), euler_phi(n))
     return _normalized(n, num, _array([v._den for v in values]))
+
+
+def concat(batches: Sequence[Batch], n: int) -> Batch:
+    """The rows of batches on conductor n, one after another."""
+    if not batches:
+        return stack([], n)
+    return _batch(n, np.concatenate([b.num for b in batches]),
+                  np.concatenate([b.den for b in batches]))
 
 
 def _combine(a: Batch, b: Batch, op) -> Batch:

@@ -4,7 +4,9 @@ Points are exported once each, in the frame of the slope set when the
 document names one and else in the frame of the first point, tagged
 with the first level that produced them, as both a certified decimal
 approximation of geometry.cartesian and the exact coefficient vectors of
-their two coordinates.  The JSON document (schema 1) round-trips:
+their two coordinates.  The records come from the levels' integer rows
+(LevelSet.row_batches), so an export builds no PlanePoint for points
+already in its frame.  The JSON document (schema 1) round-trips:
 parsing it back yields PlanePoints equal to the originals under exact
 comparison, and a malformed one raises ValueError.
 """
@@ -20,8 +22,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .angles import Angle
-from .construction import LevelSet
-from .cyclotomic import CyclotomicReal, stack
+from .construction import LevelSet, distinct_rows, stack_points
+from .cyclotomic import CyclotomicReal, concat
 from .geometry import Frame, PlanePoint, cartesian
 from .slopes import SlopeSet
 
@@ -45,41 +47,58 @@ def point_records(
     levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION, frame: Optional[Frame] = None
 ) -> list[PointRecord]:
     """Flatten levels into one record per point at its birth level, each in
-    frame, by default the frame of the first point.  Each distinct
-    coordinate, r or s on the shared conductor, is stacked and written
-    once, and records with an equal coordinate share its strings tuple;
-    the points' Cartesian parts (Re, Im) and their decimals come from one
-    batch.
+    frame, by default the frame of the first point.
+
+    One keyed pass reads the levels' rows (LevelSet.row_batches), each
+    batch once, on the lcm of their conductors: every coordinate, r or s,
+    gets an id by the exact key of its row (construction.row_keys), a
+    point is the pair of its coordinates' ids, and its first row is its
+    birth.
+    Each distinct coordinate is written once, and records with an equal
+    coordinate share its strings tuple; the points' Cartesian parts (Re,
+    Im) and their decimals come from one batch.
     """
-    frame = frame or next((pt.frame for level in levels for pt in level.points), None)
-    births: dict[tuple, tuple[int, PlanePoint]] = {}
+    segments, born = {}, []  # id -> (frame, r, s), and each one's level
     for level in levels:
-        for pt in level.points:
-            if pt.frame is not frame:
-                pt = pt.in_frame(frame)
-            key = (pt.r.conductor, pt.s.conductor, pt.r._num, pt.r._den, pt.s._num, pt.s._den)
-            births.setdefault(key, (level.level, pt))
-    if not births:
+        for rows in level.row_batches():
+            if id(rows) not in segments and len(rows[1].den):
+                segments[id(rows)] = rows
+                born.append(level.level)
+    if not segments:
         return []
-    points = [pt for _, pt in births.values()]
-    conductor = math.lcm(*(v.conductor for pt in points for v in (pt.r, pt.s)))
-    coords = [v.to_conductor(conductor) for pt in points for v in (pt.r, pt.s)]
-    distinct = {(v._num, v._den): v for v in coords}  # in order of first use
-    index = {key: row for row, key in enumerate(distinct)}
-    rows = [index[v._num, v._den] for v in coords]  # each point's r, then its s
+    frame = frame or next(iter(segments.values()))[0]
+    segments = [rows if rows[0] == frame else stack_points(_points(rows), frame)
+                for rows in segments.values()]
+    conductor = math.lcm(*(rows[1].n for rows in segments))
+    # every r, then every s, on the shared conductor
+    both = concat([rows[c].to_conductor(conductor) for c in (1, 2) for rows in segments],
+                  conductor)
+    size = len(both.den) // 2
+    distinct, coord = distinct_rows(both)
+    r_ids, s_ids = coord[:size], coord[size:]
+    first: dict = {}  # each point -> its first row, the row of its birth
+    for i, point in enumerate(zip(r_ids.tolist(), s_ids.tolist())):
+        first.setdefault(point, i)
+    births = list(first.values())
+    r_ids, s_ids = r_ids[births], s_ids[births]
+    row_level = [level for level, rows in zip(born, segments) for _ in range(len(rows[1].den))]
+    coords = both.take(distinct)
     # cartesian needs a conductor that the unit parts divide too
     m = math.lcm(conductor, *(v.conductor for v in frame.unit_parts()))
-    batch = stack([v.to_conductor(m) for v in distinct.values()], m)
-    re, im = cartesian(batch.take(rows[0::2]), batch.take(rows[1::2]), frame)
-    if m != conductor:
-        batch = stack(list(distinct.values()), conductor)
-    strings = batch.coefficient_strings()
-    columns = zip(births.values(), re.decimals(precision), im.decimals(precision),
-                  rows[0::2], rows[1::2])
+    promoted = coords.to_conductor(m)
+    re, im = cartesian(promoted.take(r_ids), promoted.take(s_ids), frame)
+    strings = coords.coefficient_strings()
+    columns = zip([row_level[i] for i in births], re.decimals(precision), im.decimals(precision),
+                  r_ids.tolist(), s_ids.tolist())
     return [
         PointRecord(level, re_text, im_text, conductor, strings[r], strings[s])
-        for (level, _), re_text, im_text, r, s in columns
+        for level, re_text, im_text, r, s in columns
     ]
+
+
+def _points(rows) -> list[PlanePoint]:
+    frame, r, s = rows
+    return [PlanePoint(x, y, frame) for x, y in zip(r.values(), s.values())]
 
 
 def _distinct_strings(records: Sequence[PointRecord]) -> list[tuple[str, ...]]:

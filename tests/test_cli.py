@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -79,6 +81,23 @@ def test_generate_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "level,re,im,conductor,r,s"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_stdout_carries_the_bytes_of_the_out_file(capsys, tmp_path, fmt):
+    # print added a newline after the CSV's closing "\r\n", so csv.reader
+    # read a trailing empty row from stdout but not from the file
+    argv = ("generate", "--slopes", TRIANGLE, "--levels", "2", "--format", fmt)
+    target = tmp_path / "out"
+    code, _, _ = run(capsys, *argv, "--out", str(target))
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.encode() == target.read_bytes()
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) == 1 + 8 and all(rows)
 
 
 def test_generate_json_schema(capsys):
@@ -314,10 +333,10 @@ def test_out_path_that_cannot_be_written(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
 
 
-def test_closed_stdout_ends_without_a_word():
-    # the reader stops after 64 of the export's 4.3 MB: the CLI used to
-    # print "error: cannot write 'None': Broken pipe"
-    argv = ["generate", "--slopes", PENTAGON, "--levels", "3", "--format", "json"]
+def _read_64_bytes_and_close(fmt):
+    """Run the pentagon's level-3 export to stdout, and close the pipe after
+    reading 64 bytes: (exit code, the bytes read, stderr)."""
+    argv = ["generate", "--slopes", PENTAGON, "--levels", "3", "--format", fmt]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "origami_rings.cli", *argv],
@@ -329,8 +348,24 @@ def test_closed_stdout_ends_without_a_word():
         _, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
-    assert proc.returncode == EXIT_ERROR
+    return proc.returncode, head, err
+
+
+def test_closed_stdout_ends_without_a_word():
+    # the reader stops after 64 of the export's 4.3 MB: the CLI used to
+    # print "error: cannot write 'None': Broken pipe"
+    code, head, err = _read_64_bytes_and_close("json")
+    assert code == EXIT_ERROR
     assert head.startswith(b'{\n  "schema": 1,')
+    assert err == b""
+
+
+def test_closed_stdout_is_seen_when_the_text_ends_in_a_newline():
+    # the CSV ends in "\r\n" already: its last newline still goes in a
+    # write of its own, so the closed pipe is seen
+    code, head, err = _read_64_bytes_and_close("csv")
+    assert code == EXIT_ERROR
+    assert head.startswith(b"level,re,im,conductor,r,s\r\n")
     assert err == b""
 
 

@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from origami_rings import cyclotomic, geometry
+from origami_rings import construction, cyclotomic, geometry
 from origami_rings.angles import Angle
 from origami_rings.construction import LevelSet, contains, generate
 from origami_rings.cyclotomic import CyclotomicReal, cos_of, sqrt_rational
+from origami_rings.export import csv_text, json_text
 from origami_rings.float_preview import generate_float
 from origami_rings.geometry import PlanePoint, meet
 from origami_rings.slopes import SlopeSet
@@ -217,3 +218,58 @@ def test_generate_python_int_kernels_match(monkeypatch, pentagon):
     got = generate(pentagon, 2)
     assert dtypes == {np.dtype(object)}
     assert _exact_levels(got) == _exact_levels(_generate_reference(pentagon, 2))
+
+
+@pytest.mark.parametrize("int64_bits", [0, 4])
+def test_generate_keys_a_point_alike_whatever_its_batch_dtype(monkeypatch, pentagon, int64_bits):
+    # at 0 bits every batch of rows is on Python ints; at 4 some are and
+    # some are int64, so one point can reach the dedup from batches of
+    # either dtype and must get one key from both
+    monkeypatch.setattr(cyclotomic, "_INT64_BITS", int64_bits)
+    dtypes, row_keys = set(), construction.row_keys
+
+    def recording_row_keys(*batches):
+        dtypes.update(b.num.dtype for b in batches if len(b.den))
+        return row_keys(*batches)
+
+    monkeypatch.setattr(construction, "row_keys", recording_row_keys)
+    k_max = 3 if int64_bits else 2
+    got = generate(pentagon, k_max)
+    assert np.dtype(object) in dtypes
+    assert (np.dtype(np.int64) in dtypes) == bool(int64_bits)
+    assert _exact_levels(got) == _exact_levels(_generate_reference(pentagon, k_max))
+
+
+@pytest.mark.parametrize("cap", [89, 90, 1000, 4186, 4187])
+def test_generate_cap_in_a_chunk_and_on_level_boundaries(pentagon, cap):
+    # the pentagon's levels hold 2, 8, 88 and 4,186 points: a cap of 89 or
+    # 4,187 stops one point into a level, 90 and 1,000 inside a chunk of the
+    # grid, and 4,186 on the last point of level 3
+    got = generate(pentagon, 4, point_cap=cap)
+    assert len(got[-1]) == cap
+    assert _exact_levels(got) == _exact_levels(_generate_reference(pentagon, 4, cap))
+
+
+def test_generate_and_export_build_no_point_objects(monkeypatch, pentagon):
+    # a level keeps its rows as integer arrays: the exports, len, truncated
+    # and membership read those, and PlanePoints are built on the first
+    # read of points, once each, shared by the levels that follow
+    reference = _generate_reference(pentagon, 3)
+    born_at_3 = reference[3].points[-1]
+    built, init = [], PlanePoint.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(PlanePoint, "__init__", spy)
+    levels = generate(pentagon, 3)
+    assert json_text(pentagon, levels) and csv_text(levels)
+    assert [len(level) for level in levels] == [2, 8, 88, 4186]
+    assert not any(level.truncated for level in levels)
+    assert born_at_3 in levels[3] and born_at_3 not in levels[2]
+    assert built == []
+    assert _exact_levels(levels) == _exact_levels(reference)
+    assert len(built) == 4186
+    for before, after in zip(levels, levels[1:]):
+        assert all(a is b for a, b in zip(before.points, after.points))

@@ -683,6 +683,35 @@ def test_decimal_matches_fraction_reference():
             assert x.decimal(digits) == _decimal_reference(x, digits), (x, digits)
 
 
+@pytest.mark.parametrize(
+    "x, digits, precisions",
+    [
+        (sqrt_rational(3), 12, [64]),
+        (CyclotomicReal.from_rational(Fraction(10**30, 7), 12), 12, [64]),
+        # sum|c_j| is about 10^6: 10^6 ulps of 2^-64 are too wide for 12 digits
+        (cos_of(Angle(1, 5)) * 10**6, 12, [128]),
+        (sqrt_rational(7) * 3**40, 30, [256]),
+    ],
+)
+def test_decimal_skips_precisions_its_coefficients_rule_out(monkeypatch, x, digits, precisions):
+    # each cos(2*pi*j/n), j > 0, has an enclosure at least one ulp wide;
+    # decimal starts where sum|c_j| ulps are narrow enough, and ends where
+    # the unskipped sequence from _FIRST_PREC ends, with the same text
+    seen, enclosure_at = [], CyclotomicReal._enclosure_at
+
+    def spy(self, prec):
+        seen.append(prec)
+        return enclosure_at(self, prec)
+
+    monkeypatch.setattr(CyclotomicReal, "_enclosure_at", spy)
+    text = x.decimal(digits)
+    assert seen == precisions
+    del seen[:]
+    unskipped = x._refine(lambda lo, hi, den: cyclotomic._decimal_text(lo, hi, den, digits))
+    assert unskipped == text
+    assert seen[0] == cyclotomic._FIRST_PREC and seen[-1] == precisions[-1]
+
+
 def _draw(rng, n, bits):
     coeffs = [_coefficient(rng, bits) for _ in range(euler_phi(n))]
     return CyclotomicReal._make(n, coeffs, rng.randrange(1, 2**bits))
