@@ -83,28 +83,32 @@ class LevelSet:
     """The cumulative point set after a number of construction rounds.
 
     A level holds rows: the coordinates (r, s) of points in one frame, as
-    two Batches on one conductor.  A generated level holds the rows it
-    adds to the level before it; LevelSet(level, points, truncated) holds
-    all of its points, stacked on first use in the first point's frame.
-    len, truncated and membership answer from the rows.  points is built
-    on first use, one PlanePoint per point across levels (a generated
-    level extends the tuple of the level before it), and the points of
-    one level share one CyclotomicReal per distinct coordinate.
+    two Batches on one conductor.  A generated or read-back level holds
+    the rows it adds to the level before it (_grown);
+    LevelSet(level, points, truncated) keeps its points and stacks them at
+    once, in the first point's frame.  len, truncated and membership answer
+    from the rows.  A chained level's points are built from them on first
+    use, one PlanePoint per point across levels (a level extends the tuple
+    of the level before it), and the points of one level share one
+    CyclotomicReal per distinct coordinate.
     """
 
     __slots__ = ("level", "truncated", "_previous", "_rows", "_size", "_keys", "_points")
 
     def __init__(self, level: int, points: Sequence[PlanePoint], truncated: bool):
-        self.level = level
-        self.truncated = truncated
-        self._points = tuple(points)
-        self._size = len(self._points)
-        self._previous = self._rows = self._keys = None  # built on first use
+        points = tuple(points)
+        frame = points[0].frame if points else None
+        moved = [p.in_frame(frame) for p in points]
+        both = stack([p.r for p in moved] + [p.s for p in moved])  # one conductor for r and s
+        size = len(moved)
+        rows = (frame, both.take(slice(size)), both.take(slice(size, None)))
+        self.level, self.truncated, self._size = level, truncated, size
+        self._previous, self._rows, self._keys, self._points = None, rows, None, points
 
     @classmethod
     def _grown(cls, level: int, previous: "Optional[LevelSet]", rows: tuple,
                truncated: bool) -> "LevelSet":
-        """A generated level: the level previous, plus rows (frame, r, s)."""
+        """The level previous, plus rows (frame, r, s)."""
         self = cls.__new__(cls)
         self.level, self.truncated = level, truncated
         self._previous, self._rows, self._keys, self._points = previous, rows, None, None
@@ -115,7 +119,7 @@ class LevelSet:
     def points(self) -> tuple[PlanePoint, ...]:
         if self._points is None:
             frame, r, s = self._rows
-            both = concat([r, s], r.n)
+            both = concat([r, s])
             first, index = distinct_rows(both)
             values = both.take(first).values()
             coords = [values[i] for i in index.tolist()]
@@ -127,10 +131,7 @@ class LevelSet:
 
     def row_batches(self) -> list[tuple[Frame, Batch, Batch]]:
         """The rows (frame, r, s) that make up the level, the first level's
-        first; a generated level shares the tuples of the levels before it."""
-        if self._rows is None:
-            frame = self._points[0].frame if self._points else None
-            self._rows = stack_points(self._points, frame)
+        first; a chained level shares the tuples of the levels before it."""
         before = self._previous.row_batches() if self._previous is not None else []
         return before + [self._rows]
 
@@ -156,14 +157,6 @@ class LevelSet:
         return f"LevelSet(level={self.level}, points={self._size}{flag})"
 
 
-def stack_points(points: Sequence[PlanePoint], frame: Optional[Frame]) -> tuple:
-    """(frame, r, s): the points rewritten in frame, their coordinates as
-    two Batches on the lcm of their conductors."""
-    moved = [p.in_frame(frame) for p in points]
-    n = math.lcm(*(v.conductor for p in moved for v in (p.r, p.s)))
-    return frame, *(stack([getattr(p, c).to_conductor(n) for p in moved], n) for c in "rs")
-
-
 def generate(
     u: SlopeSet, k_max: int, point_cap: Optional[int] = DEFAULT_POINT_CAP
 ) -> list[LevelSet]:
@@ -180,7 +173,7 @@ def generate(
     cap = point_cap if point_cap is not None else math.inf
     frame, n, table = u.frame, u.working_conductor, u.p_table
     gap_inv = {
-        (g, d): _inverse_p_gap(frame, g, d).to_conductor(n)
+        (g, d): _inverse_p_gap(frame, g, d)
         for g, d in itertools.combinations(u.nonzero_slopes, 2)
     }
 

@@ -32,7 +32,9 @@ enclosure's midpoint in integers.
 Batch kernels hold K elements of one field as a K x phi integer matrix
 over a vector of denominators.  A product by a fixed x is one matrix
 product (row j of the matrix is x * zeta^j); sums go over the lcm of the
-denominators, and rows are normalized as CyclotomicReal is.  A kernel
+denominators, and rows are normalized as CyclotomicReal is.  Products,
+sums, stacks and concatenations land on the lcm of their conductors, as
+CyclotomicReal arithmetic does, so no caller promotes by hand.  A kernel
 runs in int64 when its result is provably below 2^62, for a product when
 bits(A) + bits(M) + bits(phi) + 1 <= 62, and otherwise on Python ints.
 A batch's decimals round enclosures of all its rows at once, one int64
@@ -386,8 +388,12 @@ class CyclotomicReal:
         cls, conductor: int, coeffs: Sequence[Rational]
     ) -> "CyclotomicReal":
         """Build from all phi(conductor) basis coefficients; rejects non-real elements."""
-        phi = euler_phi(conductor)
         fracs = [Fraction(c) for c in coeffs]
+        if conductor < 1:
+            raise ValueError(f"conductor must be a positive integer, got {conductor}")
+        if conductor > 2 * len(fracs) ** 2:  # phi(n) >= sqrt(n/2): refused before factoring
+            raise ValueError(f"conductor {conductor} needs more than {len(fracs)} coefficients")
+        phi = euler_phi(conductor)
         if len(fracs) != phi:
             raise ValueError(f"expected {phi} coefficients, got {len(fracs)}")
         den = math.lcm(*(f.denominator for f in fracs))
@@ -813,29 +819,32 @@ def _batch(n: int, num: np.ndarray, den: np.ndarray) -> Batch:
     return Batch(n, *_cast(max(bits) <= _INT64_BITS, num, den), *bits)
 
 
-def stack(values: Sequence[CyclotomicReal], n: int) -> Batch:
-    """Values that all lie on conductor n, as one batch."""
-    num = _array([v._num for v in values]).reshape(len(values), euler_phi(n))
+def stack(values: Sequence[CyclotomicReal], n: int = 1) -> Batch:
+    """The values as one batch on the lcm of n and their conductors."""
+    n = math.lcm(n, *(v.conductor for v in values))
+    num = _array([v.to_conductor(n)._num for v in values]).reshape(len(values), euler_phi(n))
     return _normalized(n, num, _array([v._den for v in values]))
 
 
-def concat(batches: Sequence[Batch], n: int) -> Batch:
-    """The rows of batches on conductor n, one after another."""
+def concat(batches: Sequence[Batch], n: int = 1) -> Batch:
+    """The rows of batches in order, on the lcm of n and their conductors."""
     if not batches:
         return stack([], n)
+    n = math.lcm(n, *(b.n for b in batches))
+    batches = [b.to_conductor(n) for b in batches]
     return _batch(n, np.concatenate([b.num for b in batches]),
                   np.concatenate([b.den for b in batches]))
 
 
 def _combine(a: Batch, b: Batch, op) -> Batch:
-    """op(a, b) over the lcm of the denominators; a one-row operand
-    broadcasts against every row of the other."""
-    if a.n != b.n:
-        raise ValueError(f"batches on conductors {a.n} and {b.n}")
+    """op(a, b) on the lcm of the conductors, over the lcm of the denominators;
+    a one-row operand broadcasts against every row of the other."""
+    n = math.lcm(a.n, b.n)
+    a, b = a.to_conductor(n), b.to_conductor(n)
     bits = max(a.num_bits + b.den_bits, b.num_bits + a.den_bits, a.den_bits + b.den_bits)
     an, ad, bn, bd = _cast(bits < _INT64_BITS, a.num, a.den, b.num, b.den)
     den = np.lcm(ad, bd)
-    return _normalized(a.n, op(an * (den // ad)[:, None], bn * (den // bd)[:, None]), den)
+    return _normalized(n, op(an * (den // ad)[:, None], bn * (den // bd)[:, None]), den)
 
 
 @lru_cache(maxsize=64)  # a 9-slope set's multipliers; one at phi 480 holds 1.8 MB

@@ -5,10 +5,11 @@ document names one and else in the frame of the first point, tagged
 with the first level that produced them, as both a certified decimal
 approximation of geometry.cartesian and the exact coefficient vectors of
 their two coordinates.  The records come from the levels' integer rows
-(LevelSet.row_batches), so an export builds no PlanePoint for points
-already in its frame.  The JSON document (schema 1) round-trips:
-parsing it back yields PlanePoints equal to the originals under exact
-comparison, and a malformed one raises ValueError.
+(LevelSet.row_batches), rows of another frame reframed as Batches, so an
+export builds no PlanePoint.  The JSON document (schema 1) round-trips:
+it is read back as rows, each distinct coefficient list once, into
+levels whose points equal the originals under exact comparison, and a
+malformed one raises ValueError.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .angles import Angle
-from .construction import LevelSet, distinct_rows, stack_points
-from .cyclotomic import CyclotomicReal, concat
-from .geometry import Frame, PlanePoint, cartesian
+from .construction import LevelSet, distinct_rows
+from .cyclotomic import CyclotomicReal, concat, stack
+from .geometry import Frame, cartesian, reframe
 from .slopes import SlopeSet
 
 SCHEMA_VERSION = 1
@@ -50,10 +50,10 @@ def point_records(
     frame, by default the frame of the first point.
 
     One keyed pass reads the levels' rows (LevelSet.row_batches), each
-    batch once, on the lcm of their conductors: every coordinate, r or s,
-    gets an id by the exact key of its row (construction.row_keys), a
-    point is the pair of its coordinates' ids, and its first row is its
-    birth.
+    batch once, reframed into frame, on the lcm of their conductors: every
+    coordinate, r or s, gets an id by the exact key of its row
+    (construction.row_keys), a point is the pair of its coordinates' ids,
+    and its first row is its birth.
     Each distinct coordinate is written once, and records with an equal
     coordinate share its strings tuple; the points' Cartesian parts (Re,
     Im) and their decimals come from one batch.
@@ -67,13 +67,9 @@ def point_records(
     if not segments:
         return []
     frame = frame or next(iter(segments.values()))[0]
-    segments = [rows if rows[0] == frame else stack_points(_points(rows), frame)
-                for rows in segments.values()]
-    conductor = math.lcm(*(rows[1].n for rows in segments))
-    # every r, then every s, on the shared conductor
-    both = concat([rows[c].to_conductor(conductor) for c in (1, 2) for rows in segments],
-                  conductor)
-    size = len(both.den) // 2
+    coords = [reframe(r, s, old, frame) for old, r, s in segments.values()]
+    both = concat([pair[c] for c in (0, 1) for pair in coords])  # every r, then every s
+    conductor, size = both.n, len(both.den) // 2
     distinct, coord = distinct_rows(both)
     r_ids, s_ids = coord[:size], coord[size:]
     first: dict = {}  # each point -> its first row, the row of its birth
@@ -81,24 +77,16 @@ def point_records(
         first.setdefault(point, i)
     births = list(first.values())
     r_ids, s_ids = r_ids[births], s_ids[births]
-    row_level = [level for level, rows in zip(born, segments) for _ in range(len(rows[1].den))]
-    coords = both.take(distinct)
-    # cartesian needs a conductor that the unit parts divide too
-    m = math.lcm(conductor, *(v.conductor for v in frame.unit_parts()))
-    promoted = coords.to_conductor(m)
-    re, im = cartesian(promoted.take(r_ids), promoted.take(s_ids), frame)
-    strings = coords.coefficient_strings()
+    row_level = [level for level, (r, _) in zip(born, coords) for _ in range(len(r.den))]
+    values = both.take(distinct)
+    re, im = cartesian(values.take(r_ids), values.take(s_ids), frame)
+    strings = values.coefficient_strings()
     columns = zip([row_level[i] for i in births], re.decimals(precision), im.decimals(precision),
                   r_ids.tolist(), s_ids.tolist())
     return [
         PointRecord(level, re_text, im_text, conductor, strings[r], strings[s])
         for level, re_text, im_text, r, s in columns
     ]
-
-
-def _points(rows) -> list[PlanePoint]:
-    frame, r, s = rows
-    return [PlanePoint(x, y, frame) for x, y in zip(r.values(), s.values())]
 
 
 def _distinct_strings(records: Sequence[PointRecord]) -> list[tuple[str, ...]]:
@@ -143,8 +131,9 @@ def to_json_document(
 
 
 def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
-    """Rebuild the slope set and exact cumulative levels from schema 1;
-    a malformed document raises ValueError."""
+    """Rebuild the slope set and exact cumulative levels from schema 1, each
+    distinct coefficient list read once and each level's births stacked and
+    chained as generate chains them; a malformed document raises ValueError."""
     try:
         if doc.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema: {doc.get('schema')!r}")
@@ -162,27 +151,31 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
         for i, entry in enumerate(entries):
             _require(entry, ("level", "r", "s"), f"point {i}")
         k_max = int(doc.get("k_max", max((int(e["level"]) for e in entries), default=0)))
-        by_level: dict[int, list[PlanePoint]] = {}
+        values: dict[tuple, CyclotomicReal] = {}  # coefficient list -> its value
+        born: dict[int, tuple[list, list]] = {}  # level -> the r and s of its new points
         for i, entry in enumerate(entries):
             level = int(entry["level"])
             if not 0 <= level <= k_max:
                 raise ValueError(f"point {i}: level {level} is outside 0..{k_max}")
             try:
-                r, s = (CyclotomicReal.from_coeffs(conductor, [Fraction(c) for c in entry[key]])
-                        for key in "rs")
+                for key, column in zip("rs", born.setdefault(level, ([], []))):
+                    text = tuple(entry[key])
+                    if text not in values:
+                        values[text] = CyclotomicReal.from_coeffs(conductor, text)
+                    column.append(values[text])
             except ZeroDivisionError:
                 raise ValueError(f"point {i}: a coefficient has a zero denominator") from None
-            by_level.setdefault(level, []).append(PlanePoint(r, s, u.frame))
         truncated = bool(doc.get("truncated", False))
     except (TypeError, AttributeError) as exc:  # a number, list or null of the wrong kind
         raise ValueError(f"malformed document: {exc}") from None
-    levels = []
-    cumulative: list[PlanePoint] = []
+    n = conductor if values else 1  # no coefficient list bounds an empty document's conductor
+    levels: list[LevelSet] = []
     for k in range(k_max + 1):
-        cumulative = cumulative + by_level.get(k, [])
+        r, s = born.get(k, ([], []))
         # the cap, once hit, truncates every later level too
-        cut = truncated and k >= max([1, *by_level])
-        levels.append(LevelSet(k, list(cumulative), cut))
+        cut = truncated and k >= max([1, *born])
+        rows = (u.frame, stack(r, n), stack(s, n))
+        levels.append(LevelSet._grown(k, levels[-1] if levels else None, rows, cut))
     return u, levels
 
 

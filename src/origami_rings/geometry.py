@@ -8,7 +8,9 @@ real exactly when r = s.
 
 Projections along other directions, changes of frame and intersections
 of direction lines are all rational expressions in the projection
-constants p(gamma), so everything stays inside exact arithmetic.
+constants p(gamma), so everything stays inside exact arithmetic.  A
+change of frame is two projections, along the new frame's directions
+(reframe); it, line_value, meet and cartesian take numbers or Batches.
 """
 
 from __future__ import annotations
@@ -177,10 +179,10 @@ class PlanePoint:
         return cls(r, r + gap, frame)
 
     def in_frame(self, frame: Frame) -> "PlanePoint":
-        """The same plane point rewritten in another frame."""
+        """The same plane point rewritten in another frame (reframe)."""
         if frame == self.frame:
             return self
-        return PlanePoint.from_cartesian(*self.to_cartesian(), frame)
+        return PlanePoint(*reframe(self.r, self.s, self.frame, frame), frame)
 
     def __add__(self, other):
         if not isinstance(other, PlanePoint):
@@ -238,6 +240,15 @@ def line_value(r, s, p):
     return r + (s - r) * p
 
 
+def reframe(r, s, old: Frame, new: Frame):
+    """The coordinates in frame new of the point (r, s) of frame old, numbers
+    or Batches: its projections along new's two directions, so the lines of
+    those slopes through it cross the real axis there (line_value)."""
+    if new == old:
+        return r, s
+    return line_value(r, s, old.p_value(new.alpha)), line_value(r, s, old.p_value(new.beta))
+
+
 def project(point: PlanePoint, gamma: Angle) -> CyclotomicReal:
     """Projection of the point onto the real axis along direction gamma.
 
@@ -255,34 +266,17 @@ def from_coords(r: Scalar, s: Scalar, alpha: Angle, beta: Angle) -> PlanePoint:
 
 
 def to_frame(point: PlanePoint, gamma: Angle, delta: Angle) -> PlanePoint:
-    """Rewrite the point in the frame (gamma, delta).
-
-    The new coordinates are the gamma- and delta-projections of the
-    point, so both directions must be nonzero and distinct.
-    """
-    target = Frame(gamma, delta)
-    if target == point.frame:
-        return point
-    return PlanePoint(project(point, gamma), project(point, delta), target)
+    """Rewrite the point in the frame (gamma, delta), whose directions must
+    be nonzero and distinct."""
+    return point.in_frame(Frame(gamma, delta))
 
 
 def from_frame(
     r: Scalar, s: Scalar, gamma: Angle, delta: Angle, frame: Frame
 ) -> PlanePoint:
-    """The point whose (gamma, delta)-coordinates are (r, s), in frame.
-
-    Inverts to_frame: with P = p(gamma), Q = p(delta) taken in the
-    target frame, the coordinates come back through the exact inverse
-    of the projection formulas.
-    """
-    Frame(gamma, delta)  # validates the pair
-    r = _as_cyclotomic(r)
-    s = _as_cyclotomic(s)
-    if (gamma, delta) == (frame.alpha, frame.beta):
-        return PlanePoint(r, s, frame)
-    P = frame.p_value(gamma)
-    Q = frame.p_value(delta)
-    return PlanePoint(*meet(r, s, P, Q, _inverse_p_gap(frame, gamma, delta)), frame)
+    """The point whose (gamma, delta)-coordinates are (r, s), in frame:
+    to_frame's inverse."""
+    return PlanePoint(r, s, Frame(gamma, delta)).in_frame(frame)
 
 
 class Line:
@@ -304,13 +298,20 @@ class Line:
         other = Line(point.in_frame(self.through.frame), self.slope)
         return self.invariant() == other.invariant()
 
+    def _key(self) -> tuple:
+        """The slope and an invariant that no frame changes: the projection,
+        or for a horizontal line its height Im, where s - r is not."""
+        if self.slope.is_zero:
+            return self.slope, self.through.to_cartesian()[1]
+        return self.slope, self.invariant()
+
     def __eq__(self, other):
         if not isinstance(other, Line):
             return NotImplemented
-        return self.slope == other.slope and self.invariant() == other.invariant()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.slope, self.invariant()))
+        return hash(self._key())
 
     def __repr__(self):
         return f"Line(through={self.through!r}, slope={self.slope})"

@@ -746,6 +746,23 @@ def test_batch_mul_promotes_as_the_scalar_product_does(n, bits):
         assert got == [x * wide for x in xs]
 
 
+def test_batch_sums_stacks_and_concats_land_on_the_lcm_of_conductors():
+    # as CyclotomicReal sums do: rows on 12 and 20 meet on 60
+    rng = random.Random(47)
+    xs = [_draw(rng, 12, 8) for _ in range(3)]
+    ys = [_draw(rng, 20, 8) for _ in range(3)] + [CyclotomicReal.from_rational(Fraction(1, 3))]
+    a, b = cyclotomic.stack(xs), cyclotomic.stack(ys)
+    assert (a.n, b.n) == (12, 20)
+    total, difference = a + b.take(slice(3)), a - b.take([3])
+    assert total.values() == [x + y for x, y in zip(xs, ys)]
+    assert difference.values() == [x - ys[3] for x in xs]
+    assert cyclotomic.stack(xs + ys).values() == cyclotomic.concat([a, b]).values() == xs + ys
+    assert cyclotomic.concat([a], 5).values() == xs
+    for batch in (total, difference, cyclotomic.stack(xs + ys), cyclotomic.concat([a, b]),
+                  cyclotomic.concat([a], 5)):
+        assert batch.n == 60
+
+
 @pytest.mark.parametrize("n, m, bits", [(12, 12, 8), (120, 120, 8), (120, 360, 8), (1980, 1980, 4),
                                         (1980, 1980, 8), (120, 120, 100), (1980, 1980, 100)])
 def test_multiplier_rows_are_the_products_by_powers_of_zeta(n, m, bits):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from origami_rings import cyclotomic
 from origami_rings.angles import Angle
 from origami_rings.construction import LevelSet, generate
-from origami_rings.cyclotomic import cos_of
+from origami_rings.cyclotomic import CyclotomicReal, cos_of
 from origami_rings.export import (
     csv_text,
     from_json_document,
@@ -237,6 +238,42 @@ def test_json_document_writes_points_in_the_frame_it_names(pentagon):
     points = [PlanePoint(0, 1, frame), PlanePoint(1, 1, frame)]
     _, back = from_json_document(to_json_document(pentagon, [LevelSet(0, points, False)]))
     assert back[0].points == tuple(points)
+
+
+def test_json_reader_reads_each_coordinate_once_into_chained_rows(pentagon, monkeypatch):
+    # the level-3 document's 8,372 coordinates hold 1,096 distinct values
+    levels = generate(pentagon, 3)
+    doc = json.loads(json_text(pentagon, levels))
+    calls, from_coeffs = [], CyclotomicReal.from_coeffs
+
+    def counted(cls, conductor, coeffs):
+        calls.append(coeffs)
+        return from_coeffs(conductor, coeffs)
+
+    monkeypatch.setattr(CyclotomicReal, "from_coeffs", classmethod(counted))
+    _, back = from_json_document(doc)
+    assert len(calls) == 1096
+    assert [len(level) for level in back] == [2, 8, 88, 4186]
+    for orig, rebuilt in zip(levels, back):
+        # the last rows of a level are its births, as in a generated level
+        (_, *born), (frame, *rows) = orig.row_batches()[-1], rebuilt.row_batches()[-1]
+        assert frame == pentagon.frame
+        assert [(b.n, b.rows()) for b in rows] == [(b.n, b.rows()) for b in born]
+        assert rebuilt.points == orig.points
+
+
+def test_from_json_document_rejects_a_huge_conductor_at_once(triangle):
+    # phi(n) >= sqrt(n/2): the length of a coefficient list bounds the
+    # conductor, so 10**18 + 9 is refused before any factoring
+    doc = to_json_document(triangle, generate(triangle, 1))
+    doc["conductor"] = 10**18 + 9
+    start = time.process_time()
+    with pytest.raises(ValueError, match="coefficients"):
+        from_json_document(doc)
+    assert time.process_time() - start < 1
+    for conductor in (0, -3):
+        with pytest.raises(ValueError, match="positive integer"):
+            CyclotomicReal.from_coeffs(conductor, ["1"])
 
 
 def _spoil_point(doc, **changes):

@@ -25,6 +25,7 @@ from origami_rings.geometry import (
     line_value,
     meet,
     project,
+    reframe,
     signed_sin,
     to_frame,
 )
@@ -188,6 +189,51 @@ def test_point_equality_across_frames():
     assert len({z, w}) == 1
 
 
+def _reframe_reference(point, frame):
+    """The former change of frame: the point's Cartesian parts written back
+    in frame."""
+    return PlanePoint.from_cartesian(*point.to_cartesian(), frame)
+
+
+@pytest.mark.parametrize("slopes", ["0,pi/5,pi/4,pi/3", "0,pi/7,pi/3,pi/2,2pi/3"])
+def test_reframe_matches_the_cartesian_route(slopes):
+    # every ordered pair of frames of the set, on numbers and on Batches:
+    # generated points on the working conductor, and rational points, whose
+    # batch lies on conductor 1 while the p-values do not
+    u = SlopeSet(slopes.split(","))
+    frames = [Frame(a, b) for a, b in itertools.permutations(u.nonzero_slopes, 2)]
+    sample = random.Random(29).sample(generate(u, 2)[-1].points, 4)
+    for old in frames:
+        groups = ([_reframe_reference(pt, old) for pt in sample],
+                  [PlanePoint(Fraction(2, 5), Fraction(-3, 7), old), PlanePoint(1, 3, old)])
+        assert {v.conductor for pt in groups[1] for v in (pt.r, pt.s)} == {1}
+        for new in frames:
+            for group in groups:
+                want = [_reframe_reference(pt, new) for pt in group]
+                for pt, w in zip(group, want):
+                    assert reframe(pt.r, pt.s, old, new) == (w.r, w.s)
+                    moved = to_frame(pt, new.alpha, new.beta)
+                    assert moved.frame == new and (moved.r, moved.s) == (w.r, w.s)
+                    back = from_frame(moved.r, moved.s, new.alpha, new.beta, old)
+                    assert back.frame == old and (back.r, back.s) == (pt.r, pt.s)
+                r, s = reframe(stack([pt.r for pt in group]), stack([pt.s for pt in group]),
+                               old, new)
+                assert r.values() == [w.r for w in want] and s.values() == [w.s for w in want]
+
+
+def test_lines_compare_and_hash_alike_in_every_frame(pentagon):
+    # a horizontal line's s - r changes with the frame; its height does not
+    frames = [pentagon.frame, Frame(Angle(1, 5), A4), Frame(A4, A2), frame_triangle()]
+    points = random.Random(31).sample(generate(pentagon, 2)[-1].points, 4)
+    for pt in points:
+        for slope in (Angle.zero(), Angle(1, 5), A23):
+            lines = [Line(pt.in_frame(g), slope) for g in frames]
+            assert len(set(lines)) == 1
+            assert all(a == b and a.contains(b.through) for a in lines for b in lines)
+    heights = {Line(pt.in_frame(g), Angle.zero()) for pt in points for g in frames}
+    assert len(heights) == len({pt.to_cartesian()[1] for pt in points})
+
+
 def test_point_algebra():
     f = frame_triangle()
     z = PlanePoint(1, 2, f)
@@ -233,10 +279,13 @@ def test_formulas_on_batches_match_them_row_by_row(pentagon):
         assert re.values() == [pt.to_cartesian()[0] for pt in pts]
         assert im.values() == [pt.to_cartesian()[1] for pt in pts]
         # the unit parts lie on 24: stacked on the points' own conductor, the
-        # products land on m and the sum refuses to mix the two
+        # products land on m and the sum promotes r to m as well
         r, s = stack([pt.r for pt in pts], conductor), stack([pt.s for pt in pts], conductor)
-        with pytest.raises(ValueError, match="conductors"):
-            cartesian(r, s, frame)
+        assert (r.n, s.n) == (conductor, conductor)
+        re, im = cartesian(r, s, frame)
+        assert (re.n, im.n) == (m, m)
+        assert re.values() == [pt.to_cartesian()[0] for pt in pts]
+        assert im.values() == [pt.to_cartesian()[1] for pt in pts]
 
 
 # Reference frame constants: one inverse of each whole product, made at the
