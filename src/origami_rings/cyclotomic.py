@@ -397,7 +397,7 @@ class CyclotomicReal:
         if len(fracs) != phi:
             raise ValueError(f"expected {phi} coefficients, got {len(fracs)}")
         den = math.lcm(*(f.denominator for f in fracs))
-        num = [int(f * den) for f in fracs]
+        num = [f.numerator * (den // f.denominator) for f in fracs]
         x = cls._make(conductor, num, den)
         if not x.is_fixed_by(-1):
             raise ValueError("coefficients describe a non-real element")

@@ -44,15 +44,19 @@ def generate_float(
     """Approximate levels 0..k_max over slopes given in radians.
 
     Returns one (points, truncated) pair per level, points as a complex
-    array in deterministic order.  Needs at least three distinct folded
-    slopes including (approximately) the horizontal one.
+    array in deterministic order.  Needs finite slopes, at least three
+    distinct once folded, including (approximately) the horizontal one,
+    and a positive finite eps.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if point_cap < 2:
         raise ValueError("point_cap must be at least 2, the size of level 0")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
+    for t in slopes:
+        if not math.isfinite(t):
+            raise ValueError(f"slope {t} is not a finite number of radians")
     folded = sorted(
         {0.0 if math.pi - _fold(t) <= eps else _fold(t) for t in slopes}
     )

@@ -18,7 +18,9 @@ exact certificates in both directions:
   obstruction.
 
 The search is bounded (exponents and degrees), so a third verdict
-Unknown reports exhaustion without claiming anything.
+Unknown reports exhaustion without claiming anything.  Every value the
+search builds is a graded product start * prod factor_i^e_i, made by one
+memoized chain from its neighbour with one exponent lowered.
 """
 
 from __future__ import annotations
@@ -314,20 +316,41 @@ class _Form(dict):
                 out[e] = out.get(e, 0) + c * d
         return _Form((e, c) for e, c in out.items() if c)
 
+    def __sub__(self, other: "_Form") -> "_Form":
+        out = dict(self)
+        for e, c in other.items():
+            out[e] = out.get(e, 0) - c
+        return _Form((e, c) for e, c in out.items() if c)
 
-def _delta_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal, _Form]]:
-    """Denominator generators: p, p-1 per free constant plus differences,
-    each with its linear form in the numerator generators."""
-    gens = _numerator_generators(u)
-    basis = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
-    one = (0,) * len(gens)
-    out = []
-    for (name, p), e in zip(gens, basis):
-        out.append((name, p, _Form({e: 1})))
-        out.append((f"{name}-1", p - 1, _Form({e: 1, one: -1})))
-    for ((a, p), e), ((b, q), f) in itertools.combinations(zip(gens, basis), 2):
-        out.append((f"{a}-{b}", p - q, _Form({e: 1, f: -1})))
-    return out
+
+class _Chain(dict):
+    """start * prod(factors[i]**e[i]) by exponent vector e, made on first
+    read as one mul(value at e with its first nonzero entry, at i, lowered
+    by one, factors[i]) and stored only once that product returns, so an
+    interrupt leaves no entry behind."""
+
+    def __init__(self, start, factors: Sequence, mul=operator.mul):
+        super().__init__({(0,) * len(factors): start})
+        self.factors, self.mul = factors, mul
+
+    def __missing__(self, exps: tuple[int, ...]):
+        i = next(k for k, e in enumerate(exps) if e)
+        lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+        self[exps] = value = self.mul(self[lower], self.factors[i])
+        return value
+
+
+def _graded_exponents(count: int, top: int, per_max: int):
+    """Exponent vectors of length count with entries <= per_max and total
+    <= top, ascending total then lex."""
+    layer = [(0,) * count]
+    yield from layer
+    for _ in range(top):
+        layer = sorted({
+            exps[:i] + (e + 1,) + exps[i + 1 :]
+            for exps in layer for i, e in enumerate(exps) if e < per_max
+        })
+        yield from layer
 
 
 def _numerator_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal]]:
@@ -338,33 +361,38 @@ def _numerator_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal]]:
     ]
 
 
-def _lowered(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(i, exps with its first nonzero entry, at i, lowered by one)."""
-    i = next(k for k, e in enumerate(exps) if e)
-    return i, exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+def _deltas(gens: Sequence[tuple[str, object]], one) -> list[tuple[str, object]]:
+    """The delta generators over the numerator generators (name, p) in the
+    search order: p and p-1 per generator, then the pairwise differences."""
+    out = []
+    for name, p in gens:
+        out += [(name, p), (f"{name}-1", p - one)]
+    for (a, p), (b, q) in itertools.combinations(gens, 2):
+        out.append((f"{a}-{b}", p - q))
+    return out
 
 
-def _graded_products(start, factors: Sequence, top: int, per_max: int, mul=operator.mul):
-    """(exps, start * prod(factors[i]**exps[i])) for exponent vectors with
-    entries <= per_max and total <= top, ascending total then lex.
+@lru_cache(maxsize=None)
+def _forms(count: int) -> _Chain:
+    """The denominator monomials prod(d_i^e_i) by e, as polynomials in `count`
+    numerator generators; one chain serves every query and every bound."""
+    one = _Form({(0,) * count: 1})
+    basis = [("", _Form({tuple(int(i == j) for j in range(count)): 1})) for i in range(count)]
+    return _Chain(one, [form for _, form in _deltas(basis, one)])
 
-    Each value is one product mul(value, factor): the vector with its first
-    nonzero exponent lowered by one, held from the previous total, times
-    that factor.
-    """
-    layer = {(0,) * len(factors): start}
-    yield from layer.items()
-    for _ in range(top):
-        raised = {
-            exps[:i] + (e + 1,) + exps[i + 1 :]
-            for exps in layer for i, e in enumerate(exps) if e < per_max
-        }
-        current = {}
-        for exps in sorted(raised):
-            i, lower = _lowered(exps)
-            current[exps] = mul(layer[lower], factors[i])
-            yield exps, current[exps]
-        layer = current
+
+@lru_cache(maxsize=8)
+def _search_order(count: int, top: int, budget: int) -> tuple[tuple[int, ...], ...]:
+    """The first `budget` denominator exponent vectors over `count` delta
+    generators, each exponent at most top."""
+    return tuple(itertools.islice(_graded_exponents(count, count * top, top), budget))
+
+
+def _delta_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal, _Form]]:
+    """(name, value, linear form in the p's) per delta generator, in search order."""
+    gens = _numerator_generators(u)
+    forms = _forms(len(gens)).factors
+    return [(name, v, form) for (name, v), form in zip(_deltas(gens, 1), forms)]
 
 
 class _MonomialLattice:
@@ -387,21 +415,24 @@ class _MonomialLattice:
         self.values = tuple(v for _, v in gens)
         count = len(gens)
         self.degree = max_num_deg if count <= 1 else max(4, max_num_deg // count)
-        self.exponents = [e for e, _ in _graded_products(1, (1,) * count, self.degree, self.degree)]
+        self.exponents = list(_graded_exponents(count, self.degree, self.degree))
         self.q = q = split_prime(n)
         self.images = [evaluate(v, n) for v in self.values]
         self.rows = self.pivots = None
         if all(e is not None for e in self.images):
             ones = np.ones(euler_phi(n), np.int64)
             self.rows, self.pivots = np.zeros((0, len(ones)), np.int64), []
-            mul = lambda a, b: a * b % q
-            for _, image in _graded_products(ones, self.images, self.degree, self.degree, mul):
-                if (r := self.residual(image)).any():
+            images = _Chain(ones, self.images, self.mul_mod)
+            for e in self.exponents:
+                if (r := self.residual(images[e])).any():
                     col = int(np.flatnonzero(r)[0])
                     r = r * pow(int(r[col]), -1, q) % q
                     # clear the new pivot from the earlier rows, one outer product
                     self.rows = np.vstack([(self.rows - np.outer(self.rows[:, col], r)) % q, r])
                     self.pivots.append(col)
+
+    def mul_mod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a * b % self.q
 
     def residual(self, image: np.ndarray) -> np.ndarray:
         """The element of image + span mod q that is zero at every pivot,
@@ -419,8 +450,8 @@ class _MonomialLattice:
     @cached_property
     def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]],
                               tuple[list[int], list[list[int]]]]:
-        one = CyclotomicReal.from_rational(1, self.n)
-        monomials = [v for _, v in _graded_products(one, self.values, self.degree, self.degree)]
+        chain = _Chain(CyclotomicReal.from_rational(1, self.n), self.values)
+        monomials = [chain[e] for e in self.exponents]
         common_den = math.lcm(*(v._den for v in monomials))
         lattice = IntegerLattice(euler_phi(self.n))
         relations = [lattice.add([c * (common_den // v._den) for c in v._num]) for v in monomials]
@@ -521,7 +552,15 @@ def _round_half_even(a: int, b: int) -> int:
     return q + (2 * r > b or (2 * r == b and q % 2))
 
 
-_stream_cache: dict = {}
+def _combination(terms: Sequence[tuple[int, Sequence[int], int]]) -> tuple[list[int], int]:
+    """(total, den) with total / den the sum of c * v / d over the terms
+    (c, v, d), v an integer vector and d > 0, over the lcm of the d's."""
+    den = math.lcm(*(d for _, _, d in terms))
+    total = [0] * len(terms[0][1])
+    for c, v, d in terms:
+        f = c * (den // d)
+        total = [a + f * b for a, b in zip(total, v)]
+    return total, den
 
 
 class _Candidates:
@@ -530,103 +569,58 @@ class _Candidates:
     generators p.
 
     Every delta generator is a linear form in the p's, so x * m(p) is an
-    integer combination of the powers x * p^e.  The screen reads their
-    images mod q, E(x) * prod E(p_i)^e_i pointwise.  Its residual map is
-    F_q-linear, so each power's image is reduced once against the echelon
-    rows and a candidate's residual is the same combination of theirs.  An
-    exact power is one product, made when a candidate that passes the
-    screen first needs it, and its pivot coordinates are kept beside it, so
-    the pivot test of a candidate is one integer combination of them.  The
-    forms depend only on the number of generators and the bounds, so their
-    stream is shared by every query in the process and made as far as a
-    query reads it.
+    integer combination of the powers x * p^e, the chain `powers`.  The
+    screen reads their images mod q, the chain `images` of
+    E(x) * prod E(p_i)^e_i pointwise.  Its residual map is F_q-linear, so
+    each power's image is reduced once against the echelon rows and a
+    candidate's residual is the same combination of theirs.  An exact power
+    is one product, made when a candidate that passes the screen first
+    needs it, and its pivot coordinates are kept beside it, so the pivot
+    test of a candidate is one integer combination of them.  The forms
+    depend only on the number of generators, so they come from the chain
+    `_forms` that every query and every bound share.
     """
 
-    def __init__(self, x: CyclotomicReal, gens: Sequence[CyclotomicReal],
-                 forms: Sequence[_Form], bounds: SearchBounds):
-        self.gens = gens
-        self.forms = forms
-        self.bounds = bounds
-        self.powers = {(0,) * len(gens): x}
-        self.images: dict[tuple[int, ...], Optional[np.ndarray]] = {}
+    def __init__(self, x: CyclotomicReal, gens: Sequence[CyclotomicReal], bounds: SearchBounds):
+        self.forms = _forms(len(gens))
+        count, top = len(self.forms.factors), bounds.max_den_exp
+        self.order = _search_order(count, top, bounds.max_candidates)
+        self.powers = _Chain(x, gens)
+        self.images: Optional[_Chain] = None  # made at the first screen
         self.residuals: dict[tuple[int, ...], np.ndarray] = {}
         self.coords: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     def __iter__(self):
-        top, budget = self.bounds.max_den_exp, self.bounds.max_candidates
-        key = (len(self.gens), top, budget)
-        if key not in _stream_cache:
-            start = _Form({(0,) * len(self.gens): 1})
-            stream = _graded_products(start, self.forms, len(self.forms) * top, top)
-            _stream_cache[key] = ([], itertools.islice(stream, budget))
-        made, rest = _stream_cache[key]
-        for i in itertools.count():
-            if i == len(made):
-                try:
-                    item = next(rest, None)
-                except BaseException:
-                    # an interrupt raised inside the generator ends it, so
-                    # drop the stream rather than keep it cut short
-                    _stream_cache.pop(key, None)
-                    raise
-                if item is None:
-                    return
-                made.append(item)
-            yield made[i]
-
-    def power(self, e: tuple[int, ...]) -> CyclotomicReal:
-        """x * p^e, from the power with e's first nonzero entry lowered."""
-        if e not in self.powers:
-            i, lower = _lowered(e)
-            self.powers[e] = self.power(lower) * self.gens[i]
-        return self.powers[e]
-
-    def image(self, e: tuple[int, ...], lattice: _MonomialLattice) -> np.ndarray:
-        """E(x * p^e) mod q, from the image with e's first nonzero entry lowered."""
-        if e not in self.images:
-            i, lower = _lowered(e)
-            self.images[e] = self.image(lower, lattice) * lattice.images[i] % lattice.q
-        return self.images[e]
+        return ((exps, self.forms[exps]) for exps in self.order)
 
     def value(self, form: _Form) -> CyclotomicReal:
         """x * m(p) as one combination over a common denominator; the
         representation is canonical, so it equals the product chain's."""
-        x = self.powers[(0,) * len(self.gens)]
-        terms = [(c, self.power(e)) for e, c in form.items()]
-        den = math.lcm(*(y._den for _, y in terms))
-        num = [0] * len(x._num)
-        for c, y in terms:
-            f = c * (den // y._den)
-            num = [a + f * b for a, b in zip(num, y._num)]
-        return CyclotomicReal._make(x.conductor, num, den)
+        powers = [(c, self.powers[e]) for e, c in form.items()]
+        num, den = _combination([(c, y._num, y._den) for c, y in powers])
+        return CyclotomicReal._make(powers[0][1].conductor, num, den)
 
     def excluded(self, form: _Form, lattice: _MonomialLattice) -> bool:
         """Whether the image of x * m(p) mod q leaves the span of the
         monomial images, which proves x * m(p) outside the lattice; False
         whenever an image is undefined."""
-        zero = (0,) * len(self.gens)
-        if zero not in self.images:
-            self.images[zero] = evaluate(self.powers[zero], lattice.n)
+        zero = (0,) * len(self.powers.factors)
+        if self.images is None:
+            start = evaluate(self.powers[zero], lattice.n)
+            self.images = _Chain(start, lattice.images, lattice.mul_mod)
         if lattice.rows is None or self.images[zero] is None:
             return False
         for e in form.keys() - self.residuals.keys():
-            self.residuals[e] = lattice.residual(self.image(e, lattice))
+            self.residuals[e] = lattice.residual(self.images[e])
         q = lattice.q
         return bool((sum(c % q * self.residuals[e] % q for e, c in form.items()) % q).any())
 
     def off_lattice(self, form: _Form, lattice: _MonomialLattice) -> bool:
         """Whether a pivot coordinate of x * m(p) is not an integer, which
         proves x * m(p) outside the lattice."""
-        terms = []
-        for e, c in form.items():
-            if e not in self.coords:
-                self.coords[e] = lattice.pivot_coordinates(self.power(e))
-            terms.append((c, *self.coords[e]))
-        den = math.lcm(*(d for _, _, d in terms))
-        total = [0] * len(terms[0][1])
-        for c, t, d in terms:
-            f = c * (den // d)
-            total = [a + f * b for a, b in zip(total, t)]
+        for e in form.keys() - self.coords.keys():
+            self.coords[e] = lattice.pivot_coordinates(self.powers[e])
+        total, den = _combination([(c, *self.coords[e]) for e, c in form.items()])
         return any(a % den for a in total)
 
 
@@ -725,8 +719,8 @@ def membership_in_MR(
         )
 
     lattice = _monomial_lattice(u, bounds.max_num_deg)
-    den_names, den_values, den_forms = zip(*_delta_generators(u))
-    candidates = _Candidates(x_n, lattice.values, den_forms, bounds)
+    den_names, den_values, _ = zip(*_delta_generators(u))
+    candidates = _Candidates(x_n, lattice.values, bounds)
     # Once the images span Q(p) mod q, the screen could almost never reject.
     sieve = lattice.rows is not None and len(lattice.rows) < euler_phi(n) // len(group)
     for exps, form in candidates:

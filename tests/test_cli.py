@@ -408,6 +408,19 @@ def test_float_preview_rejects_nonpositive_eps(capsys):
     assert "eps" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--slopes", "0,0.5,1,nan"), "slope nan is not a finite number"),
+    (("--slopes", "0,0.5,nan"), "slope nan is not a finite number"),
+    (("--slopes", "0,0.5,1,inf"), "slope inf is not a finite number"),
+    (("--slopes", "0,0.5,1", "--eps", "nan"), "eps must be a positive finite number, got nan"),
+    (("--slopes", "0,0.5,1", "--eps", "inf"), "eps must be a positive finite number, got inf"),
+])
+def test_float_preview_rejects_non_finite_input(capsys, argv, message):
+    code, out, err = run(capsys, "generate", "--float-preview", *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert message in err
+
+
 def test_point_cap_below_two_is_an_error(capsys):
     # level 0 already holds the two points 0 and 1
     for cap in ("0", "-5"):

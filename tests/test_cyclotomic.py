@@ -183,6 +183,23 @@ def test_inverse():
         CyclotomicReal.from_rational(0).inv()
 
 
+def test_reflected_division_float_str_and_truth_value():
+    # a rational on the left of / divides through __rtruediv__
+    s3 = sqrt_rational(3)
+    assert 1 / s3 == s3.inv()
+    assert Fraction(1, 3) / s3 == s3 / 9
+    with pytest.raises(ZeroDivisionError):
+        1 / CyclotomicReal.from_rational(0)
+    s2 = sqrt_rational(2)
+    assert float(s2) == math.sqrt(2)
+    assert float(cos_of(Angle(1, 5))) == pytest.approx((1 + math.sqrt(5)) / 4, rel=1e-15)
+    assert str(s2) == "<1.41421356237 in Q(zeta_8)>"
+    assert str(cos_of(Angle(1, 5))) == "<0.809016994375 in Q(zeta_20)>"
+    assert str(CyclotomicReal.from_rational(Fraction(-7, 3))) == "-7/3"
+    assert s2 and not CyclotomicReal.from_rational(0)
+    assert not (s2 * s2 - 2)
+
+
 def test_powers():
     s2 = sqrt_rational(2)
     assert s2**4 == 4

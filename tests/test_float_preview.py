@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from origami_rings.construction import generate
 from origami_rings.float_preview import generate_float
@@ -61,3 +62,18 @@ def test_seed_points():
     levels = generate_float([0.0, 1.0, 2.0], 0)
     points, _ = levels[0]
     assert sorted(points.tolist(), key=lambda z: z.real) == [0j, 1 + 0j]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_slopes_are_rejected_by_value(bad):
+    # a NaN used to drop out of the direction set silently, and an
+    # infinity to end in math.fmod's domain error
+    for slopes in ([0.0, 0.5, 1.0, bad], [0.0, 0.5, bad], [bad, 0.0, 0.5, 1.0]):
+        with pytest.raises(ValueError, match=f"slope {bad} is not a finite"):
+            generate_float(slopes, 1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf])
+def test_eps_must_be_positive_and_finite(eps):
+    with pytest.raises(ValueError, match=f"eps must be a positive finite number, got {eps}"):
+        generate_float([0.0, 0.5, 1.0], 1, eps=eps)

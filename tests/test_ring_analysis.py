@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -31,11 +32,12 @@ from origami_rings.ring_analysis import (
     SearchBounds,
     SetKind,
     _Candidates,
+    _Chain,
     _MonomialLattice,
     _delta_generators,
     _fixing_group,
     _generators_mod_sign,
-    _graded_products,
+    _graded_exponents,
     _monomial_lattice,
     _numerator_generators,
     _round_half_even,
@@ -103,6 +105,14 @@ def test_delta_four_slopes(pentagon):
     # sorted ascending by exact sign comparisons
     decimals = [float(v.decimal(8)) for v in d]
     assert decimals == sorted(decimals)
+
+
+def test_delta_set_membership_compares_exact_values(pentagon):
+    differences = delta_set(pentagon)
+    p = p_value(pentagon, Angle(1, 5))
+    assert p - 1 in differences and 1 - p in differences
+    assert -1 in differences and Fraction(1) in differences
+    assert p + 1 not in differences and 2 not in differences and 0 not in differences
 
 
 def test_e_closed_form(pentagon):
@@ -658,18 +668,43 @@ def _compositions_reference(total, count, per_max):
             yield (head,) + rest
 
 
+def _graded_products(start, factors, top, per_max, mul=operator.mul):
+    """The former product walk: (exps, start * prod(factors[i]**exps[i]))
+    for exponent vectors with entries <= per_max and total <= top,
+    ascending total then lex, each value one product of a value held from
+    the previous total, the vector with its first nonzero exponent lowered
+    by one, times that factor."""
+    layer = {(0,) * len(factors): start}
+    yield from layer.items()
+    for _ in range(top):
+        raised = {
+            exps[:i] + (e + 1,) + exps[i + 1 :]
+            for exps in layer for i, e in enumerate(exps) if e < per_max
+        }
+        current = {}
+        for exps in sorted(raised):
+            i = next(k for k, e in enumerate(exps) if e)
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            current[exps] = mul(layer[lower], factors[i])
+            yield exps, current[exps]
+        layer = current
+
+
 def test_graded_products_visit_the_former_orders():
-    # integer factors: each value must be the product its exponents name
+    # integer factors: each value must be the product its exponents name,
+    # and the graded exponents with their chain values the former walk
     primes = (2, 3, 5, 7, 11)
     for count in range(1, 6):
         factors = primes[:count]
 
         def visited(top, per_max, budget=None):
             out = []
-            for exps, value in itertools.islice(
-                _graded_products(1, factors, top, per_max), budget
-            ):
-                assert value == math.prod(f**e for f, e in zip(factors, exps))
+            chain = _Chain(1, factors)
+            expected = itertools.islice(_graded_products(1, factors, top, per_max), budget)
+            got = itertools.islice(_graded_exponents(count, top, per_max), budget)
+            for exps, (former, value) in itertools.zip_longest(got, expected):
+                assert exps == former
+                assert chain[exps] == value == math.prod(f**e for f, e in zip(factors, exps))
                 out.append(exps)
             return out
 
@@ -721,14 +756,14 @@ def test_one_product_per_monomial_and_per_candidate(pentagon, monkeypatch):
 
 
 def test_candidate_stream_is_not_cut_short_by_an_interrupt(pentagon, monkeypatch):
-    # the stream is shared by every query; an interrupt inside its
-    # generator must not leave later queries a truncated stream
-    monkeypatch.setattr(ring_analysis, "_stream_cache", {})
+    # the forms are shared by every query; an interrupt while one is made
+    # must not leave later queries a truncated stream
+    ring_analysis._forms.cache_clear()
     bounds = SearchBounds(max_den_exp=3)
     x = rewrite_in_conductor(sqrt_rational(3), pentagon.working_conductor)
     expected = list(_candidates(x, pentagon, bounds))
     assert len(expected) == 16
-    monkeypatch.setattr(ring_analysis, "_stream_cache", {})
+    ring_analysis._forms.cache_clear()
     multiply, calls = ring_analysis._Form.__mul__, 0
 
     def interrupted(self, other):
@@ -758,9 +793,8 @@ def _seeded_sets(seed, sizes, per_size, max_phi=96):
 
 
 def _candidates(x, u, bounds):
-    gens = _delta_generators(u)
     values = tuple(v for _, v in _numerator_generators(u))
-    return _Candidates(x, values, [form for _, _, form in gens], bounds)
+    return _Candidates(x, values, bounds)
 
 
 def test_candidates_match_the_product_chain():
@@ -1103,11 +1137,11 @@ def test_residual_matches_the_sequential_projection():
 
 def _excluded_reference(stream, form, lattice, basis):
     """The screen on the sum: the images of the powers summed, then reduced."""
-    zero = (0,) * len(stream.gens)
+    zero = (0,) * len(stream.powers.factors)
     if lattice.rows is None or evaluate(stream.powers[zero], lattice.n) is None:
         return False
     q = lattice.q
-    total = sum(c % q * stream.image(e, lattice) % q for e, c in form.items())
+    total = sum(c % q * stream.images[e] % q for e, c in form.items())
     return bool(_residual_reference(basis, total % q, q).any())
 
 
