@@ -135,7 +135,7 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
     distinct coefficient list read once and each level's births stacked and
     chained as generate chains them; a malformed document raises ValueError."""
     try:
-        if doc.get("schema") != SCHEMA_VERSION:
+        if _integer(doc.get("schema"), "schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema: {doc.get('schema')!r}")
         if doc.get("kind") != "origami-points":
             raise ValueError(f"not a point-set document: {doc.get('kind')!r}")
@@ -144,17 +144,18 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
         alpha, beta = Angle.parse(doc["alpha"]), Angle.parse(doc["beta"])
         u = SlopeSet([Angle.parse(s) for s in doc["slopes"]], alpha=alpha, beta=beta)
         _require(doc, ("conductor", "points"), "document")
-        conductor = int(doc["conductor"])
+        conductor = _integer(doc["conductor"], "conductor")
         if conductor < 1:
             raise ValueError(f"conductor must be a positive integer, got {conductor}")
         entries = doc["points"]
         for i, entry in enumerate(entries):
             _require(entry, ("level", "r", "s"), f"point {i}")
-        k_max = int(doc.get("k_max", max((int(e["level"]) for e in entries), default=0)))
+            _integer(entry["level"], f"point {i}: level")
+        k_max = _integer(doc.get("k_max", max((e["level"] for e in entries), default=0)), "k_max")
         values: dict[tuple, CyclotomicReal] = {}  # coefficient list -> its value
         born: dict[int, tuple[list, list]] = {}  # level -> the r and s of its new points
         for i, entry in enumerate(entries):
-            level = int(entry["level"])
+            level = entry["level"]
             if not 0 <= level <= k_max:
                 raise ValueError(f"point {i}: level {level} is outside 0..{k_max}")
             try:
@@ -165,8 +166,10 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
                     column.append(values[text])
             except ZeroDivisionError:
                 raise ValueError(f"point {i}: a coefficient has a zero denominator") from None
-        truncated = bool(doc.get("truncated", False))
-    except (TypeError, AttributeError) as exc:  # a number, list or null of the wrong kind
+        truncated = doc.get("truncated", False)
+        if not isinstance(truncated, bool):
+            raise TypeError(f"truncated must be true or false, got {truncated!r}")
+    except (TypeError, AttributeError) as exc:  # a value of the wrong type
         raise ValueError(f"malformed document: {exc}") from None
     n = conductor if values else 1  # no coefficient list bounds an empty document's conductor
     levels: list[LevelSet] = []
@@ -177,6 +180,14 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
         rows = (u.frame, stack(r, n), stack(s, n))
         levels.append(LevelSet._grown(k, levels[-1] if levels else None, rows, cut))
     return u, levels
+
+
+def _integer(value, where: str) -> int:
+    """value if it is an int and not a bool; from_json_document reports the
+    TypeError raised otherwise as a malformed document."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _require(mapping: dict, keys: Sequence[str], where: str) -> None:

@@ -2,8 +2,10 @@
 
 IntegerLattice keeps a Z-basis in Hermite normal form with tracking,
 deciding membership of integer vectors in the Z-span of the generators
-and returning the integer combination.  A generator that does not raise
-the rank comes back as the primitive integer relation it closes.
+and returning the integer combination.  Each row carries its tracked
+combination in the same list, after its entries, so one row operation
+updates both.  A generator that does not raise the rank comes back as
+the primitive integer relation it closes.
 Reducing the entries above each pivot keeps the rows small (Cohen,
 GTM 138, section 2.4), but not their tracked combinations: those grow
 with every row operation, and only a caller that knows the relations
@@ -66,67 +68,58 @@ class RowSpace:
 class IntegerLattice:
     """Z-basis in Hermite normal form with combination tracking.
 
-    Rows are indexed by pivot column; an incoming vector is swept left
-    to right, so every gcd combination only ever touches columns at or
-    after the current one and the echelon shape is preserved.  After
+    Each row is one list: its `dimension` entries, then its tracked
+    combination over every generator added so far (the augmented rows of
+    Cohen, GTM 138, section 2.4), so every row operation acts on both at
+    once.  Rows are indexed by pivot column; an incoming vector is swept
+    left to right, so every gcd combination only ever touches columns at
+    or after the current one and the echelon shape is preserved.  After
     each add every pivot is positive and every entry above a pivot lies
-    in [0, pivot), the same row operations applied to the combinations.
+    in [0, pivot).
     """
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self._pivots: dict[int, tuple[list[int], list[int]]] = {}
+        self._pivots: dict[int, list[int]] = {}
         self._count = 0
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _pad(self):
-        for _, combo in self._pivots.values():
-            combo.extend([0] * (self._count - len(combo)))
+    def _vector(self, vector: Sequence[int]) -> list[int]:
+        vec = [int(v) for v in vector]
+        if len(vec) != self.dimension:
+            raise ValueError("vector has wrong dimension")
+        return vec
 
     def add(self, vector: Sequence[int]) -> Optional[list[int]]:
         """Adjoin a generator.  Returns None if the rank grew, else the
         relation sum(combo[i] * generator_i) = 0 that it closes; the row
         operations are unimodular, so that relation is primitive."""
-        vec = [int(v) for v in vector]
-        if len(vec) != self.dimension:
-            raise ValueError("vector has wrong dimension")
+        vec = self._vector(vector) + [0] * self._count + [1]
         self._count += 1
-        self._pad()
-        combo = [0] * self._count
-        combo[-1] = 1
+        for row in self._pivots.values():
+            row.append(0)
         for col in range(self.dimension):
             if vec[col] == 0:
                 continue
-            hit = self._pivots.get(col)
-            if hit is None:
-                self._pivots[col] = (vec, combo)
+            row = self._pivots.get(col)
+            if row is None:
+                self._pivots[col] = vec
                 break
-            row, row_combo = hit
             a, b = row[col], vec[col]
             if b % a == 0:
                 q = b // a
-                for i in range(col, self.dimension):
-                    vec[i] -= q * row[i]
-                for i in range(self._count):
-                    combo[i] -= q * row_combo[i]
+                vec[col:] = [v - q * r for v, r in zip(vec[col:], row[col:])]
             else:
                 g, x, y = _xgcd(a, b)
                 qa, qb = a // g, b // g
-                new_row = [x * row[i] + y * vec[i] for i in range(self.dimension)]
-                new_combo = [
-                    x * row_combo[i] + y * combo[i] for i in range(self._count)
-                ]
-                vec = [qa * vec[i] - qb * row[i] for i in range(self.dimension)]
-                combo = [
-                    qa * combo[i] - qb * row_combo[i] for i in range(self._count)
-                ]
-                self._pivots[col] = (new_row, new_combo)
+                self._pivots[col] = [x * r + y * v for r, v in zip(row, vec)]
+                vec = [qa * v - qb * r for r, v in zip(row, vec)]
         self._hermite_reduce()
         # a vector that found no free pivot was swept to zero
-        return None if any(vec) else combo
+        return None if any(vec[: self.dimension]) else vec[self.dimension :]
 
     def _hermite_reduce(self) -> None:
         """Make pivots positive and reduce the entries above them.
@@ -136,40 +129,28 @@ class IntegerLattice:
         """
         cols = sorted(self._pivots)
         for k, col in enumerate(cols):
-            row, combo = self._pivots[col]
+            row = self._pivots[col]
             if row[col] < 0:
-                row[col:] = [-c for c in row[col:]]
-                combo[:] = [-c for c in combo]
+                row[col:] = [-r for r in row[col:]]
             pivot = row[col]
             for above in cols[:k]:
-                upper, upper_combo = self._pivots[above]
-                q = upper[col] // pivot
-                if q:
-                    for i in range(col, self.dimension):
-                        upper[i] -= q * row[i]
-                    for i in range(self._count):
-                        upper_combo[i] -= q * combo[i]
+                upper = self._pivots[above]
+                if q := upper[col] // pivot:
+                    upper[col:] = [u - q * r for u, r in zip(upper[col:], row[col:])]
 
     def membership(self, vector: Sequence[int]) -> Optional[list[int]]:
         """Integer coordinates of vector over the added generators, or None."""
-        vec = [int(v) for v in vector]
-        if len(vec) != self.dimension:
-            raise ValueError("vector has wrong dimension")
-        self._pad()
-        combo = [0] * self._count
+        vec = self._vector(vector) + [0] * self._count
         for col in range(self.dimension):
             if vec[col] == 0:
                 continue
-            hit = self._pivots.get(col)
-            if hit is None or vec[col] % hit[0][col]:
+            row = self._pivots.get(col)
+            if row is None or vec[col] % row[col]:
                 return None
-            row, row_combo = hit
             q = vec[col] // row[col]
-            for i in range(col, self.dimension):
-                vec[i] -= q * row[i]
-            for i in range(self._count):
-                combo[i] += q * row_combo[i]
-        return combo
+            vec[col:] = [v - q * r for v, r in zip(vec[col:], row[col:])]
+        # the sweep subtracted sum(q * row); the tail holds minus its combination
+        return [-c for c in vec[self.dimension :]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -388,13 +388,6 @@ def _search_order(count: int, top: int, budget: int) -> tuple[tuple[int, ...], .
     return tuple(itertools.islice(_graded_exponents(count, count * top, top), budget))
 
 
-def _delta_generators(u: SlopeSet) -> list[tuple[str, CyclotomicReal, _Form]]:
-    """(name, value, linear form in the p's) per delta generator, in search order."""
-    gens = _numerator_generators(u)
-    forms = _forms(len(gens)).factors
-    return [(name, v, form) for (name, v), form in zip(_deltas(gens, 1), forms)]
-
-
 class _MonomialLattice:
     """Z-span of bounded monomials in the numerator generators.
 
@@ -467,16 +460,17 @@ class _MonomialLattice:
             length, width = len(self.exponents), len(first)
             for j in range(length - width + 1):
                 rows.append([0] * j + first + [0] * (length - j - width))
-            # The Hermite sweep leaves the tracked combinations at thousands
+            # The Hermite sweep leaves the tracked combinations, the tails
+            # of the Hermite rows after their phi(n) entries, at thousands
             # of bits.  Dividing each by mu(p) from the top, quotient
             # floor(c[top] / lead), moves it by kernel rows only: the
             # Hermite rows stay, each Babai quotient of a hit moves by an
             # integer, and the reduced witness is the same unless a step
             # rounds an exact half.
-            for _, combo in lattice._pivots.values():
-                for j in reversed(range(len(rows))):
-                    if q := combo[j + width - 1] // first[-1]:
-                        combo[j:j + width] = [a - q * b for a, b in zip(combo[j:j + width], first)]
+            for row in lattice._pivots.values():
+                for j in reversed(range(lattice.dimension, lattice.dimension + len(rows))):
+                    if q := row[j + width - 1] // first[-1]:
+                        row[j:j + width] = [a - q * b for a, b in zip(row[j:j + width], first)]
         kernel: list[tuple[list[int], list[int], int]] = []
         for row in rows:
             w = row
@@ -490,7 +484,7 @@ class _MonomialLattice:
         # The Hermite rows restricted to their pivot columns: upper
         # triangular with a positive diagonal.
         cols = sorted(lattice._pivots)
-        block = [[lattice._pivots[c][0][k] for k in cols] for c in cols]
+        block = [[lattice._pivots[c][k] for k in cols] for c in cols]
         return lattice, common_den, kernel, (cols, block)
 
     lattice = property(lambda self: self._exact[0])
@@ -719,7 +713,7 @@ def membership_in_MR(
         )
 
     lattice = _monomial_lattice(u, bounds.max_num_deg)
-    den_names, den_values, _ = zip(*_delta_generators(u))
+    den_names, den_values = zip(*_deltas(_numerator_generators(u), 1))
     candidates = _Candidates(x_n, lattice.values, bounds)
     # Once the images span Q(p) mod q, the screen could almost never reject.
     sieve = lattice.rows is not None and len(lattice.rows) < euler_phi(n) // len(group)

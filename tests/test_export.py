@@ -324,13 +324,24 @@ def test_from_json_document_rejects_malformed_input(triangle, spoil, message):
         lambda doc: {**doc, "slopes": [0, 1, 2]},
         lambda doc: {**doc, "alpha": 5},
         lambda doc: [doc],
+        lambda doc: _spoil_point(doc, level=1.9),
+        lambda doc: _spoil_point(doc, level="1"),
+        lambda doc: _spoil_point(doc, level=True),
+        lambda doc: {**doc, "k_max": 1.5},
+        lambda doc: {**doc, "conductor": str(doc["conductor"])},
+        lambda doc: {**doc, "schema": True},
+        lambda doc: {**doc, "schema": 1.0},
+        lambda doc: {**doc, "truncated": "no"},
     ],
     ids=["points-number", "point-number", "r-number", "coefficient-null", "level-null",
-         "k-max-null", "slopes-numbers", "alpha-number", "top-level-list"],
+         "k-max-null", "slopes-numbers", "alpha-number", "top-level-list", "level-float",
+         "level-string", "level-bool", "k-max-float", "conductor-string", "schema-bool",
+         "schema-float", "truncated-string"],
 )
 def test_from_json_document_rejects_values_of_the_wrong_type(triangle, spoil):
-    # a number, list or null where the schema has another type is a
-    # malformed document too, not a TypeError or AttributeError
+    # a number, string, list or null where the schema has another type
+    # is a malformed document too, not a TypeError or AttributeError, and
+    # not a value coerced to the right type
     doc = to_json_document(triangle, generate(triangle, 1))
     with pytest.raises(ValueError, match="malformed document"):
         from_json_document(spoil(doc))

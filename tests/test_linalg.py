@@ -121,11 +121,12 @@ def test_integer_lattice_random_soundness():
 
 
 def _hermite_invariants(lat, gens):
-    rows = sorted(lat._pivots.items())
-    for k, (col, (row, combo)) in enumerate(rows):
+    dim = lat.dimension
+    rows = [(col, row[:dim], row[dim:]) for col, row in sorted(lat._pivots.items())]
+    for k, (col, row, combo) in enumerate(rows):
         assert all(c == 0 for c in row[:col])
         assert row[col] > 0
-        for _, (upper, _) in rows[:k]:
+        for _, upper, _ in rows[:k]:
             assert 0 <= upper[col] < row[col]
         rebuilt = [
             sum(c * g[j] for c, g in zip(combo, gens)) for j in range(lat.dimension)
@@ -174,6 +175,21 @@ def test_integer_lattice_hermite_invariants():
                 assert rebuilt == target
 
 
+def test_integer_lattice_refuses_wrong_lengths_and_stays_as_it_was():
+    # a refused add must not count as a generator: every later relation
+    # and combination would be misaligned by one
+    lat = IntegerLattice(2)
+    assert lat.add([1, 0]) is None
+    for wrong in ([1], [1, 0, 0]):
+        with pytest.raises(ValueError):
+            lat.add(wrong)
+        with pytest.raises(ValueError):
+            lat.membership(wrong)
+        assert lat.rank == 1
+    assert lat.add([2, 0]) == [-2, 1]
+    assert lat.membership([3, 0]) == [3, 0]
+
+
 def test_integer_lattice_hermite_form_is_canonical():
     # the Hermite normal form depends on the lattice, not on the order
     # in which its generators arrive
@@ -187,7 +203,7 @@ def test_integer_lattice_hermite_form_is_canonical():
             lat = IntegerLattice(dim)
             for g in gens:
                 lat.add(g)
-            forms.add(tuple(tuple(row) for _, (row, _) in sorted(lat._pivots.items())))
+            forms.add(tuple(tuple(row[:dim]) for _, row in sorted(lat._pivots.items())))
         assert len(forms) == 1
 
 

@@ -34,7 +34,7 @@ from origami_rings.ring_analysis import (
     _Candidates,
     _Chain,
     _MonomialLattice,
-    _delta_generators,
+    _deltas,
     _fixing_group,
     _generators_mod_sign,
     _graded_exponents,
@@ -266,7 +266,8 @@ def test_pentagon_lattice_stays_small(pentagon):
     # combinations by mu(p) keeps them at 63 bits (2,694 without);
     # unreduced they grow past 100,000
     lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG).lattice
-    rows = lattice._pivots.values()
+    dim = lattice.dimension
+    rows = [(row[:dim], row[dim:]) for row in lattice._pivots.values()]
     assert max(abs(c).bit_length() for row, _ in rows for c in row) <= 64
     assert max(abs(c).bit_length() for _, combo in rows for c in combo) <= 4096
 
@@ -564,7 +565,9 @@ def test_pivot_combinations_reproduce_their_rows_and_stay_small(pentagon):
         for (e,) in lattice.exponents:
             y = p**e
             scaled.append([c * (lattice.common_den // y._den) for c in y._num])
-        for row, combo in lattice.lattice._pivots.values():
+        dim = lattice.lattice.dimension
+        for hermite in lattice.lattice._pivots.values():
+            row, combo = hermite[:dim], hermite[dim:]
             total = [sum(c * v[k] for c, v in zip(combo, scaled)) for k in range(len(row))]
             assert total == row, str(u)
             assert max(abs(c).bit_length() for c in combo) <= 128, str(u)
@@ -804,7 +807,7 @@ def test_candidates_match_the_product_chain():
     top = bounds.max_den_exp
     for u in _seeded_sets(13, (4, 5), 3):
         n = u.working_conductor
-        den_values = [v for _, v, _ in _delta_generators(u)]
+        den_values = [v for _, v in _deltas(_numerator_generators(u), 1)]
         for x in ratio_elements(u):
             x_n = rewrite_in_conductor(x, n)
             chain = _graded_products(x_n, den_values, len(den_values) * top, top)
@@ -819,7 +822,7 @@ def test_candidates_match_the_product_chain():
 def _member_by_construction(rng, u, lattice):
     """A small polynomial in the p's over a monomial in the delta
     generators, so some candidate clears it."""
-    den_values = [v for _, v, _ in _delta_generators(u)]
+    den_values = [v for _, v in _deltas(_numerator_generators(u), 1)]
     num = sum(rng.randint(-3, 3) * math.prod(
         v**e for v, e in zip(lattice.values, exps)
     ) for exps in lattice.exponents[:6]) + 1
