@@ -388,7 +388,7 @@ class CyclotomicReal:
         cls, conductor: int, coeffs: Sequence[Rational]
     ) -> "CyclotomicReal":
         """Build from all phi(conductor) basis coefficients; rejects non-real elements."""
-        fracs = [Fraction(c) for c in coeffs]
+        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if conductor < 1:
             raise ValueError(f"conductor must be a positive integer, got {conductor}")
         if conductor > 2 * len(fracs) ** 2:  # phi(n) >= sqrt(n/2): refused before factoring

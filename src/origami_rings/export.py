@@ -19,6 +19,8 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .angles import Angle
@@ -132,8 +134,9 @@ def to_json_document(
 
 def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
     """Rebuild the slope set and exact cumulative levels from schema 1, each
-    distinct coefficient list read once and each level's births stacked and
-    chained as generate chains them; a malformed document raises ValueError."""
+    distinct coefficient string parsed once, each distinct coefficient list
+    read once and each level's births stacked and chained as generate
+    chains them; a malformed document raises ValueError."""
     try:
         if _integer(doc.get("schema"), "schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema: {doc.get('schema')!r}")
@@ -153,6 +156,7 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
             _integer(entry["level"], f"point {i}: level")
         k_max = _integer(doc.get("k_max", max((e["level"] for e in entries), default=0)), "k_max")
         values: dict[tuple, CyclotomicReal] = {}  # coefficient list -> its value
+        fraction = lru_cache(maxsize=None)(Fraction)  # each distinct coefficient parsed once
         born: dict[int, tuple[list, list]] = {}  # level -> the r and s of its new points
         for i, entry in enumerate(entries):
             level = entry["level"]
@@ -162,7 +166,8 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
                 for key, column in zip("rs", born.setdefault(level, ([], []))):
                     text = tuple(entry[key])
                     if text not in values:
-                        values[text] = CyclotomicReal.from_coeffs(conductor, text)
+                        coeffs = list(map(fraction, text))
+                        values[text] = CyclotomicReal.from_coeffs(conductor, coeffs)
                     column.append(values[text])
             except ZeroDivisionError:
                 raise ValueError(f"point {i}: a coefficient has a zero denominator") from None

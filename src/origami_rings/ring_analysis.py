@@ -399,6 +399,10 @@ class _MonomialLattice:
     Hermite rows are built at the first exact query.  With one generator
     each Hermite row's tracked combination is then divided by mu(p), so a
     hit comes back at about 100 bits, not 2,700, before the Babai step.
+    Once the rows mod q, and so the Hermite rows, span Q(p), `_steps`
+    holds multiplication by each delta generator as a d x d matrix on
+    pivot coordinates, and `coordinates` walks a query's candidates with
+    one vector-matrix product each.
     """
 
     def __init__(self, u: SlopeSet, max_num_deg: int):
@@ -475,12 +479,12 @@ class _MonomialLattice:
         for row in rows:
             w = row
             for b, v, bv in reversed(kernel):
-                a = sum(x * y for x, y in zip(w, v))
+                a = sum(map(operator.mul, w, v))
                 if a:
                     w = [bv * x - a * y for x, y in zip(w, b)]
                     g = math.gcd(*w)
                     w = [x // g for x in w]
-            kernel.append((row, w, sum(x * y for x, y in zip(row, w))))
+            kernel.append((row, w, sum(map(operator.mul, row, w))))
         # The Hermite rows restricted to their pivot columns: upper
         # triangular with a positive diagonal.
         cols = sorted(lattice._pivots)
@@ -516,6 +520,55 @@ class _MonomialLattice:
         g = math.gcd(den, *t)
         return [a // g for a in t], den // g
 
+    @cached_property
+    def _steps(self) -> tuple[list[np.ndarray], int]:
+        """(matrices, den): multiplication by each delta generator, in the
+        order of `_deltas`, as an integer matrix over den acting on pivot
+        coordinates, for a lattice whose Hermite rows h_k span Q(p).
+
+        The eta_k = h_k / common_den are then a basis of Q(p), and row k of
+        the matrix of p_i holds the pivot coordinates of eta_k * p_i, so
+        those of y * p_i are those of y times the matrix (Cohen, GTM 138,
+        section 4.2): one exact product per row and generator.  The
+        matrices of p_i - 1 and p_i - p_j follow by subtraction.
+        """
+        lattice, common_den, _, (cols, _) = self._exact
+        basis = [CyclotomicReal._make(self.n, lattice._pivots[c][:lattice.dimension], common_den)
+                 for c in cols]
+        coords = [[self.pivot_coordinates(b * p) for b in basis] for p in self.values]
+        den = math.lcm(*(d for matrix in coords for _, d in matrix))
+        matrices = [np.array([[a * (den // d) for a in t] for t, d in matrix], dtype=object)
+                    for matrix in coords]
+        one = np.identity(len(cols), dtype=object) * den
+        return [m for _, m in _deltas([("", m) for m in matrices], one)], den
+
+    def coordinates(self, x: CyclotomicReal) -> _Chain:
+        """The pivot coordinates (t, den) of x * m(p), in lowest terms, by
+        the exponents of the denominator monomial m in the delta generators;
+        each is one vector-matrix product from its neighbour's.  Exact once
+        the Hermite rows span Q(p) and x lies in Q(p), and then x * m(p)
+        lies in the lattice exactly when den is 1."""
+        steps, step_den = self._steps
+
+        def step(value: tuple[np.ndarray, int], matrix: np.ndarray) -> tuple[np.ndarray, int]:
+            t, den = value[0].dot(matrix), value[1] * step_den
+            g = math.gcd(den, *t)
+            return t // g, den // g
+
+        t, den = self.pivot_coordinates(x)
+        return _Chain((np.array(t, dtype=object), den), steps, step)
+
+    def combination(self, t: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+        """The witness terms of the lattice element with integer pivot
+        coordinates t: the sum of t_k times the tracked combination of
+        Hermite row k, which is what the sweep of `membership` returns."""
+        lattice, _, _, (cols, _) = self._exact
+        combo = [0] * len(self.exponents)
+        for a, col in zip(t, cols):
+            if a:
+                combo = [c + a * r for c, r in zip(combo, lattice._pivots[col][lattice.dimension:])]
+        return self._terms(combo)
+
     def _size_reduce(self, combo: list[int]) -> list[int]:
         """Babai's nearest plane against the kernel rows, last row first; row
         j is a shift of mu(p), nonzero in columns j to j + width - 1 only,
@@ -523,10 +576,15 @@ class _MonomialLattice:
         c = list(combo)
         width = len(c) - len(self._kernel) + 1
         for j, (row, w, bw) in reversed(list(enumerate(self._kernel))):
-            q = _round_half_even(sum(a * b for a, b in zip(c, w)), bw)
+            q = _round_half_even(sum(map(operator.mul, c, w)), bw)
             if q:
                 c[j:j + width] = [a - q * b for a, b in zip(c[j:j + width], row[j:j + width])]
         return c
+
+    def _terms(self, combo: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+        """(coefficient, exponents) of the size-reduced combination."""
+        combo = self._size_reduce(combo)
+        return [(c, self.exponents[i]) for i, c in enumerate(combo) if c]
 
     def membership(self, y: CyclotomicReal) -> Optional[list[tuple[int, tuple[int, ...]]]]:
         lattice, common_den = self._exact[:2]
@@ -534,10 +592,7 @@ class _MonomialLattice:
             return None
         scale = common_den // y._den
         combo = lattice.membership([c * scale for c in y._num])
-        if combo is None:
-            return None
-        combo = self._size_reduce(combo)
-        return [(c, self.exponents[i]) for i, c in enumerate(combo) if c]
+        return None if combo is None else self._terms(combo)
 
 
 def _round_half_even(a: int, b: int) -> int:
@@ -560,7 +615,8 @@ def _combination(terms: Sequence[tuple[int, Sequence[int], int]]) -> tuple[list[
 class _Candidates:
     """(exps, form) for the denominator monomials m = prod(d_i^exps[i]) in
     the search order, form being m as a polynomial in the numerator
-    generators p.
+    generators p; the search walks these while the lattice does not span
+    Q(p) or q divides a denominator.
 
     Every delta generator is a linear form in the p's, so x * m(p) is an
     integer combination of the powers x * p^e, the chain `powers`.  The
@@ -714,13 +770,22 @@ def membership_in_MR(
 
     lattice = _monomial_lattice(u, bounds.max_num_deg)
     den_names, den_values = zip(*_deltas(_numerator_generators(u), 1))
-    candidates = _Candidates(x_n, lattice.values, bounds)
-    # Once the images span Q(p) mod q, the screen could almost never reject.
-    sieve = lattice.rows is not None and len(lattice.rows) < euler_phi(n) // len(group)
-    for exps, form in candidates:
-        if (sieve and candidates.excluded(form, lattice)) or candidates.off_lattice(form, lattice):
-            continue
-        combo = lattice.membership(candidates.value(form))
+    if lattice.rows is not None and len(lattice.rows) == euler_phi(n) // len(group):
+        # The images span Q(p) mod q, so the Hermite rows span Q(p), which
+        # holds x: a candidate is a member exactly when its pivot
+        # coordinates are integers.
+        coords = lattice.coordinates(x_n)
+        order = _search_order(len(den_values), bounds.max_den_exp, bounds.max_candidates)
+        hits = ((exps, lattice.combination(coords[exps][0]))
+                for exps in order if coords[exps][1] == 1)
+    else:
+        candidates = _Candidates(x_n, lattice.values, bounds)
+        sieve = lattice.rows is not None
+        hits = ((exps, lattice.membership(candidates.value(form)))
+                for exps, form in candidates
+                if not ((sieve and candidates.excluded(form, lattice))
+                        or candidates.off_lattice(form, lattice)))
+    for exps, combo in hits:
         if combo is not None:
             witness = MembershipWitness(
                 generator_names=lattice.names,

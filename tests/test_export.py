@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from origami_rings import cyclotomic
+from origami_rings import cyclotomic, export
 from origami_rings.angles import Angle
 from origami_rings.construction import LevelSet, generate
 from origami_rings.cyclotomic import CyclotomicReal, cos_of
@@ -260,6 +260,22 @@ def test_json_reader_reads_each_coordinate_once_into_chained_rows(pentagon, monk
         assert frame == pentagon.frame
         assert [(b.n, b.rows()) for b in rows] == [(b.n, b.rows()) for b in born]
         assert rebuilt.points == orig.points
+
+
+def test_json_reader_parses_each_coefficient_string_once(pentagon, monkeypatch):
+    levels = generate(pentagon, 2)
+    doc = json.loads(json_text(pentagon, levels))
+    strings = {c for point in doc["points"] for key in "rs" for c in point[key]}
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return Fraction(text)
+
+    monkeypatch.setattr(export, "Fraction", counted)
+    _, back = from_json_document(doc)
+    assert sorted(parsed) == sorted(strings)
+    assert [level.points for level in back] == [level.points for level in levels]
 
 
 def test_from_json_document_rejects_a_huge_conductor_at_once(triangle):

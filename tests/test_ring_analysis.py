@@ -633,6 +633,45 @@ def test_pentagon_member_witnesses_are_pinned(pentagon):
     assert digest == PENTAGON_MEMBER_DIGEST
 
 
+def _seeded_pentagon_queries(seed, count):
+    """Values inside Q(p) (radicals, their products, shifts and quotients
+    by small integers, rationals) and, one in six, outside it."""
+    inside = ["sqrt(3)", "sqrt(5)", "sqrt(15)"] + [
+        f"{fn}({k}pi/{n})" for n in (3, 5, 6, 10, 15, 30)
+        for k in range(1, n) if math.gcd(k, 2 * n) == 1 for fn in ("cos", "sin")]
+    outside = ["sqrt(2)", "sqrt(7)", "cos(pi/8)", "sin(pi/12)", "cos(pi/7)"]
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        a, b = rng.sample(inside, 2)
+        c, d = rng.randint(-6, 6), rng.randint(1, 9)
+        shapes = (a, f"{a}*{b}", f"{c}/{d} + {a}", f"{a}/{d} - {b}", f"{c}/{d}")
+        out.append(shapes[i % 6] if i % 6 < 5 else f"{rng.choice(outside)} + {a}")
+    return out
+
+
+# (query, verdict, numerator terms, denominator exponents) of 120 seeded
+# queries: 70 ProvenIn, 20 ProvenNotIn and 30 Unknown, digested at the
+# commit before the candidates were tested in pivot coordinates
+SEEDED_PENTAGON_DIGEST = "f10e8198c8d958015e38fda2680414ca7cb0046d1286f8a9dbfc70636d8a930e"
+
+
+def test_seeded_pentagon_verdicts_are_pinned(pentagon):
+    entries = []
+    for text in _seeded_pentagon_queries(53, 120):
+        v = membership_in_MR(parse_expression(text), pentagon)
+        w = v.witness
+        entries.append([
+            text, v.kind.value,
+            None if w is None else [[c, list(e)] for c, e in w.numerator_terms],
+            None if w is None else sorted(w.denominator_exponents.items()),
+        ])
+    kinds = [kind for _, kind, _, _ in entries]
+    assert [kinds.count(k.value) for k in MembershipKind] == [70, 20, 30]
+    digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+    assert digest == SEEDED_PENTAGON_DIGEST
+
+
 def _monomials_reference(count, total_degree):
     """The former monomial enumerator: graded, lex within a degree."""
     if count == 0:
@@ -721,41 +760,37 @@ def test_graded_products_visit_the_former_orders():
 
 
 def test_one_product_per_monomial_and_per_candidate(pentagon, monkeypatch):
+    # the monomials take one product each and the candidate steps one per
+    # Hermite row and generator; a warm query then takes none, however
+    # many candidates it visits
     bounds = SearchBounds()
     _numerator_generators(pentagon)  # p itself is built before counting
-    x = sqrt_rational(3)
-    products = candidates = 0
+    products = 0
     multiply = CyclotomicReal.__mul__
-    stream = _Candidates.__iter__
 
     def counting_mul(self, other):
         nonlocal products
         products += 1
         return multiply(self, other)
 
-    def counting_stream(self):
-        nonlocal candidates
-        for item in stream(self):
-            candidates += 1
-            yield item
-
     monkeypatch.setattr(CyclotomicReal, "__mul__", counting_mul)
-    monkeypatch.setattr(_Candidates, "__iter__", counting_stream)
     lattice = _MonomialLattice(pentagon, bounds.max_num_deg)
     lattice.lattice  # the exact monomials are made at the first exact query
     assert 0 < products <= len(lattice.exponents) - 1
-    _monomial_lattice(pentagon, bounds.max_num_deg).lattice  # built here, not in the count
-    _fixing_group(pentagon)
+    degree = euler_phi(pentagon.working_conductor) // len(_fixing_group(pentagon))
+    assert len(lattice.rows) == lattice.lattice.rank == degree == 8
     products = 0
-    v = membership_in_MR(x, pentagon, bounds)
-    assert v.is_proven_in
-    # every visited candidate reaches the pivot test, which reads its
-    # powers; candidate p^i (p-1)^j uses the powers x * p^i .. x * p^(i+j)
-    top = bounds.max_den_exp
-    visited = itertools.islice(_graded_products(1, (1, 1), 2 * top, top), candidates)
-    powers = set().union(*(range(i, i + j + 1) for (i, j), _ in visited))
-    assert 0 < products <= len(powers)
-    assert products < candidates
+    steps, _ = lattice._steps
+    assert products == degree * len(lattice.values)
+    assert len(steps) == 2 and all(m.shape == (degree, degree) for m in steps)  # p and p-1
+    warm = _monomial_lattice(pentagon, bounds.max_num_deg)
+    warm._steps  # built here, not in the count
+    for text in ("sqrt(3)", "sqrt(15)", "cos(pi/5)", "7/3"):
+        x = parse_expression(text)
+        products = 0
+        v = membership_in_MR(x, pentagon, bounds)
+        assert v.is_proven_in and v.witness.denominator_exponents, text
+        assert products == 0, text
 
 
 def test_candidate_stream_is_not_cut_short_by_an_interrupt(pentagon, monkeypatch):
@@ -879,28 +914,62 @@ def test_pivot_coordinates_never_reject_a_lattice_member():
 
 def test_warm_pentagon_sweeps_only_the_witness(pentagon, monkeypatch):
     # the lattice spans Q(p) and x passed the field test, so the pivot
-    # test is exact: one Hermite sweep per ProvenIn, none for ProvenNotIn
+    # coordinates decide every candidate and give the witness: no Hermite
+    # sweep runs, for ProvenIn or ProvenNotIn
     queries = ["sqrt(3)", "sqrt(15)", "cos(pi/5)", "sin(7pi/30)", "1/3", "7/3",
                "sqrt(2)", "cos(pi/8)", "sin(pi/12)"]
     membership_in_MR(Fraction(1, 7), pentagon)
     sweeps = 0
-    query = IntegerLattice.membership
 
-    def counting_query(self, vector):
-        nonlocal sweeps
-        sweeps += 1
-        return query(self, vector)
+    def counting(query):
+        def counted(self, vector):
+            nonlocal sweeps
+            sweeps += 1
+            return query(self, vector)
+        return counted
 
-    monkeypatch.setattr(IntegerLattice, "membership", counting_query)
+    monkeypatch.setattr(IntegerLattice, "membership", counting(IntegerLattice.membership))
+    monkeypatch.setattr(_MonomialLattice, "membership", counting(_MonomialLattice.membership))
     kinds = []
     for text in queries:
         sweeps = 0
         v = membership_in_MR(parse_expression(text), pentagon)
         assert v.witness is None or v.witness.evaluate() == parse_expression(text)
-        assert sweeps == (1 if v.is_proven_in else 0), text
+        assert sweeps == 0, text
         kinds.append(v.kind)
     assert kinds.count(MembershipKind.PROVEN_IN) == 6
     assert kinds.count(MembershipKind.PROVEN_NOT_IN) == 3
+
+
+def test_coordinate_chain_matches_the_exact_sweep():
+    # on spanning lattices with one and with two free constants, every
+    # candidate's chain verdict is the exact sweep's, and on a hit the
+    # combination read off the pivot coordinates is the sweep's
+    bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
+    rng = random.Random(59)
+    hits = misses = 0
+    free = set()
+    for u in _seeded_sets(43, (4, 5), 6):
+        n = u.working_conductor
+        lattice = _monomial_lattice(u, bounds.max_num_deg)
+        if lattice.rows is None or len(lattice.rows) < euler_phi(n) // len(_fixing_group(u)):
+            continue
+        free.add(len(lattice.values))
+        members = [_member_by_construction(rng, u, lattice) for _ in range(2)]
+        for x in [rewrite_in_conductor(y, n) for y in [*ratio_elements(u), *members]]:
+            coords = lattice.coordinates(x)
+            stream = _candidates(x, u, bounds)
+            for exps, form in stream:
+                t, den = coords[exps]
+                combo = lattice.membership(stream.value(form))
+                assert (den == 1) == (combo is not None), (str(u), exps)
+                if combo is None:
+                    misses += 1
+                else:
+                    assert lattice.combination(t) == combo
+                    hits += 1
+    assert free == {1, 2}
+    assert hits and misses
 
 
 def test_round_half_even_matches_fraction_round():
