@@ -1,15 +1,20 @@
 """Exact linear algebra over Q and over Z, on one elimination.
 
-IntegerLattice keeps a Z-basis in Hermite normal form with tracking,
-deciding membership of integer vectors in the Z-span of the generators
-and returning the integer combination.  Each row carries its tracked
-combination in the same list, after its entries, so one row operation
-updates both.  A generator that does not raise the rank comes back as
-the primitive integer relation it closes.
+IntegerLattice keeps a Z-basis in Hermite normal form with tracking.
+Each row carries its tracked combination in the same list, after its
+entries, so one row operation updates both.  A generator that does not
+raise the rank comes back as the primitive integer relation it closes.
+The rows restricted to their pivot columns are triangular, so one
+fraction-free solve, `coordinates`, gives any vector's rational
+coordinates over them; `membership` is that solve, a check that the
+coordinates are integers and reproduce the vector on every column, and
+the sum of the rows' tracked combinations they weight (`combination`).
+The row layout stays in this module: callers read the rows through
+`basis`, `coordinates` and `combination`.
 Reducing the entries above each pivot keeps the rows small (Cohen,
 GTM 138, section 2.4), but not their tracked combinations: those grow
 with every row operation, and only a caller that knows the relations
-can reduce them.
+can reduce them, through `reduce_combinations`.
 
 RowSpace is its rational view: each vector is cleared of denominators
 and adjoined to one IntegerLattice, and a relation becomes rational
@@ -22,7 +27,7 @@ from __future__ import annotations
 import copy
 import math
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Optional, Sequence
 
 
@@ -48,8 +53,8 @@ class RowSpace:
         """Offer a generator (ints or Fractions).  Returns None if it
         enlarged the space, else its coordinates over every previously
         offered generator."""
-        if len(vector) != self.dimension:
-            raise ValueError("vector has wrong dimension")
+        if len(vector) != self.dimension or not all(isinstance(v, Rational) for v in vector):
+            raise ValueError(f"vector must have {self.dimension} rational entries")
         scale = math.lcm(*(v.denominator for v in vector))
         self._scales.append(scale)
         relation = self._lattice.add([v.numerator * (scale // v.denominator) for v in vector])
@@ -74,13 +79,17 @@ class IntegerLattice:
     once.  Rows are indexed by pivot column; an incoming vector is swept
     left to right, so every gcd combination only ever touches columns at
     or after the current one and the echelon shape is preserved.  After
-    each add every pivot is positive and every entry above a pivot lies
-    in [0, pivot).
+    each add every pivot is positive, every entry above a pivot lies in
+    [0, pivot), and the rows are listed in pivot order for the queries
+    until the next add.
     """
 
     def __init__(self, dimension: int):
         self.dimension = dimension
         self._pivots: dict[int, list[int]] = {}
+        # the pivot columns in ascending order and their rows, set by each add
+        self._cols: list[int] = []
+        self._rows: list[list[int]] = []
         self._count = 0
 
     @property
@@ -88,10 +97,10 @@ class IntegerLattice:
         return len(self._pivots)
 
     def _vector(self, vector: Sequence[int]) -> list[int]:
-        vec = [int(v) for v in vector]
-        if len(vec) != self.dimension:
-            raise ValueError("vector has wrong dimension")
-        return vec
+        kinds = set(map(type, vector))  # one subclass test per entry type, not per entry
+        if len(vector) != self.dimension or not all(issubclass(k, Integral) for k in kinds):
+            raise ValueError(f"vector must have {self.dimension} integer entries")
+        return list(map(int, vector))
 
     def add(self, vector: Sequence[int]) -> Optional[list[int]]:
         """Adjoin a generator.  Returns None if the rank grew, else the
@@ -122,35 +131,80 @@ class IntegerLattice:
         return None if any(vec[: self.dimension]) else vec[self.dimension :]
 
     def _hermite_reduce(self) -> None:
-        """Make pivots positive and reduce the entries above them.
+        """Put the rows in pivot order, make pivots positive and reduce the
+        entries above them.
 
         Columns go left to right: reducing at a column only changes the
         entries at or after it, so earlier columns stay reduced.
         """
-        cols = sorted(self._pivots)
-        for k, col in enumerate(cols):
-            row = self._pivots[col]
+        self._cols = sorted(self._pivots)
+        self._rows = [self._pivots[col] for col in self._cols]
+        for k, (col, row) in enumerate(zip(self._cols, self._rows)):
             if row[col] < 0:
                 row[col:] = [-r for r in row[col:]]
-            pivot = row[col]
-            for above in cols[:k]:
-                upper = self._pivots[above]
-                if q := upper[col] // pivot:
+            for upper in self._rows[:k]:
+                if q := upper[col] // row[col]:
                     upper[col:] = [u - q * r for u, r in zip(upper[col:], row[col:])]
 
+    def basis(self) -> list[list[int]]:
+        """The rows' entries in pivot order: a Z-basis of the lattice."""
+        return [row[: self.dimension] for row in self._rows]
+
+    def coordinates(self, vector: Sequence[int]) -> tuple[list[int], int]:
+        """(t, den), in lowest terms, with t / den the rational coordinates
+        over the rows in pivot order that reproduce vector on the pivot
+        columns.
+
+        The rows restricted to their pivot columns are upper triangular
+        with a positive diagonal, so one fraction-free forward substitution
+        keeps t over a single denominator.  A vector in the lattice has
+        den 1 and its integer coordinates in t; one in the rational span of
+        the rows has its exact coordinates in t / den (Cohen, GTM 138,
+        section 2.4).
+        """
+        vec = self._vector(vector)
+        t, den = [], 1
+        for col, pivot in zip(self._cols, self._rows):
+            r = vec[col] * den - sum(a * row[col] for a, row in zip(t, self._rows))
+            g = math.gcd(r, pivot[col])
+            if (f := pivot[col] // g) != 1:
+                t = [a * f for a in t]
+                den *= f
+            t.append(r // g)
+        return t, den
+
+    def combination(self, t: Sequence[int]) -> list[int]:
+        """The tracked combination of sum(t[k] * row_k), rows in pivot order."""
+        combo = [0] * self._count
+        for a, row in zip(t, self._rows):
+            if a:
+                combo = [c + a * r for c, r in zip(combo, row[self.dimension :])]
+        return combo
+
     def membership(self, vector: Sequence[int]) -> Optional[list[int]]:
-        """Integer coordinates of vector over the added generators, or None."""
-        vec = self._vector(vector) + [0] * self._count
-        for col in range(self.dimension):
-            if vec[col] == 0:
-                continue
-            row = self._pivots.get(col)
-            if row is None or vec[col] % row[col]:
-                return None
-            q = vec[col] // row[col]
-            vec[col:] = [v - q * r for v, r in zip(vec[col:], row[col:])]
-        # the sweep subtracted sum(q * row); the tail holds minus its combination
-        return [-c for c in vec[self.dimension :]]
+        """Integer coordinates of vector over the added generators, or None:
+        its coordinates over the rows must be integers, and the rows must
+        reproduce it on every column, not only on the pivot columns."""
+        vec = self._vector(vector)
+        t, den = self.coordinates(vec)
+        if den != 1 or any(sum(a * row[k] for a, row in zip(t, self._rows)) != v
+                           for k, v in enumerate(vec)):
+            return None
+        return self.combination(t)
+
+    def reduce_combinations(self, relations: Sequence[Sequence[int]]) -> None:
+        """Divide every row's tracked combination by relations among the
+        generators, given in echelon order (each one's last nonzero entry
+        after the one before), last relation first: one whose last nonzero
+        entry is at i takes floor(c[i] / relation[i]) times itself off the
+        combination c.  Each row stays the same combination of the
+        generators, so its entries do not change."""
+        d = self.dimension
+        leads = [max(i for i, a in enumerate(relation) if a) for relation in relations]
+        for row in self._rows:
+            for i, relation in reversed(list(zip(leads, relations))):
+                if q := row[d + i] // relation[i]:
+                    row[d:] = [c - q * r for c, r in zip(row[d:], relation)]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -395,14 +395,15 @@ class _MonomialLattice:
     the span of the pointwise powers E(p)^e.  That span is kept as one fully
     reduced echelon matrix `rows` over F_q, 1 at its own pivot and 0 at the
     other `pivots` (both None when q divides a denominator).  The exact
-    `lattice`, `common_den`, Babai rows `_kernel` and the pivot block of the
-    Hermite rows are built at the first exact query.  With one generator
-    each Hermite row's tracked combination is then divided by mu(p), so a
-    hit comes back at about 100 bits, not 2,700, before the Babai step.
-    Once the rows mod q, and so the Hermite rows, span Q(p), `_steps`
-    holds multiplication by each delta generator as a d x d matrix on
-    pivot coordinates, and `coordinates` walks a query's candidates with
-    one vector-matrix product each.
+    `lattice`, `common_den` and Babai rows `_kernel` are built at the first
+    exact query.  With one generator each Hermite row's tracked
+    combination is then divided by the shifts of mu(p), so a hit comes back
+    at about 100 bits, not 2,700, before the Babai step.  Pivot
+    coordinates come from the lattice's one triangular solve.  Once the
+    rows mod q, and so the Hermite rows, span Q(p), `_steps` holds
+    multiplication by each delta generator as a d x d matrix on pivot
+    coordinates, and `coordinates` walks a query's candidates with one
+    vector-matrix product each.
     """
 
     def __init__(self, u: SlopeSet, max_num_deg: int):
@@ -445,8 +446,7 @@ class _MonomialLattice:
         return image
 
     @cached_property
-    def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]],
-                              tuple[list[int], list[list[int]]]]:
+    def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]]]:
         chain = _Chain(CyclotomicReal.from_rational(1, self.n), self.values)
         monomials = [chain[e] for e in self.exponents]
         common_den = math.lcm(*(v._den for v in monomials))
@@ -464,17 +464,12 @@ class _MonomialLattice:
             length, width = len(self.exponents), len(first)
             for j in range(length - width + 1):
                 rows.append([0] * j + first + [0] * (length - j - width))
-            # The Hermite sweep leaves the tracked combinations, the tails
-            # of the Hermite rows after their phi(n) entries, at thousands
-            # of bits.  Dividing each by mu(p) from the top, quotient
-            # floor(c[top] / lead), moves it by kernel rows only: the
-            # Hermite rows stay, each Babai quotient of a hit moves by an
-            # integer, and the reduced witness is the same unless a step
-            # rounds an exact half.
-            for row in lattice._pivots.values():
-                for j in reversed(range(lattice.dimension, lattice.dimension + len(rows))):
-                    if q := row[j + width - 1] // first[-1]:
-                        row[j:j + width] = [a - q * b for a, b in zip(row[j:j + width], first)]
+            # Hermite reduction leaves the tracked combinations at
+            # thousands of bits.  Dividing each by the shifts of mu(p)
+            # moves it by kernel rows only: the Hermite rows stay, each
+            # Babai quotient of a hit moves by an integer, and the reduced
+            # witness is the same unless a step rounds an exact half.
+            lattice.reduce_combinations(rows)
         kernel: list[tuple[list[int], list[int], int]] = []
         for row in rows:
             w = row
@@ -485,40 +480,26 @@ class _MonomialLattice:
                     g = math.gcd(*w)
                     w = [x // g for x in w]
             kernel.append((row, w, sum(map(operator.mul, row, w))))
-        # The Hermite rows restricted to their pivot columns: upper
-        # triangular with a positive diagonal.
-        cols = sorted(lattice._pivots)
-        block = [[lattice._pivots[c][k] for k in cols] for c in cols]
-        return lattice, common_den, kernel, (cols, block)
+        return lattice, common_den, kernel
 
     lattice = property(lambda self: self._exact[0])
     common_den = property(lambda self: self._exact[1])
     _kernel = property(lambda self: self._exact[2])
 
     def pivot_coordinates(self, y: CyclotomicReal) -> tuple[list[int], int]:
-        """(t, den) with t / den the rational coordinates over the Hermite
-        rows H that reproduce common_den * y on the pivot columns.
+        """(t, den), in lowest terms, with t / den the rational coordinates
+        over the Hermite rows that reproduce common_den * y on the pivot
+        columns, from `IntegerLattice.coordinates`.
 
         If common_den * y = s*H with s integral then s = t / den, so a
         non-integral t / den proves y outside the lattice.  Once y lies in
         the rational span of the rows, as it does when the lattice spans
-        Q(p) and y lies in Q(p), the converse holds too (Cohen, GTM 138,
-        section 2.4).  One fraction-free forward substitution through the
-        triangular pivot block keeps t over a single denominator.
+        Q(p) and y lies in Q(p), the converse holds too.
         """
-        _, common_den, _, (cols, block) = self._exact
-        t, den = [], 1
-        for j, col in enumerate(cols):
-            r = y._num[col] * den - sum(a * row[j] for a, row in zip(t, block))
-            g = math.gcd(r, block[j][j])
-            if (f := block[j][j] // g) != 1:
-                t = [a * f for a in t]
-                den *= f
-            t.append(r // g)
-        t = [a * common_den for a in t]
-        den *= y._den
-        g = math.gcd(den, *t)
-        return [a // g for a in t], den // g
+        lattice, common_den = self._exact[:2]
+        t, den = lattice.coordinates(y._num)
+        g = math.gcd(den * y._den, *(a * common_den for a in t))
+        return [a * common_den // g for a in t], den * y._den // g
 
     @cached_property
     def _steps(self) -> tuple[list[np.ndarray], int]:
@@ -532,14 +513,12 @@ class _MonomialLattice:
         section 4.2): one exact product per row and generator.  The
         matrices of p_i - 1 and p_i - p_j follow by subtraction.
         """
-        lattice, common_den, _, (cols, _) = self._exact
-        basis = [CyclotomicReal._make(self.n, lattice._pivots[c][:lattice.dimension], common_den)
-                 for c in cols]
+        basis = [CyclotomicReal._make(self.n, h, self.common_den) for h in self.lattice.basis()]
         coords = [[self.pivot_coordinates(b * p) for b in basis] for p in self.values]
         den = math.lcm(*(d for matrix in coords for _, d in matrix))
         matrices = [np.array([[a * (den // d) for a in t] for t, d in matrix], dtype=object)
                     for matrix in coords]
-        one = np.identity(len(cols), dtype=object) * den
+        one = np.identity(len(basis), dtype=object) * den
         return [m for _, m in _deltas([("", m) for m in matrices], one)], den
 
     def coordinates(self, x: CyclotomicReal) -> _Chain:
@@ -560,14 +539,8 @@ class _MonomialLattice:
 
     def combination(self, t: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
         """The witness terms of the lattice element with integer pivot
-        coordinates t: the sum of t_k times the tracked combination of
-        Hermite row k, which is what the sweep of `membership` returns."""
-        lattice, _, _, (cols, _) = self._exact
-        combo = [0] * len(self.exponents)
-        for a, col in zip(t, cols):
-            if a:
-                combo = [c + a * r for c, r in zip(combo, lattice._pivots[col][lattice.dimension:])]
-        return self._terms(combo)
+        coordinates t, the ones `membership` finds for it."""
+        return self._terms(self.lattice.combination(t))
 
     def _size_reduce(self, combo: list[int]) -> list[int]:
         """Babai's nearest plane against the kernel rows, last row first; row

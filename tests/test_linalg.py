@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from origami_rings.linalg import IntegerLattice, RowSpace
@@ -262,3 +263,152 @@ def test_lattice_member_matches_brute_force():
                     assert tuple(target) in reachable
             else:
                 assert tuple(target) not in reachable
+
+
+# The one solve over the Hermite rows, IntegerLattice.coordinates, against
+# Fraction elimination, and membership against the former sweep.
+
+
+def _membership_reference(lat, vector):
+    """The left-to-right sweep that membership ran before it went through
+    coordinates: subtract each pivot row's multiple, fail at a column
+    without a pivot or with a remainder, and read minus the combination
+    off the swept tail."""
+    dim = lat.dimension
+    vec = list(vector) + [0] * lat._count
+    for col in range(dim):
+        if vec[col] == 0:
+            continue
+        row = lat._pivots.get(col)
+        if row is None or vec[col] % row[col]:
+            return None
+        q = vec[col] // row[col]
+        vec[col:] = [v - q * r for v, r in zip(vec[col:], row[col:])]
+    return [-c for c in vec[dim:]]
+
+
+def _coordinates_reference(basis, vector):
+    """Fraction Gauss-Jordan elimination of t * B = vector on the pivot
+    columns of the rows B, the first nonzero column of each."""
+    cols = [next(j for j, a in enumerate(row) if a) for row in basis]
+    # one equation per pivot column c: sum t_k * B[k][c] = vector[c]
+    system = [[Fraction(row[c]) for row in basis] + [Fraction(vector[c])] for c in cols]
+    size = len(cols)
+    for k in range(size):
+        p = next(i for i in range(k, size) if system[i][k])
+        system[k], system[p] = system[p], system[k]
+        system[k] = [a / system[k][k] for a in system[k]]
+        for i in range(size):
+            if i != k and system[i][k]:
+                f = system[i][k]
+                system[i] = [a - f * b for a, b in zip(system[i], system[k])]
+    return [eq[-1] for eq in system]
+
+
+def _random_lattice(rng, dim, count, scales=None):
+    gens = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(count)]
+    lat = IntegerLattice(dim)
+    for g, s in zip(gens, scales or [1] * count):
+        lat.add([s * a for a in g])
+    return lat, gens
+
+
+def test_coordinates_match_fraction_elimination():
+    rng = random.Random(20261020)
+    kinds = {"lattice": 0, "span only": 0, "outside": 0}
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        count = rng.randint(0, dim + 1)  # fewer than dim generators: rank-deficient
+        scales = [rng.choice([1, 2, 3, 6]) for _ in range(count)]
+        lat, gens = _random_lattice(rng, dim, count, scales)
+        basis = lat.basis()
+        assert len(basis) == lat.rank
+        mix = [rng.randint(-4, 4) for _ in gens]
+        # a combination of the unscaled generators lies in the rational span
+        in_span = [sum(c * g[j] for c, g in zip(mix, gens)) for j in range(dim)]
+        member = [sum(c * s * g[j] for c, s, g in zip(mix, scales, gens)) for j in range(dim)]
+        anywhere = [rng.randint(-9, 9) for _ in range(dim)]
+        for vector in (member, in_span, anywhere):
+            t, den = lat.coordinates(vector)
+            assert den > 0 and math.gcd(den, *t) == 1
+            expected = _coordinates_reference(basis, vector)
+            assert [Fraction(a, den) for a in t] == expected
+            rebuilt = [sum(c * row[j] for c, row in zip(expected, basis)) for j in range(dim)]
+            combo = lat.membership(vector)
+            if rebuilt != vector:
+                kinds["outside"] += 1
+                assert combo is None
+            elif den == 1:
+                kinds["lattice"] += 1
+                assert combo is not None
+            else:
+                kinds["span only"] += 1
+                assert combo is None
+        assert lat.coordinates(member)[1] == 1
+    assert all(kinds.values()), kinds
+
+
+def test_membership_matches_the_former_sweep():
+    rng = random.Random(31)
+    hits = misses = 0
+    for _ in range(80):
+        dim = rng.randint(1, 5)
+        lat, gens = _random_lattice(rng, dim, rng.randint(0, 6),
+                                    [rng.choice([1, 1, 2, 5]) for _ in range(6)])
+        targets = [[rng.randint(-12, 12) for _ in range(dim)] for _ in range(4)]
+        mix = [rng.randint(-3, 3) for _ in gens]
+        targets.append([sum(c * g[j] for c, g in zip(mix, gens)) for j in range(dim)])
+        for target in targets:
+            combo = lat.membership(target)
+            assert combo == _membership_reference(lat, target)
+            hits += combo is not None
+            misses += combo is None
+    assert hits and misses
+
+
+def test_reduce_combinations_keeps_the_rows():
+    # 6, 10 and 15 leave the row 1 = -14*6 + 7*10 + 15 and close the
+    # relations (-5, 3, 0) and (-30, 15, 2); dividing by them from the last
+    # leaves each entry at a relation's last nonzero place in [0, lead)
+    # and the row the same combination of the generators
+    gens = [[6], [10], [15]]
+    lat = IntegerLattice(1)
+    relations = [lat.add(g) for g in gens]
+    assert relations == [None, [-5, 3], [-30, 15, 2]]
+    assert lat.combination([1]) == [-14, 7, 1]
+    lat.reduce_combinations([[-5, 3, 0], [-30, 15, 2]])
+    assert lat.basis() == [[1]]
+    assert lat.combination([1]) == [-4, 1, 1]
+    assert lat.membership([7]) == [-28, 7, 7] == _membership_reference(lat, [7])
+
+
+def test_integer_lattice_refuses_entries_that_are_not_integers():
+    # int() once truncated them: 3/2 and 1.7 were members of Z as 1, and
+    # [2.9, 1] was stored as [2, 1]
+    lat = IntegerLattice(1)
+    assert lat.add([1]) is None
+    for bad in ([Fraction(3, 2)], [1.7], [Fraction(2)], [2.0], ["1"]):
+        for ask in (lat.add, lat.membership, lat.coordinates):
+            with pytest.raises(ValueError):
+                ask(bad)
+    assert lat.rank == 1 and lat.add([2]) == [-2, 1]
+    wide = IntegerLattice(2)
+    with pytest.raises(ValueError):
+        wide.add([2.9, 1])
+    assert wide.rank == 0 and wide.basis() == []
+    # Python and numpy integers, bools among them, still pass
+    assert lat.membership([np.int64(3)]) == [3, 0]
+    assert lat.membership([True]) == [1, 0]
+    assert wide.add(np.array([2, 1])) is None and wide.basis() == [[2, 1]]
+
+
+def test_rowspace_refuses_entries_that_are_not_rational():
+    for bad in ([0.5], ["1"], [None]):
+        rs = RowSpace(1)
+        for ask in (rs.add, rs.coordinates):
+            with pytest.raises(ValueError):
+                ask(bad)
+        assert rs.rank == 0 and rs.add([Fraction(1, 2)]) is None
+    rs = RowSpace(2)
+    assert rs.add(np.array([1, 2])) is None
+    assert rs.coordinates([Fraction(1, 2), np.int64(1)]) == [Fraction(1, 2)]

@@ -261,13 +261,18 @@ def test_search_bounds_validation():
         SearchBounds(max_num_deg=0)
 
 
+def _tracked_combinations(lattice):
+    """Each Hermite row's tracked combination, in pivot order."""
+    rank = lattice.rank
+    return [lattice.combination([int(j == k) for j in range(rank)]) for k in range(rank)]
+
+
 def test_pentagon_lattice_stays_small(pentagon):
     # Hermite reduction keeps rows at 12 bits here, and dividing the
     # combinations by mu(p) keeps them at 63 bits (2,694 without);
     # unreduced they grow past 100,000
     lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG).lattice
-    dim = lattice.dimension
-    rows = [(row[:dim], row[dim:]) for row in lattice._pivots.values()]
+    rows = list(zip(lattice.basis(), _tracked_combinations(lattice)))
     assert max(abs(c).bit_length() for row, _ in rows for c in row) <= 64
     assert max(abs(c).bit_length() for _, combo in rows for c in combo) <= 4096
 
@@ -565,9 +570,8 @@ def test_pivot_combinations_reproduce_their_rows_and_stay_small(pentagon):
         for (e,) in lattice.exponents:
             y = p**e
             scaled.append([c * (lattice.common_den // y._den) for c in y._num])
-        dim = lattice.lattice.dimension
-        for hermite in lattice.lattice._pivots.values():
-            row, combo = hermite[:dim], hermite[dim:]
+        hermite = lattice.lattice
+        for row, combo in zip(hermite.basis(), _tracked_combinations(hermite)):
             total = [sum(c * v[k] for c, v in zip(combo, scaled)) for k in range(len(row))]
             assert total == row, str(u)
             assert max(abs(c).bit_length() for c in combo) <= 128, str(u)
