@@ -676,6 +676,49 @@ def test_seeded_pentagon_verdicts_are_pinned(pentagon):
     assert digest == SEEDED_PENTAGON_DIGEST
 
 
+# sets whose lattices do not span Q(p), so their witnesses come from the
+# mod-q screen and the exact test, with the ring_check verdict of each at
+# the bounds of acceptance criterion 7 and its hits in that exact test
+SCREEN_PATH_SETS = (
+    (("0", "2pi/11", "2pi/3", "9pi/11"), "Ring", 5),
+    (("0", "3pi/7", "pi/2", "5pi/7", "8pi/9"), "Ring", 5),
+    (("0", "pi/6", "3pi/4", "5pi/6", "6pi/7"), "Ring", 5),
+    (("0", "pi/10", "pi/4", "5pi/11", "6pi/11", "3pi/5"), "Ring", 5),
+    (("0", "3pi/8", "5pi/8", "7pi/11"), "Unknown", 2),
+)
+# (set, status, decided_by, per criterion its verdicts with reason,
+# numerator terms and denominator exponents), digested at the commit
+# before the pivot pre-test of screened candidates was dropped
+SCREEN_PATH_DIGEST = "8fa58234267f7c489f37ce6e2e8d72c114221854b993b66ae617427fb36e64b2"
+
+
+def test_screen_path_verdicts_and_witnesses_are_pinned(monkeypatch):
+    bounds = SearchBounds(max_den_exp=2, max_num_deg=8, max_candidates=300)
+    found = []
+    membership = _MonomialLattice.membership
+
+    def counted(self, y):
+        combo = membership(self, y)
+        found.append(combo is not None)
+        return combo
+
+    monkeypatch.setattr(_MonomialLattice, "membership", counted)
+    entries = []
+    for slopes, status, hits in SCREEN_PATH_SETS:
+        found.clear()
+        report = ring_check(SlopeSet(list(slopes)), bounds)
+        assert (report.status.value, sum(found)) == (status, hits), slopes
+        entries.append([str(report.slopes), report.status.value, report.decided_by, [
+            [c.name, [[
+                v.kind.value, v.reason,
+                None if v.witness is None else [[a, list(e)] for a, e in v.witness.numerator_terms],
+                None if v.witness is None else sorted(v.witness.denominator_exponents.items()),
+            ] for v in c.verdicts]] for c in report.criteria
+        ]])
+    digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+    assert digest == SCREEN_PATH_DIGEST
+
+
 def _monomials_reference(count, total_degree):
     """The former monomial enumerator: graded, lex within a degree."""
     if count == 0:
