@@ -164,8 +164,12 @@ def from_json_document(doc: dict) -> tuple[SlopeSet, list[LevelSet]]:
                 raise ValueError(f"point {i}: level {level} is outside 0..{k_max}")
             try:
                 for key, column in zip("rs", born.setdefault(level, ([], []))):
+                    if not isinstance(entry[key], list):
+                        raise TypeError(f"point {i}: {key} must be a list of strings")
                     text = tuple(entry[key])
                     if text not in values:
+                        if not all(isinstance(c, str) for c in text):
+                            raise TypeError(f"point {i}: {key} must be a list of strings")
                         coeffs = list(map(fraction, text))
                         values[text] = CyclotomicReal.from_coeffs(conductor, coeffs)
                     column.append(values[text])

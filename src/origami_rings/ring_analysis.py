@@ -394,16 +394,21 @@ class _MonomialLattice:
     A combination of the monomials has its image mod q = split_prime(n) in
     the span of the pointwise powers E(p)^e.  That span is kept as one fully
     reduced echelon matrix `rows` over F_q, 1 at its own pivot and 0 at the
-    other `pivots` (both None when q divides a denominator).  The exact
-    `lattice`, `common_den` and Babai rows `_kernel` are built at the first
-    exact query.  With one generator each Hermite row's tracked
+    other `pivots`.  Every p-value has an image mod q: each prime l of its
+    denominator divides 2 or an angle denominator, as 2 sin(theta) =
+    |1 - zeta^k| and 1 - zeta^k is a unit unless zeta^k has l-power order,
+    when its norm is a power of l (Washington, GTM 83, prop. 2.8); so
+    l <= n/2 for n = lcm(4, 2 * den), and q = 1 (mod n) exceeds n.  The
+    exact `lattice`, `common_den` and Babai rows `_kernel` are built at the
+    first exact query.  With one generator each Hermite row's tracked
     combination is then divided by the shifts of mu(p), so a hit comes back
     at about 100 bits, not 2,700, before the Babai step.  Pivot
     coordinates come from the lattice's one triangular solve.  Once the
     rows mod q, and so the Hermite rows, span Q(p), `_steps` holds
     multiplication by each delta generator as a d x d matrix on pivot
     coordinates, and `coordinates` walks a query's candidates with one
-    vector-matrix product each.
+    vector-matrix product each.  Otherwise a candidate that passes the
+    mod-q screen is decided by one exact test, `membership`.
     """
 
     def __init__(self, u: SlopeSet, max_num_deg: int):
@@ -416,18 +421,16 @@ class _MonomialLattice:
         self.exponents = list(_graded_exponents(count, self.degree, self.degree))
         self.q = q = split_prime(n)
         self.images = [evaluate(v, n) for v in self.values]
-        self.rows = self.pivots = None
-        if all(e is not None for e in self.images):
-            ones = np.ones(euler_phi(n), np.int64)
-            self.rows, self.pivots = np.zeros((0, len(ones)), np.int64), []
-            images = _Chain(ones, self.images, self.mul_mod)
-            for e in self.exponents:
-                if (r := self.residual(images[e])).any():
-                    col = int(np.flatnonzero(r)[0])
-                    r = r * pow(int(r[col]), -1, q) % q
-                    # clear the new pivot from the earlier rows, one outer product
-                    self.rows = np.vstack([(self.rows - np.outer(self.rows[:, col], r)) % q, r])
-                    self.pivots.append(col)
+        ones = np.ones(euler_phi(n), np.int64)
+        self.rows, self.pivots = np.zeros((0, len(ones)), np.int64), []
+        images = _Chain(ones, self.images, self.mul_mod)
+        for e in self.exponents:
+            if (r := self.residual(images[e])).any():
+                col = int(np.flatnonzero(r)[0])
+                r = r * pow(int(r[col]), -1, q) % q
+                # clear the new pivot from the earlier rows, one outer product
+                self.rows = np.vstack([(self.rows - np.outer(self.rows[:, col], r)) % q, r])
+                self.pivots.append(col)
 
     def mul_mod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b % self.q
@@ -574,44 +577,33 @@ def _round_half_even(a: int, b: int) -> int:
     return q + (2 * r > b or (2 * r == b and q % 2))
 
 
-def _combination(terms: Sequence[tuple[int, Sequence[int], int]]) -> tuple[list[int], int]:
-    """(total, den) with total / den the sum of c * v / d over the terms
-    (c, v, d), v an integer vector and d > 0, over the lcm of the d's."""
-    den = math.lcm(*(d for _, _, d in terms))
-    total = [0] * len(terms[0][1])
-    for c, v, d in terms:
-        f = c * (den // d)
-        total = [a + f * b for a, b in zip(total, v)]
-    return total, den
-
-
 class _Candidates:
     """(exps, form) for the denominator monomials m = prod(d_i^exps[i]) in
     the search order, form being m as a polynomial in the numerator
     generators p; the search walks these while the lattice does not span
-    Q(p) or q divides a denominator.
+    Q(p).
 
     Every delta generator is a linear form in the p's, so x * m(p) is an
     integer combination of the powers x * p^e, the chain `powers`.  The
     screen reads their images mod q, the chain `images` of
-    E(x) * prod E(p_i)^e_i pointwise.  Its residual map is F_q-linear, so
-    each power's image is reduced once against the echelon rows and a
-    candidate's residual is the same combination of theirs.  An exact power
-    is one product, made when a candidate that passes the screen first
-    needs it, and its pivot coordinates are kept beside it, so the pivot
-    test of a candidate is one integer combination of them.  The forms
-    depend only on the number of generators, so they come from the chain
-    `_forms` that every query and every bound share.
+    E(x) * prod E(p_i)^e_i pointwise, None when q divides x's denominator.
+    Its residual map is F_q-linear, so each power's image is reduced once
+    against the echelon rows and a candidate's residual is the same
+    combination of theirs.  An exact power is one product, made when a
+    candidate that passes the screen first needs it.  The forms depend only
+    on the number of generators, so they come from the chain `_forms` that
+    every query and every bound share.
     """
 
-    def __init__(self, x: CyclotomicReal, gens: Sequence[CyclotomicReal], bounds: SearchBounds):
-        self.forms = _forms(len(gens))
+    def __init__(self, x: CyclotomicReal, lattice: _MonomialLattice, bounds: SearchBounds):
+        self.lattice = lattice
+        self.forms = _forms(len(lattice.values))
         count, top = len(self.forms.factors), bounds.max_den_exp
         self.order = _search_order(count, top, bounds.max_candidates)
-        self.powers = _Chain(x, gens)
-        self.images: Optional[_Chain] = None  # made at the first screen
+        self.powers = _Chain(x, lattice.values)
+        start = evaluate(x, lattice.n)
+        self.images = None if start is None else _Chain(start, lattice.images, lattice.mul_mod)
         self.residuals: dict[tuple[int, ...], np.ndarray] = {}
-        self.coords: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     def __iter__(self):
         return ((exps, self.forms[exps]) for exps in self.order)
@@ -620,31 +612,23 @@ class _Candidates:
         """x * m(p) as one combination over a common denominator; the
         representation is canonical, so it equals the product chain's."""
         powers = [(c, self.powers[e]) for e, c in form.items()]
-        num, den = _combination([(c, y._num, y._den) for c, y in powers])
+        den = math.lcm(*(y._den for _, y in powers))
+        num = [0] * len(powers[0][1]._num)
+        for c, y in powers:
+            f = c * (den // y._den)
+            num = [a + f * b for a, b in zip(num, y._num)]
         return CyclotomicReal._make(powers[0][1].conductor, num, den)
 
-    def excluded(self, form: _Form, lattice: _MonomialLattice) -> bool:
+    def excluded(self, form: _Form) -> bool:
         """Whether the image of x * m(p) mod q leaves the span of the
         monomial images, which proves x * m(p) outside the lattice; False
-        whenever an image is undefined."""
-        zero = (0,) * len(self.powers.factors)
+        when x has no image."""
         if self.images is None:
-            start = evaluate(self.powers[zero], lattice.n)
-            self.images = _Chain(start, lattice.images, lattice.mul_mod)
-        if lattice.rows is None or self.images[zero] is None:
             return False
         for e in form.keys() - self.residuals.keys():
-            self.residuals[e] = lattice.residual(self.images[e])
-        q = lattice.q
+            self.residuals[e] = self.lattice.residual(self.images[e])
+        q = self.lattice.q
         return bool((sum(c % q * self.residuals[e] % q for e, c in form.items()) % q).any())
-
-    def off_lattice(self, form: _Form, lattice: _MonomialLattice) -> bool:
-        """Whether a pivot coordinate of x * m(p) is not an integer, which
-        proves x * m(p) outside the lattice."""
-        for e in form.keys() - self.coords.keys():
-            self.coords[e] = lattice.pivot_coordinates(self.powers[e])
-        total, den = _combination([(c, *self.coords[e]) for e, c in form.items()])
-        return any(a % den for a in total)
 
 
 # A set's lattice and fixing group serve only the queries on that set, so
@@ -662,25 +646,23 @@ def _fixing_group(u: SlopeSet) -> tuple[int, ...]:
     constants generate, whose degree is phi(n)/|H| (Washington, GTM 83,
     ch. 2).  sigma_a(g) takes at the root w^b the value g takes at w^(ab),
     so where g's images mod q = split_prime(n) differ from their
-    permutation b -> ab, sigma_a moves g.  The units that pass form a
-    group containing H, and it is H once its generators modulo +-1 fix
-    every g exactly; otherwise, or when q divides a denominator, every
-    unit is tested exactly.
+    permutation b -> ab, sigma_a moves g.  Every g has images, as
+    `_MonomialLattice` shows.  The units that pass form a group containing
+    H, and it is H once its generators modulo +-1 fix every g exactly;
+    otherwise every unit is tested exactly.
     """
     n = u.working_conductor
     gens = [v for _, v in _numerator_generators(u)]
     images = [evaluate(g, n) for g in gens]
-    group = None
-    if all(e is not None for e in images):
-        at = {b % n: k for k, b in enumerate(units(n))}  # the entry of each root w^b
-        # the entry at b = 1 first: sigma_a(g) = g needs g(w^a) = g(w)
-        group = tuple(a for k, a in enumerate(units(n)) if all(
-            e[k] == e[0] and e[[at[a * b % n] for b in units(n)]].tobytes() == e.tobytes()
-            for e in images
-        ))
-        if not all(g.is_fixed_by(a) for a in _generators_mod_sign(group, n) for g in gens):
-            group = None
-    return group or tuple(a for a in units(n) if all(g.is_fixed_by(a) for g in gens))
+    at = {b % n: k for k, b in enumerate(units(n))}  # the entry of each root w^b
+    # the entry at b = 1 first: sigma_a(g) = g needs g(w^a) = g(w)
+    group = tuple(a for k, a in enumerate(units(n)) if all(
+        e[k] == e[0] and e[[at[a * b % n] for b in units(n)]].tobytes() == e.tobytes()
+        for e in images
+    ))
+    if all(g.is_fixed_by(a) for a in _generators_mod_sign(group, n) for g in gens):
+        return group
+    return tuple(a for a in units(n) if all(g.is_fixed_by(a) for g in gens))
 
 
 def _generators_mod_sign(group: Sequence[int], n: int) -> list[int]:
@@ -743,7 +725,7 @@ def membership_in_MR(
 
     lattice = _monomial_lattice(u, bounds.max_num_deg)
     den_names, den_values = zip(*_deltas(_numerator_generators(u), 1))
-    if lattice.rows is not None and len(lattice.rows) == euler_phi(n) // len(group):
+    if len(lattice.rows) == euler_phi(n) // len(group):
         # The images span Q(p) mod q, so the Hermite rows span Q(p), which
         # holds x: a candidate is a member exactly when its pivot
         # coordinates are integers.
@@ -752,12 +734,9 @@ def membership_in_MR(
         hits = ((exps, lattice.combination(coords[exps][0]))
                 for exps in order if coords[exps][1] == 1)
     else:
-        candidates = _Candidates(x_n, lattice.values, bounds)
-        sieve = lattice.rows is not None
+        candidates = _Candidates(x_n, lattice, bounds)
         hits = ((exps, lattice.membership(candidates.value(form)))
-                for exps, form in candidates
-                if not ((sieve and candidates.excluded(form, lattice))
-                        or candidates.off_lattice(form, lattice)))
+                for exps, form in candidates if not candidates.excluded(form))
     for exps, combo in hits:
         if combo is not None:
             witness = MembershipWitness(

@@ -348,11 +348,15 @@ def test_from_json_document_rejects_malformed_input(triangle, spoil, message):
         lambda doc: {**doc, "schema": True},
         lambda doc: {**doc, "schema": 1.0},
         lambda doc: {**doc, "truncated": "no"},
+        lambda doc: _spoil_point(doc, r="0" * len(doc["points"][-1]["r"])),
+        lambda doc: _spoil_point(doc, s=[1.5] + doc["points"][-1]["s"][1:]),
+        lambda doc: _spoil_point(doc, s=[True] + doc["points"][-1]["s"][1:]),
     ],
     ids=["points-number", "point-number", "r-number", "coefficient-null", "level-null",
          "k-max-null", "slopes-numbers", "alpha-number", "top-level-list", "level-float",
          "level-string", "level-bool", "k-max-float", "conductor-string", "schema-bool",
-         "schema-float", "truncated-string"],
+         "schema-float", "truncated-string", "r-string", "coefficient-number",
+         "coefficient-bool"],
 )
 def test_from_json_document_rejects_values_of_the_wrong_type(triangle, spoil):
     # a number, string, list or null where the schema has another type

@@ -878,8 +878,7 @@ def _seeded_sets(seed, sizes, per_size, max_phi=96):
 
 
 def _candidates(x, u, bounds):
-    values = tuple(v for _, v in _numerator_generators(u))
-    return _Candidates(x, values, bounds)
+    return _Candidates(x, _monomial_lattice(u, bounds.max_num_deg), bounds)
 
 
 def test_candidates_match_the_product_chain():
@@ -925,38 +924,13 @@ def test_span_filter_never_rejects_a_lattice_member():
         for _ in range(2):
             stream = _candidates(_member_by_construction(rng, u, lattice), u, bounds)
             for _, form in stream:
-                excluded = stream.excluded(form, lattice)
+                excluded = stream.excluded(form)
                 if lattice.membership(stream.value(form)) is not None:
                     assert not excluded, str(u)
                     accepted += 1
                 else:
                     rejected += excluded
     assert checked and accepted and rejected
-
-
-def test_pivot_coordinates_never_reject_a_lattice_member():
-    # the pivot test runs on every candidate, whether or not the lattice
-    # spans Q(p) (the mod-q screen off or on)
-    bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
-    rng = random.Random(41)
-    accepted = rejected = 0
-    spans = set()
-    for u in _seeded_sets(43, (4, 5), 4):
-        lattice = _monomial_lattice(u, bounds.max_num_deg)
-        degree = euler_phi(u.working_conductor) // len(_fixing_group(u))
-        spans.add(lattice.lattice.rank >= degree)
-        for _ in range(2):
-            stream = _candidates(_member_by_construction(rng, u, lattice), u, bounds)
-            for _, form in stream:
-                off = stream.off_lattice(form, lattice)
-                if lattice.membership(stream.value(form)) is not None:
-                    assert not off, str(u)
-                    accepted += 1
-                else:
-                    rejected += off
-    # both the screen-off (spanning) and the screen-on case are covered
-    assert spans == {True, False}
-    assert accepted and rejected
 
 
 def test_warm_pentagon_sweeps_only_the_witness(pentagon, monkeypatch):
@@ -999,7 +973,7 @@ def test_coordinate_chain_matches_the_exact_sweep():
     for u in _seeded_sets(43, (4, 5), 6):
         n = u.working_conductor
         lattice = _monomial_lattice(u, bounds.max_num_deg)
-        if lattice.rows is None or len(lattice.rows) < euler_phi(n) // len(_fixing_group(u)):
+        if len(lattice.rows) < euler_phi(n) // len(_fixing_group(u)):
             continue
         free.add(len(lattice.values))
         members = [_member_by_construction(rng, u, lattice) for _ in range(2)]
@@ -1036,14 +1010,15 @@ def test_span_filter_passes_what_it_cannot_reduce():
     bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
     lattice = _MonomialLattice(u, bounds.max_num_deg)
     x = rewrite_in_conductor(ratio_elements(u)[0], u.working_conductor)
-    stream = _candidates(x, u, bounds)
+    stream = _Candidates(x, lattice, bounds)
     forms = [form for _, form in stream]
-    excluded = [form for form in forms if stream.excluded(form, lattice)]
+    excluded = [form for form in forms if stream.excluded(form)]
     assert excluded
     assert all(lattice.membership(stream.value(form)) is None for form in excluded)
     q = cyclotomic.split_prime(u.working_conductor)
-    over_q = _candidates(x * Fraction(1, q), u, bounds)
-    assert not any(over_q.excluded(form, lattice) for form in forms)
+    over_q = _Candidates(x * Fraction(1, q), lattice, bounds)
+    assert over_q.images is None
+    assert not any(over_q.excluded(form) for form in forms)
 
 
 def test_span_filter_spares_the_1980_ratios_the_exact_sweep(monkeypatch):
@@ -1113,6 +1088,37 @@ def _fixing_group_reference(u: SlopeSet) -> tuple[int, ...]:
     )
 
 
+def _sweep_sets(seed, picks, count):
+    """The benchmark sweep's draw: 0 and `picks` distinct directions
+    k*pi/n, n <= 12, skipping repeats, the first `count` sets."""
+    pool = [Angle(k, n) for n in range(2, 13) for k in range(1, n) if math.gcd(k, n) == 1]
+    rng, drawn = random.Random(seed), []
+    while len(drawn) < count:
+        directions = tuple(sorted(rng.sample(pool, picks)))
+        if directions not in drawn:
+            drawn.append(directions)
+    return [SlopeSet([Angle.zero(), *d]) for d in drawn]
+
+
+def test_p_value_denominators_have_images_mod_the_split_prime():
+    # every prime of a p-value's denominator is at most n/2, below
+    # q = split_prime(n) = 1 (mod n), so every p-value has an image mod q
+    sets = _sweep_sets(1, 3, 200) + _sweep_sets(7, 5, 12)
+    sets.append(SlopeSet(["0", "pi/9", "2pi/11", "pi/5", "3pi/7"]))
+    conductors = set()
+    for u in sets:
+        n = u.working_conductor
+        conductors.add(n)
+        small = math.factorial(n // 2)  # every prime at most n/2
+        for v in u.p_table.values():
+            den = v._den
+            while (g := math.gcd(den, small)) > 1:
+                den //= g
+            assert den == 1, (str(u), v._den)
+            assert isinstance(evaluate(v, n), np.ndarray), str(u)
+    assert max(conductors) == 13860
+
+
 def test_fixing_group_matches_the_exact_route_on_every_unit(monkeypatch):
     sets = _seeded_sets(37, (4, 5), 4, max_phi=480)
     sets.append(SlopeSet(["0", "pi/5", "pi/2", "4pi/5"]))  # |H| = 8
@@ -1155,13 +1161,11 @@ def test_fixing_group_matches_the_exact_route_on_every_unit(monkeypatch):
 
     monkeypatch.setattr(ring_analysis, "evaluate", planted)
     assert fixing_groups([u]) == [h] and checks == 1
-    # no images (q divides a denominator), or images that every unit
-    # leaves in place, so the survivors fail the exact check: both fall
-    # back to testing every unit exactly
-    for fake in (lambda x, m: None, lambda x, m: np.ones(euler_phi(m), np.int64)):
-        monkeypatch.setattr(ring_analysis, "evaluate", fake)
-        assert fixing_groups(sets[-2:]) == expected[-2:]
-        assert checks >= euler_phi(n)
+    # images that every unit leaves in place, so the survivors fail the
+    # exact check: it falls back to testing every unit exactly
+    monkeypatch.setattr(ring_analysis, "evaluate", lambda x, m: np.ones(euler_phi(m), np.int64))
+    assert fixing_groups(sets[-2:]) == expected[-2:]
+    assert checks >= euler_phi(n)
 
 
 def test_cold_1980_ring_check_builds_no_integer_lattice(monkeypatch):
@@ -1257,7 +1261,7 @@ def test_residual_matches_the_sequential_projection():
 def _excluded_reference(stream, form, lattice, basis):
     """The screen on the sum: the images of the powers summed, then reduced."""
     zero = (0,) * len(stream.powers.factors)
-    if lattice.rows is None or evaluate(stream.powers[zero], lattice.n) is None:
+    if evaluate(stream.powers[zero], lattice.n) is None:
         return False
     q = lattice.q
     total = sum(c % q * stream.images[e] % q for e, c in form.items())
@@ -1276,9 +1280,9 @@ def test_excluded_matches_the_reduction_of_the_summed_images():
         for ratio in ratio_elements(u):
             x = rewrite_in_conductor(ratio, u.working_conductor)
             for y in (x, x * Fraction(1, q)):  # q divides the second denominator
-                stream = _candidates(y, u, bounds)
+                stream = _Candidates(y, lattice, bounds)
                 for _, form in stream:
-                    got = stream.excluded(form, lattice)
+                    got = stream.excluded(form)
                     assert got == _excluded_reference(stream, form, lattice, basis), str(u)
                     outcomes.add((y is x, got))
     assert outcomes == {(True, True), (True, False), (False, False)}
