@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .angles import Angle
@@ -91,6 +92,9 @@ def _load_config() -> dict:
     return config
 
 
+# Repeated calls in one process share one SlopeSet per text, and with it
+# its cached p_table; an invalid text raises again on every call.
+@lru_cache(maxsize=4)
 def _parse_slopes(text: str) -> SlopeSet:
     parts = [p for p in text.split(",") if p.strip()]
     try:
@@ -468,6 +472,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
     except ZeroDivisionError as exc:
         print(f"error: division by zero: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        # an input whose exact value needs more memory than there is, such
+        # as cos(pi/n) for an n of twelve digits
+        print("error: out of memory for this input", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
         if args.out is None and isinstance(exc, BrokenPipeError):

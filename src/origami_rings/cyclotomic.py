@@ -10,7 +10,7 @@ c * zeta^k reaches the power basis by one long division by the monic,
 sparse Phi_n: a product's convolution (schoolbook for short vectors,
 else one Kronecker-substitution big-integer product), each row of a batch
 multiplier (the row before, shifted one place) and, through _power_sum,
-promotion, the Galois action and the constructors.  An inverse is found
+promotion, the Galois action, the constructors and the n-ary sum sum_of.  An inverse is found
 modulo the split prime q of the conductor (below) by an int64 Euclid in
 F_q[X], lifted by Newton steps modulo q^(2^k) and read off by rational
 reconstruction; it is exact because it is returned only once x * y == 1
@@ -999,6 +999,19 @@ def _descend(x: CyclotomicReal, p: int) -> "CyclotomicReal | None":
                  for j, a in enumerate(x._num) if a)
     y = CyclotomicReal._make(m, _power_sum(m, terms), x._den * degree)
     return y if y.to_conductor(c) == x else None
+
+
+def sum_of(terms: Sequence[CyclotomicReal]) -> CyclotomicReal:
+    """The sum of terms, each lifted once to the lcm of their conductors by
+    one `_power_sum` and normalized once.  The representation on that
+    conductor is canonical, so this is the left fold of `+`."""
+    n = math.lcm(*(t.conductor for t in terms))
+    den = math.lcm(*(t._den for t in terms))
+    num = _power_sum(n, (
+        (j * (n // t.conductor), c * (den // t._den))
+        for t in terms for j, c in enumerate(t._num) if c
+    ))
+    return CyclotomicReal._make(n, num, den)
 
 
 def rewrite_in_conductor(x: CyclotomicReal, n: int) -> "CyclotomicReal | None":

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .angles import Angle, pi_multiple
-from .cyclotomic import CyclotomicReal, cos_of, sin_of, sqrt_rational
+from .cyclotomic import CyclotomicReal, cos_of, sin_of, sqrt_rational, sum_of
 
 
 class ExpressionError(ValueError):
@@ -36,29 +36,22 @@ class ExpressionError(ValueError):
         super().__init__(message)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+)|(?P<name>pi|sqrt|sin|cos)|(?P<op>[-+*/()]|·))"
-)
+# one alternative per token kind, and any other non-space character as
+# "bad"; finditer skips the spaces between tokens
+_TOKEN_RE = re.compile(r"(?P<number>\d+)|(?P<name>pi|sqrt|sin|cos)|(?P<op>[-+*/()·])|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExpressionError("unexpected character", rest[0], pos)
-        if m.group("number"):
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            op = "*" if m.group("op") == "·" else m.group("op")
-            tokens.append(("op", op, m.start("op")))
-        pos = m.end()
+    """(kind, text, position) of each token, in one pass; a character no
+    token starts with is reported at the end of the token before it, or
+    at 0."""
+    tokens, end = [], 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, token = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ExpressionError("unexpected character", token, end)
+        tokens.append((kind, "*" if token == "·" else token, m.start()))
+        end = m.end()
     return tokens
 
 
@@ -91,15 +84,14 @@ class _Parser:
         return value
 
     def expr(self) -> CyclotomicReal:
-        value = self.term()
+        terms = [self.term()]
         while True:
             kind, op, _ = self.peek()
-            if kind == "op" and op in "+-":
-                self.advance()
-                right = self.term()
-                value = value + right if op == "+" else value - right
-            else:
-                return value
+            if kind != "op" or op not in "+-":
+                return terms[0] if len(terms) == 1 else sum_of(terms)
+            self.advance()
+            right = self.term()
+            terms.append(right if op == "+" else -right)
 
     def term(self) -> CyclotomicReal:
         value = self.factor()

@@ -391,6 +391,9 @@ def _search_order(count: int, top: int, budget: int) -> tuple[tuple[int, ...], .
 class _MonomialLattice:
     """Z-span of bounded monomials in the numerator generators.
 
+    It also keeps the query context of its set: the delta generators, in
+    search order, and the generators modulo +-1 of the fixing group.
+
     A combination of the monomials has its image mod q = split_prime(n) in
     the span of the pointwise powers E(p)^e.  That span is kept as one fully
     reduced echelon matrix `rows` over F_q, 1 at its own pivot and 0 at the
@@ -399,16 +402,16 @@ class _MonomialLattice:
     |1 - zeta^k| and 1 - zeta^k is a unit unless zeta^k has l-power order,
     when its norm is a power of l (Washington, GTM 83, prop. 2.8); so
     l <= n/2 for n = lcm(4, 2 * den), and q = 1 (mod n) exceeds n.  The
-    exact `lattice`, `common_den` and Babai rows `_kernel` are built at the
-    first exact query.  With one generator each Hermite row's tracked
-    combination is then divided by the shifts of mu(p), so a hit comes back
-    at about 100 bits, not 2,700, before the Babai step.  Pivot
-    coordinates come from the lattice's one triangular solve.  Once the
-    rows mod q, and so the Hermite rows, span Q(p), `_steps` holds
-    multiplication by each delta generator as a d x d matrix on pivot
-    coordinates, and `coordinates` walks a query's candidates with one
-    vector-matrix product each.  Otherwise a candidate that passes the
-    mod-q screen is decided by one exact test, `membership`.
+    exact `lattice`, `common_den`, Babai rows `_kernel` and Babai tables
+    `_babai` are built at the first exact query.  With one generator each
+    Hermite row's tracked combination is then divided by the shifts of
+    mu(p), so a hit comes back at about 100 bits, not 2,700, before the
+    Babai step.  Pivot coordinates come from the lattice's one triangular
+    solve.  Once the rows mod q, and so the Hermite rows, span Q(p)
+    (`spans`), `_steps` holds multiplication by each delta generator as a
+    d x d matrix on pivot coordinates, and `coordinates` walks a query's
+    candidates with one vector-matrix product each.  Otherwise a candidate
+    that passes the mod-q screen is decided by one exact test, `membership`.
     """
 
     def __init__(self, u: SlopeSet, max_num_deg: int):
@@ -416,6 +419,9 @@ class _MonomialLattice:
         gens = _numerator_generators(u)
         self.names = tuple(name for name, _ in gens)
         self.values = tuple(v for _, v in gens)
+        self.den_names, self.den_values = zip(*_deltas(gens, 1))
+        group = _fixing_group(u)
+        self.galois = _generators_mod_sign(group, n)
         count = len(gens)
         self.degree = max_num_deg if count <= 1 else max(4, max_num_deg // count)
         self.exponents = list(_graded_exponents(count, self.degree, self.degree))
@@ -431,6 +437,8 @@ class _MonomialLattice:
                 # clear the new pivot from the earlier rows, one outer product
                 self.rows = np.vstack([(self.rows - np.outer(self.rows[:, col], r)) % q, r])
                 self.pivots.append(col)
+        # the images span Q(p) mod q, so the Hermite rows span Q(p)
+        self.spans = len(self.pivots) == euler_phi(n) // len(group)
 
     def mul_mod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b % self.q
@@ -449,7 +457,7 @@ class _MonomialLattice:
         return image
 
     @cached_property
-    def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]]]:
+    def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]], tuple]:
         chain = _Chain(CyclotomicReal.from_rational(1, self.n), self.values)
         monomials = [chain[e] for e in self.exponents]
         common_den = math.lcm(*(v._den for v in monomials))
@@ -483,11 +491,22 @@ class _MonomialLattice:
                     g = math.gcd(*w)
                     w = [x // g for x in w]
             kernel.append((row, w, sum(map(operator.mul, row, w))))
-        return lattice, common_den, kernel
+        # Babai tables: <tail_k, w_j> for the tracked combination tail_k of
+        # each Hermite row, and <row_i, w_j> for i > j.  Row i is zero
+        # before column i and w_j after column j + width - 1, so only the
+        # next width - 1 rows meet w_j.
+        tails = [lattice.combination([int(i == k) for i in range(lattice.rank)])
+                 for k in range(lattice.rank)]
+        table = np.array([[sum(map(operator.mul, tail, w)) for _, w, _ in kernel]
+                          for tail in tails], dtype=object)
+        bands = [[sum(map(operator.mul, row, w)) for row, _, _ in kernel[j + 1 : j + len(first)]]
+                 for j, (_, w, _) in enumerate(kernel)]
+        return lattice, common_den, kernel, (table, bands, [bw for _, _, bw in kernel], first)
 
     lattice = property(lambda self: self._exact[0])
     common_den = property(lambda self: self._exact[1])
     _kernel = property(lambda self: self._exact[2])
+    _babai = property(lambda self: self._exact[3])
 
     def pivot_coordinates(self, y: CyclotomicReal) -> tuple[list[int], int]:
         """(t, den), in lowest terms, with t / den the rational coordinates
@@ -540,35 +559,42 @@ class _MonomialLattice:
         t, den = self.pivot_coordinates(x)
         return _Chain((np.array(t, dtype=object), den), steps, step)
 
+    def _quotients(self, t: Sequence[int]) -> list[int]:
+        """Babai's nearest-plane quotients against the kernel rows, last row
+        first, for the lattice element with integer pivot coordinates t.
+
+        Row j's quotient rounds <c, w_j> / <row_j, w_j>, c being the tracked
+        combination of t less the later rows times their quotients, so
+        <c, w_j> is t against the tails' column of the table less the band
+        of later quotients: the same integers, from d + width - 1 products.
+        """
+        table, bands, norms, _ = self._babai
+        tops = np.array(t, dtype=object).dot(table)
+        q = [0] * len(bands)
+        for j in reversed(range(len(bands))):
+            q[j] = _round_half_even(tops[j] - sum(map(operator.mul, q[j + 1 :], bands[j])), norms[j])
+        return q
+
     def combination(self, t: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-        """The witness terms of the lattice element with integer pivot
-        coordinates t, the ones `membership` finds for it."""
-        return self._terms(self.lattice.combination(t))
-
-    def _size_reduce(self, combo: list[int]) -> list[int]:
-        """Babai's nearest plane against the kernel rows, last row first; row
-        j is a shift of mu(p), nonzero in columns j to j + width - 1 only,
-        so each step subtracts over that band."""
-        c = list(combo)
-        width = len(c) - len(self._kernel) + 1
-        for j, (row, w, bw) in reversed(list(enumerate(self._kernel))):
-            q = _round_half_even(sum(map(operator.mul, c, w)), bw)
+        """(coefficient, exponents) of the witness terms of the lattice
+        element with integer pivot coordinates t: its tracked combination
+        less each kernel row, a shift of mu(p), times its Babai quotient."""
+        c = self.lattice.combination(t)
+        mu = self._babai[3]
+        for j, q in enumerate(self._quotients(t)):
             if q:
-                c[j:j + width] = [a - q * b for a, b in zip(c[j:j + width], row[j:j + width])]
-        return c
-
-    def _terms(self, combo: list[int]) -> list[tuple[int, tuple[int, ...]]]:
-        """(coefficient, exponents) of the size-reduced combination."""
-        combo = self._size_reduce(combo)
-        return [(c, self.exponents[i]) for i, c in enumerate(combo) if c]
+                c[j:j + len(mu)] = [a - q * b for a, b in zip(c[j:j + len(mu)], mu)]
+        return [(a, self.exponents[i]) for i, a in enumerate(c) if a]
 
     def membership(self, y: CyclotomicReal) -> Optional[list[tuple[int, tuple[int, ...]]]]:
         lattice, common_den = self._exact[:2]
         if common_den % y._den:
             return None
         scale = common_den // y._den
-        combo = lattice.membership([c * scale for c in y._num])
-        return None if combo is None else self._terms(combo)
+        vec = [c * scale for c in y._num]
+        if lattice.membership(vec) is None:
+            return None
+        return self.combination(lattice.coordinates(vec)[0])
 
 
 def _round_half_even(a: int, b: int) -> int:
@@ -716,21 +742,18 @@ def membership_in_MR(
             MembershipKind.PROVEN_NOT_IN,
             reason=f"outside the working field Q(zeta_{n})",
         )
-    group = _fixing_group(u)
-    if not all(x_n.is_fixed_by(a) for a in _generators_mod_sign(group, n)):
+    lattice = _monomial_lattice(u, bounds.max_num_deg)
+    if not all(x_n.is_fixed_by(a) for a in lattice.galois):
         return MembershipVerdict(
             MembershipKind.PROVEN_NOT_IN,
             reason="outside the field generated by the projection constants",
         )
 
-    lattice = _monomial_lattice(u, bounds.max_num_deg)
-    den_names, den_values = zip(*_deltas(_numerator_generators(u), 1))
-    if len(lattice.rows) == euler_phi(n) // len(group):
-        # The images span Q(p) mod q, so the Hermite rows span Q(p), which
-        # holds x: a candidate is a member exactly when its pivot
-        # coordinates are integers.
+    if lattice.spans:
+        # the Hermite rows span Q(p), which holds x: a candidate is a
+        # member exactly when its pivot coordinates are integers
         coords = lattice.coordinates(x_n)
-        order = _search_order(len(den_values), bounds.max_den_exp, bounds.max_candidates)
+        order = _search_order(len(lattice.den_values), bounds.max_den_exp, bounds.max_candidates)
         hits = ((exps, lattice.combination(coords[exps][0]))
                 for exps in order if coords[exps][1] == 1)
     else:
@@ -744,7 +767,7 @@ def membership_in_MR(
                 generator_values=lattice.values,
                 numerator_terms=tuple(combo),
                 denominator_factors=tuple(
-                    (den_names[i], den_values[i], e)
+                    (lattice.den_names[i], lattice.den_values[i], e)
                     for i, e in enumerate(exps)
                     if e
                 ),

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from origami_rings import cli, export
+from origami_rings import cli, cyclotomic, export
+from origami_rings.slopes import InvalidSlopeSetError
 from origami_rings.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -551,3 +552,56 @@ def test_json_documents_are_written_as_json_dumps_with_indent_2(capsys, monkeypa
     assert code in (EXIT_OK, EXIT_UNKNOWN)
     assert len(docs) == 1
     assert out == json.dumps(docs[0], indent=2) + "\n"
+
+
+def test_out_of_memory_is_one_line(capsys, monkeypatch):
+    # cos(pi/n) for an n of twelve digits needs a coefficient vector of n/2
+    # entries; the allocation is simulated here, never made
+    power_sum = cyclotomic._power_sum
+
+    def exhausted(n, terms):
+        if n > 10**9:
+            raise MemoryError
+        return power_sum(n, terms)
+
+    monkeypatch.setattr(cyclotomic, "_power_sum", exhausted)
+    code, out, err = run(capsys, "member", "cos(pi/100000000000)", "--slopes", PENTAGON)
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: out of memory for this input\n"
+
+
+def test_slope_text_is_parsed_once_per_text(capsys):
+    u = cli._parse_slopes(PENTAGON)
+    assert cli._parse_slopes(PENTAGON) is u
+    assert cli._parse_slopes(" " + PENTAGON) is not u and cli._parse_slopes(" " + PENTAGON) == u
+    for _ in range(3):  # a failure is not cached: every call raises again
+        with pytest.raises(InvalidSlopeSetError):
+            cli._parse_slopes("0,pi/5")
+        code, out, err = run(capsys, "member", "1/2", "--slopes", "0,pi/5")
+        assert code == EXIT_ERROR and out == "" and err.startswith("error: need at least three")
+
+
+FOUR = "0,pi/4,pi/3,2pi/3"
+# ProvenIn with a witness, ProvenIn for a rational, ProvenNotIn by the
+# field obstruction and by the working field, on both sets
+WARM_QUERIES = [(q, slopes) for q in ("sqrt(3)", "1/2", "sqrt(2)", "cos(pi/7)")
+                for slopes in (PENTAGON, FOUR)]
+
+
+def test_warm_member_calls_write_what_fresh_processes_write(tmp_path):
+    # one process alternating between two sets shares their SlopeSets,
+    # lattices and query context; every byte matches a fresh process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for k, (query, slopes) in enumerate(WARM_QUERIES * 2):
+        argv = ["member", query, "--slopes", slopes, "--format", "json"]
+        assert main(argv + ["--out", str(tmp_path / f"warm{k}.json")]) in (EXIT_OK, EXIT_UNKNOWN)
+    for k, (query, slopes) in enumerate(WARM_QUERIES):
+        argv = ["member", query, "--slopes", slopes, "--format", "json",
+                "--out", str(tmp_path / f"fresh{k}.json")]
+        subprocess.run([sys.executable, "-m", "origami_rings.cli", *argv], check=True,
+                       timeout=120, env={**os.environ, "PYTHONPATH": path})
+        fresh = (tmp_path / f"fresh{k}.json").read_bytes()
+        assert json.loads(fresh)["verdict"] in ("ProvenIn", "ProvenNotIn")
+        for warm in (k, k + len(WARM_QUERIES)):
+            assert (tmp_path / f"warm{warm}.json").read_bytes() == fresh, (query, slopes)

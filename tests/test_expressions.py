@@ -1,10 +1,14 @@
+import functools
+import operator
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from origami_rings.angles import Angle, pi_multiple
-from origami_rings.cyclotomic import cos_of, sin_of, sqrt_rational
-from origami_rings.expressions import ExpressionError, parse_expression
+from origami_rings.cyclotomic import CyclotomicReal, cos_of, sin_of, sqrt_rational, sum_of
+from origami_rings.expressions import ExpressionError, _tokenize, parse_expression
 
 
 def test_integers_and_fractions():
@@ -100,3 +104,86 @@ def test_pi_fraction_reader_folds_multiples_and_keeps_its_grammar():
         with pytest.raises(ExpressionError) as info:
             parse_expression(bad)
         assert info.value.position == 4, bad
+
+
+_TOKEN_RE_REFERENCE = re.compile(
+    r"\s*(?:(?P<number>\d+)|(?P<name>pi|sqrt|sin|cos)|(?P<op>[-+*/()]|·))"
+)
+
+
+def _tokenize_reference(text):
+    """The former tokenizer: one anchored match per token, leading spaces
+    included, and an unexpected character reported where that match began."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE_REFERENCE.match(text, pos)
+        if m is None:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise ExpressionError("unexpected character", rest[0], pos)
+        if m.group("number"):
+            tokens.append(("number", m.group("number"), m.start("number")))
+        elif m.group("name"):
+            tokens.append(("name", m.group("name"), m.start("name")))
+        else:
+            op = "*" if m.group("op") == "·" else m.group("op")
+            tokens.append(("op", op, m.start("op")))
+        pos = m.end()
+    return tokens
+
+
+def _outcome(function, text):
+    try:
+        return function(text)
+    except ExpressionError as exc:
+        return str(exc), exc.token, exc.position
+
+
+# each expression's parse error, as the former tokenizer and parser gave it
+PARSE_ERRORS = {
+    "1 $": ("unexpected character: '$' at position 1", "$", 1),
+    "1e3": ("unexpected character: 'e' at position 1", "e", 1),
+    "2 2": ("trailing input: '2' at position 2", "2", 2),
+    "cos(pi/3": ("expected ')': 'end of input' at position 8", "end of input", 8),
+    "sqrt()": ("expected a value: ')' at position 5", ")", 5),
+    "((1)": ("expected ')': 'end of input' at position 4", "end of input", 4),
+    "  ": ("empty expression", "", -1),
+}
+
+
+@pytest.mark.parametrize("text", sorted(PARSE_ERRORS))
+def test_one_pass_tokenizer_matches_the_former_one(text):
+    assert _outcome(_tokenize, text) == _outcome(_tokenize_reference, text)
+    assert _outcome(parse_expression, text) == PARSE_ERRORS[text]
+
+
+def test_one_pass_tokenizer_matches_the_former_one_on_seeded_texts():
+    rng = random.Random(17)
+    alphabet = ["1", "23", "pi", "sqrt", "sin", "cos", "+", "-", "*", "/", "(", ")", "·",
+                " ", "  ", "\t", "$", "e", ".", "p", "s"]
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+        assert _outcome(_tokenize, text) == _outcome(_tokenize_reference, text), repr(text)
+
+
+def test_n_ary_sum_is_the_left_fold():
+    # terms of mixed conductors, rationals among them; the sum has the
+    # fold's conductor and representation, and so does one that cancels
+    rng = random.Random(29)
+    for _ in range(200):
+        terms = []
+        for _ in range(rng.randint(2, 7)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                term = CyclotomicReal.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            else:
+                n = rng.choice((3, 4, 5, 8, 12, 15, 20))
+                k = rng.randrange(1, n)
+                term = (cos_of if kind == 1 else sin_of)(Angle(k, n)) * rng.randint(-5, 5)
+            terms.append(term)
+        terms.append(-functools.reduce(operator.add, terms[:-1]) if rng.random() < 0.1 else terms[-1])
+        fold = functools.reduce(operator.add, terms)
+        total = sum_of(terms)
+        assert (total.conductor, total._num, total._den) == (fold.conductor, fold._num, fold._den)

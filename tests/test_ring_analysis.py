@@ -11,6 +11,7 @@ import pytest
 
 from conftest import _zeta_power_rows_reference
 from origami_rings.angles import Angle
+from origami_rings.construction import generate
 from origami_rings.expressions import parse_expression
 from origami_rings import cyclotomic, ring_analysis
 from origami_rings.cyclotomic import (
@@ -548,15 +549,78 @@ def _size_reduce_combos(lattice, pentagon) -> list[list[int]]:
     return combos
 
 
+def _size_reduce(kernel, combo):
+    """The combination route: Babai's nearest plane against the kernel rows
+    (row, w, <row, w>), last row first, each quotient from <c, w> over the
+    whole current combination c.  Returns c reduced and the quotients."""
+    c, quotients = list(combo), [0] * len(kernel)
+    for j, (row, w, bw) in reversed(list(enumerate(kernel))):
+        quotients[j] = q = _round_half_even(sum(map(operator.mul, c, w)), bw)
+        c = [a - q * b for a, b in zip(c, row)]
+    return c, quotients
+
+
 def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
+    # the integer Gram-Schmidt rows w of the kernel round as the Fraction
+    # ones do
     lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG)
     rows = [row for row, _, _ in lattice._kernel]
     moved = 0
     for combo in _size_reduce_combos(lattice, pentagon):
-        reduced = lattice._size_reduce(combo)
+        reduced, _ = _size_reduce(lattice._kernel, combo)
         assert reduced == _size_reduce_reference(rows, combo)
         moved += reduced != combo
     assert moved
+
+
+def _babai_matches_the_combination_route(lattice, t, terms) -> bool:
+    """Whether the quotients from the tables, and the witness terms made
+    from them, are the combination route's on the tracked combination of t."""
+    reduced, quotients = _size_reduce(lattice._kernel, lattice.lattice.combination(t))
+    expected = [(c, e) for c, e in zip(reduced, lattice.exponents) if c]
+    return lattice._quotients(t) == quotients and terms == expected
+
+
+def test_babai_from_pivot_coordinates_matches_the_combination_route(pentagon):
+    lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG)
+    rng = random.Random(7)
+    for bits in (1, 8, 64, 400):
+        for _ in range(10):
+            t = [rng.randint(-2**bits, 2**bits) for _ in range(lattice.lattice.rank)]
+            terms = lattice.combination(t)
+            assert _babai_matches_the_combination_route(lattice, t, terms), (bits, t)
+
+
+def test_babai_from_pivot_coordinates_on_member_warm_hits(pentagon, monkeypatch):
+    # every hit of 400 queries drawn as the benchmark's member-warm draws
+    # them: level-2 coordinates, radicals, rationals and values outside
+    combination, hits = _MonomialLattice.combination, []
+
+    def checked(self, t):
+        terms = combination(self, t)
+        hits.append(_babai_matches_the_combination_route(self, t, terms))
+        return terms
+
+    monkeypatch.setattr(_MonomialLattice, "combination", checked)
+    coordinates = {}
+    for point in generate(pentagon, 2)[2]:
+        for value in (point.r, point.s):
+            if not value.is_integer:
+                coordinates.setdefault((value._num, value._den), value)
+    radicals = [f"sqrt({q})" for q in (3, 5, 15)] + [
+        f"{fn}({k}pi/{n})" for n in (3, 5, 6, 10, 15, 30)
+        for k in range(1, n) if math.gcd(k, 2 * n) == 1 for fn in ("cos", "sin")]
+    rationals = [f"{a}/{b}" for a, b in ((1, 2), (3, 5), (7, 3), (1, 15), (5, 6), (2, 3))]
+    outside = [f"sqrt({q})" for q in (2, 7, 11)] + ["cos(pi/8)", "sin(pi/12)", "cos(pi/20)"]
+    rng = random.Random(401)
+    kinds = []
+    for i in range(400):
+        if i % 4 == 0:
+            x = rng.choice(list(coordinates.values()))
+        else:
+            x = parse_expression(rng.choice((radicals, rationals, outside)[i % 4 - 1]))
+        kinds.append(membership_in_MR(x, pentagon).kind)
+    assert kinds.count(MembershipKind.PROVEN_IN) == len(hits) == 300 and all(hits)
 
 
 def test_pivot_combinations_reproduce_their_rows_and_stay_small(pentagon):
@@ -605,7 +669,7 @@ def test_size_reduction_depends_only_on_the_kernel_coset(pentagon):
             for row, _, _ in kernel:
                 k = rng.randint(-2**bits, 2**bits)
                 moved = [a + k * b for a, b in zip(moved, row)]
-            assert lattice._size_reduce(moved) == lattice._size_reduce(combo)
+            assert _size_reduce(kernel, moved)[0] == _size_reduce(kernel, combo)[0]
             checked += 1
     assert checked >= 60
 
@@ -1187,7 +1251,7 @@ def test_cold_1980_ring_check_builds_no_integer_lattice(monkeypatch):
 def test_lattice_and_field_caches_keep_the_last_few_sets(monkeypatch):
     # a set's lattice and fixing group serve only that set's queries, so
     # ring_check of 12 sets leaves 4 of each, and a second ring_check of
-    # the last set hits both caches and builds no new lattice
+    # the last set hits the lattice cache and builds no new lattice or group
     _monomial_lattice.cache_clear()
     _fixing_group.cache_clear()
     bounds = SearchBounds(max_den_exp=2, max_num_deg=8, max_candidates=300)
@@ -1201,10 +1265,11 @@ def test_lattice_and_field_caches_keep_the_last_few_sets(monkeypatch):
         raise AssertionError(f"lattice of {u} built again")
 
     monkeypatch.setattr(_MonomialLattice, "__init__", no_build)
-    hits = _monomial_lattice.cache_info().hits, _fixing_group.cache_info().hits
+    # a warm query reads the fixing group's generators off the lattice
+    hits, groups = _monomial_lattice.cache_info().hits, _fixing_group.cache_info()
     again = ring_check(sets[-1], bounds)
-    assert _monomial_lattice.cache_info().hits > hits[0]
-    assert _fixing_group.cache_info().hits > hits[1]
+    assert _monomial_lattice.cache_info().hits > hits
+    assert _fixing_group.cache_info() == groups
     assert [str(v) for c in again.criteria for v in c.verdicts] == [
         str(v) for c in report.criteria for v in c.verdicts
     ]
