@@ -41,7 +41,8 @@ A batch's decimals round enclosures of all its rows at once, one int64
 product per limb of the cos endpoints.
 
 One cached O(n) vector of the powers of a root of unity w modulo the split
-prime q evaluates an element at all roots of Phi_n mod q (evaluate).
+prime q evaluates an element at all roots of Phi_n mod q (evaluate), in
+gathered blocks of at most 8,192 entries.
 
 An element is rewritten into a subfield Q(zeta_m) by an exact trace over
 the degree, kept only when it promotes back to the element (_descend);
@@ -50,6 +51,7 @@ the hash reads the canonical form on the least conductor so reached.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -899,17 +901,22 @@ def _root_powers(n: int) -> np.ndarray:
 def evaluate(x: CyclotomicReal, n: int) -> "np.ndarray | None":
     """x at the roots w^a of Phi_n mod q = split_prime(n), a over units(n)
     in order, None when q divides x's denominator: a ring map, so products
-    and sums are pointwise.  Each nonzero c_j adds c_j * w^(aj) for all a
-    at once, one gather from _root_powers.  Residues are below q < 2^31, so
-    a product of two fits in int64, and so does a sum of phi(n) residues."""
+    and sums are pointwise.  The coefficients c_j not divisible by q go 32
+    at a time against 256 of the roots: one gather from _root_powers makes
+    that block of the table w^(aj), at most 8,192 entries, and one product
+    with the residues c_j mod q in 16-bit limbs adds the block's terms.
+    Residues are below q < 2^31, so each limb's sum of at most 32 products
+    stays below 2^52."""
     q = split_prime(n)
     if x._den % q == 0:
         return None
     w, a = _root_powers(n), np.array(units(n), np.int64)
-    acc = np.zeros(len(a), np.int64)
-    for j, c in enumerate(x.to_conductor(n)._num):
-        if c:
-            acc += w[a * j % n] * (c % q) % q
+    terms = [(j, r) for j, c in enumerate(x.to_conductor(n)._num) if (r := c % q)]
+    j, c = np.array(terms, np.int64).reshape(-1, 2).T
+    limbs, acc = np.stack([c & 0xFFFF, c >> 16]), np.zeros(len(a), np.int64)
+    for s, t in itertools.product(range(0, len(j), 32), range(0, len(a), 256)):
+        lo, hi = limbs[:, s : s + 32] @ w[np.outer(j[s : s + 32], a[t : t + 256]) % n] % q
+        acc[t : t + 256] += (lo + (hi << 16)) % q
     return acc % q * pow(x._den, -1, q) % q
 
 

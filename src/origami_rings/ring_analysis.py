@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -412,6 +413,17 @@ class _MonomialLattice:
     d x d matrix on pivot coordinates, and `coordinates` walks a query's
     candidates with one vector-matrix product each.  Otherwise a candidate
     that passes the mod-q screen is decided by one exact test, `membership`.
+
+    The screen reads two fingerprints residual(E) . v_k mod q of an image
+    E, for two fixed pseudo-random vectors v_k drawn from random.Random(q)
+    (Freivalds' identity test).  residual is linear, E - E[pivots] @ rows,
+    so each fingerprint is E . z_k, z_k being v_k less rows @ v_k at the
+    pivot columns: one dot product per image.  A nonzero fingerprint
+    proves a nonzero residual, so the screen drops no lattice member; a
+    zero fingerprint of a nonzero residual, of chance 1/q^2 over the v_k
+    (Schwartz-Zippel), only sends the candidate on to the exact test,
+    which rejects it.  Verdicts and witnesses therefore do not depend on
+    the v_k.
     """
 
     def __init__(self, u: SlopeSet, max_num_deg: int):
@@ -426,7 +438,7 @@ class _MonomialLattice:
         self.degree = max_num_deg if count <= 1 else max(4, max_num_deg // count)
         self.exponents = list(_graded_exponents(count, self.degree, self.degree))
         self.q = q = split_prime(n)
-        self.images = [evaluate(v, n) for v in self.values]
+        self.images = _images(u)
         ones = np.ones(euler_phi(n), np.int64)
         self.rows, self.pivots = np.zeros((0, len(ones)), np.int64), []
         images = _Chain(ones, self.images, self.mul_mod)
@@ -439,22 +451,24 @@ class _MonomialLattice:
                 self.pivots.append(col)
         # the images span Q(p) mod q, so the Hermite rows span Q(p)
         self.spans = len(self.pivots) == euler_phi(n) // len(group)
+        # residual(image) . v == image . z for the two columns v of z drawn
+        # here, once z is v less rows @ v at the pivot columns
+        self.z = np.frombuffer(random.Random(q).randbytes(8 * len(ones)), np.uint32) % q
+        self.z = self.z.astype(np.int64).reshape(-1, 2)
+        self.z[self.pivots] = (self.z[self.pivots] - _dot_mod(self.rows, self.z, q)) % q
 
     def mul_mod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b % self.q
 
     def residual(self, image: np.ndarray) -> np.ndarray:
         """The element of image + span mod q that is zero at every pivot,
-        image - image[pivots] @ rows, so zero exactly on the span.  The
-        product is split into limbs of w bits, w from the row count k: each
-        partial sum of k products below 2^(w + bits(q)) stays below 2^63."""
-        q, k = self.q, len(self.pivots)
-        width = 63 - q.bit_length() - k.bit_length()
-        coords = image[self.pivots]
-        for shift in range(0, q.bit_length(), width):
-            limb = coords >> shift & ((1 << width) - 1)
-            image = (image - (limb @ self.rows) % q * pow(2, shift, q)) % q
-        return image
+        image - image[pivots] @ rows, so zero exactly on the span; only the
+        echelon build reads it."""
+        return (image - _dot_mod(image[self.pivots], self.rows, self.q)) % self.q
+
+    def fingerprint(self, image: np.ndarray) -> tuple[int, int]:
+        """The two dot products residual(image) . v_k mod q, as image . z."""
+        return tuple(_dot_mod(image, self.z, self.q).tolist())
 
     @cached_property
     def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]], tuple]:
@@ -597,6 +611,15 @@ class _MonomialLattice:
         return self.combination(lattice.coordinates(vec)[0])
 
 
+def _dot_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q for residues below q < 2^31, a split into limbs of w
+    bits, w from the length k of the summed axis: each partial sum of k
+    products below 2^(w + bits(q)) stays below 2^63."""
+    width = 63 - q.bit_length() - a.shape[-1].bit_length()
+    shifts = range(0, q.bit_length(), width)
+    return sum((a >> s & ((1 << width) - 1)) @ b % q * pow(2, s, q) % q for s in shifts) % q
+
+
 def _round_half_even(a: int, b: int) -> int:
     """round(Fraction(a, b)) for b > 0, in integers."""
     q, r = divmod(a, b)
@@ -613,12 +636,13 @@ class _Candidates:
     integer combination of the powers x * p^e, the chain `powers`.  The
     screen reads their images mod q, the chain `images` of
     E(x) * prod E(p_i)^e_i pointwise, None when q divides x's denominator.
-    Its residual map is F_q-linear, so each power's image is reduced once
-    against the echelon rows and a candidate's residual is the same
-    combination of theirs.  An exact power is one product, made when a
-    candidate that passes the screen first needs it.  The forms depend only
-    on the number of generators, so they come from the chain `_forms` that
-    every query and every bound share.
+    The lattice's fingerprints are F_q-linear, so each power's image is
+    fingerprinted once, by one limbed dot product, and a candidate's
+    fingerprints are the same integer combination of those numbers: the
+    candidate is dropped when either is nonzero mod q.  An exact power is
+    one product, made when a candidate that passes the screen first needs
+    it.  The forms depend only on the number of generators, so they come
+    from the chain `_forms` that every query and every bound share.
     """
 
     def __init__(self, x: CyclotomicReal, lattice: _MonomialLattice, bounds: SearchBounds):
@@ -629,7 +653,7 @@ class _Candidates:
         self.powers = _Chain(x, lattice.values)
         start = evaluate(x, lattice.n)
         self.images = None if start is None else _Chain(start, lattice.images, lattice.mul_mod)
-        self.residuals: dict[tuple[int, ...], np.ndarray] = {}
+        self.prints: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def __iter__(self):
         return ((exps, self.forms[exps]) for exps in self.order)
@@ -646,15 +670,15 @@ class _Candidates:
         return CyclotomicReal._make(powers[0][1].conductor, num, den)
 
     def excluded(self, form: _Form) -> bool:
-        """Whether the image of x * m(p) mod q leaves the span of the
-        monomial images, which proves x * m(p) outside the lattice; False
-        when x has no image."""
+        """Whether a fingerprint of x * m(p) is nonzero, which proves its
+        image mod q outside the span of the monomial images, and so x * m(p)
+        outside the lattice; False when x has no image."""
         if self.images is None:
             return False
-        for e in form.keys() - self.residuals.keys():
-            self.residuals[e] = self.lattice.residual(self.images[e])
-        q = self.lattice.q
-        return bool((sum(c % q * self.residuals[e] % q for e, c in form.items()) % q).any())
+        for e in form.keys() - self.prints.keys():
+            self.prints[e] = self.lattice.fingerprint(self.images[e])
+        columns = zip(*(self.prints[e] for e in form))
+        return any(sum(map(operator.mul, form.values(), f)) % self.lattice.q for f in columns)
 
 
 # A set's lattice and fixing group serve only the queries on that set, so
@@ -662,6 +686,13 @@ class _Candidates:
 @lru_cache(maxsize=4)
 def _monomial_lattice(u: SlopeSet, max_num_deg: int) -> _MonomialLattice:
     return _MonomialLattice(u, max_num_deg)
+
+
+@lru_cache(maxsize=4)
+def _images(u: SlopeSet) -> tuple[np.ndarray, ...]:
+    """The free p-values at the roots of Phi_n mod q = split_prime(n), read
+    by both the fixing group and the lattice."""
+    return tuple(evaluate(v, u.working_conductor) for _, v in _numerator_generators(u))
 
 
 @lru_cache(maxsize=4)
@@ -679,7 +710,7 @@ def _fixing_group(u: SlopeSet) -> tuple[int, ...]:
     """
     n = u.working_conductor
     gens = [v for _, v in _numerator_generators(u)]
-    images = [evaluate(g, n) for g in gens]
+    images = _images(u)
     at = {b % n: k for k, b in enumerate(units(n))}  # the entry of each root w^b
     # the entry at b = 1 first: sigma_a(g) = g needs g(w^a) = g(w)
     group = tuple(a for k, a in enumerate(units(n)) if all(

@@ -929,6 +929,44 @@ def test_evaluation_is_a_ring_map_at_the_roots_of_phi_n(n):
     assert cyclotomic.evaluate(zero, n).tolist() == [0] * len(units)
 
 
+def _evaluate_reference(x, n):
+    """The former evaluation, one coefficient at a time: each nonzero c_j
+    adds c_j * w^(aj) for all a at once, one gather from _root_powers."""
+    q = cyclotomic.split_prime(n)
+    if x._den % q == 0:
+        return None
+    w, a = cyclotomic._root_powers(n), np.array(cyclotomic.units(n), np.int64)
+    acc = np.zeros(len(a), np.int64)
+    for j, c in enumerate(x.to_conductor(n)._num):
+        if c:
+            acc += w[a * j % n] * (c % q) % q
+    return acc % q * pow(x._den, -1, q) % q
+
+
+@pytest.mark.parametrize("n", [1980, 13860])
+def test_blocked_evaluation_matches_the_per_coefficient_loop(n):
+    # dense signed 64-bit coefficients, a tenth of them multiples of q,
+    # over denominators other than 1: phi(n) coefficients cross many
+    # blocks of 32 coefficients by 8,192 // 32 roots
+    q, phi = cyclotomic.split_prime(n), euler_phi(n)
+    rng = random.Random(n)
+    for den in (1, 3, 7 * 11 * 13, 2**64 + 13):
+        num = [rng.randrange(-2**63, 2**63) for _ in range(phi)]
+        for j in rng.sample(range(phi), phi // 10):
+            num[j] = q * rng.randrange(-2**32, 2**32)
+        x = CyclotomicReal._make(n, num, den)
+        assert x._den == den and sum(c % q == 0 for c in x._num) >= phi // 10
+        assert (cyclotomic.evaluate(x, n) == _evaluate_reference(x, n)).all()
+    # every coefficient a multiple of q, a sparse element, and its lift to
+    # the conductor n from a subfield
+    for y in (x * q, CyclotomicReal._make(n, [0] * (phi - 3) + [5, -q, 2**70], 9), sin_of(Angle(1, 5))):
+        assert (cyclotomic.evaluate(y, n) == _evaluate_reference(y, n)).all()
+    assert not cyclotomic.evaluate(x * q, n).any()
+    # q divides the denominator
+    assert cyclotomic.evaluate(x * Fraction(1, q), n) is None
+    assert _evaluate_reference(x * Fraction(1, q), n) is None
+
+
 def _same(x, y):
     return (x.conductor, x._num, x._den) == (y.conductor, y._num, y._den)
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -1200,10 +1201,15 @@ def test_fixing_group_matches_the_exact_route_on_every_unit(monkeypatch):
     def fixing_groups(some):
         nonlocal checks
         checks = 0
+        ring_analysis._images.cache_clear()
         _fixing_group.cache_clear()
         return [_fixing_group(u) for u in some]
 
     monkeypatch.setattr(CyclotomicReal, "is_fixed_by", counting)
+    # the group reads the images of a set from their own cache, so the
+    # planted images below go to a fresh one, dropped after the test
+    fresh = functools.lru_cache(maxsize=4)(ring_analysis._images.__wrapped__)
+    monkeypatch.setattr(ring_analysis, "_images", fresh)
     # only the survivors' generators modulo +-1 are checked exactly
     assert fixing_groups(sets) == expected
     assert checks == sum(
@@ -1354,29 +1360,89 @@ def test_excluded_matches_the_reduction_of_the_summed_images():
 
 
 def test_cold_1980_ring_check_reduces_each_power_once(monkeypatch):
-    # each monomial image is reduced once while the basis is built, and each
-    # power x * p^e once per query, not each candidate
+    # each monomial image is reduced once while the basis is built; a query
+    # reduces nothing and takes one fingerprint dot per power x * p^e, not
+    # one per candidate
     u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
     _monomial_lattice.cache_clear()
     _fixing_group.cache_clear()
-    reductions = queries = 0
-    residual, init = _MonomialLattice.residual, _Candidates.__init__
+    reductions, at_query, dots = 0, [], []
+    residual, fingerprint = _MonomialLattice.residual, _MonomialLattice.fingerprint
+    init = _Candidates.__init__
 
     def counting_residual(self, image):
         nonlocal reductions
         reductions += 1
         return residual(self, image)
 
+    def counting_fingerprint(self, image):
+        dots[-1] += 1
+        return fingerprint(self, image)
+
     def counting_init(self, *args):
-        nonlocal queries
-        queries += 1
+        at_query.append(reductions)
+        dots.append(0)
         init(self, *args)
 
     monkeypatch.setattr(_MonomialLattice, "residual", counting_residual)
+    monkeypatch.setattr(_MonomialLattice, "fingerprint", counting_fingerprint)
     monkeypatch.setattr(_Candidates, "__init__", counting_init)
     assert ring_check(u).status is RingStatus.UNKNOWN
-    cold, lattice = (reductions, queries), _monomial_lattice(u, DEFAULT_MAX_NUM_DEG)
+    lattice = _monomial_lattice(u, DEFAULT_MAX_NUM_DEG)
     one = CyclotomicReal.from_rational(1, u.working_conductor)
     powers = {e for _, form in _candidates(one, u, SearchBounds()) for e in form}
-    assert cold[1] and len(powers) == 17
-    assert cold[0] <= len(lattice.exponents) + cold[1] * len(powers)
+    assert dots and len(powers) == 17
+    assert reductions <= len(lattice.exponents)
+    assert at_query == [reductions] * len(dots)
+    assert max(dots) <= len(powers)
+
+
+def _report_entries(report):
+    """Status, decider and per criterion each verdict's kind, reason,
+    numerator terms and denominator exponents."""
+    return [report.status.value, report.decided_by, [[c.name, [[
+        v.kind.value, v.reason,
+        None if v.witness is None else [[a, list(e)] for a, e in v.witness.numerator_terms],
+        None if v.witness is None else sorted(v.witness.denominator_exponents.items()),
+    ] for v in c.verdicts]] for c in report.criteria]]
+
+
+def test_zero_fingerprints_send_every_candidate_to_the_exact_test(monkeypatch):
+    # a planted collision: with both z vectors zero every fingerprint is
+    # zero, so the screen drops nothing and each candidate is decided by
+    # the exact test alone, with the same verdicts, reasons and witnesses
+    cases = [
+        (SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"]), SearchBounds()),
+        (SlopeSet(["0", "2pi/11", "2pi/3", "9pi/11"]), SearchBounds(max_den_exp=2, max_num_deg=8)),
+    ]
+    screened, tested = [], []
+    excluded, membership = _Candidates.excluded, _MonomialLattice.membership
+
+    def counting_excluded(self, form):
+        screened.append(excluded(self, form))
+        return screened[-1]
+
+    def counting_membership(self, y):
+        tested.append(y)
+        return membership(self, y)
+
+    def run(u, bounds):
+        screened.clear()
+        tested.clear()
+        return _report_entries(ring_check(u, bounds)), sum(screened), len(screened), len(tested)
+
+    monkeypatch.setattr(_Candidates, "excluded", counting_excluded)
+    monkeypatch.setattr(_MonomialLattice, "membership", counting_membership)
+    dropped = 0
+    for u, bounds in cases:
+        _monomial_lattice.cache_clear()
+        entries, excluded_count, screens, _ = run(u, bounds)
+        dropped += excluded_count
+        lattice = _monomial_lattice(u, bounds.max_num_deg)
+        assert not lattice.spans, str(u)
+        monkeypatch.setattr(lattice, "z", np.zeros_like(lattice.z))
+        again, excluded_again, screens_again, exact = run(u, bounds)
+        assert again == entries, str(u)
+        assert excluded_again == 0 and exact == screens_again >= screens, str(u)
+    # the unpatched screen drops every candidate of the conductor-1980 set
+    assert dropped >= 5 * 81
