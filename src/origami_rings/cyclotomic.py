@@ -32,7 +32,9 @@ enclosure's midpoint in integers.
 Batch kernels hold K elements of one field as a K x phi integer matrix
 over a vector of denominators.  A product by a fixed x is one matrix
 product (row j of the matrix is x * zeta^j); sums go over the lcm of the
-denominators, and rows are normalized as CyclotomicReal is.  Products,
+denominators, and rows are normalized as CyclotomicReal is, after each
+Batch operation or, for a formula run on Deferred rows, once per result
+(settle).  Products,
 sums, stacks and concatenations land on the lcm of their conductors, as
 CyclotomicReal arithmetic does, so no caller promotes by hand.  A kernel
 runs in int64 when its result is provably below 2^62, for a product when
@@ -695,7 +697,8 @@ def _array(data) -> np.ndarray:
 
 class Batch(NamedTuple):
     """K elements of Q(zeta_n), each normalized as CyclotomicReal is: the
-    rows of num over the positive den, int64 whenever both fit in 62 bits."""
+    rows of num over the positive den, int64 whenever both fit in 62 bits.
+    +, - and * by a fixed x normalize their results."""
 
     n: int
     num: np.ndarray
@@ -711,28 +714,13 @@ class Batch(NamedTuple):
         return self if m == self.n else self * CyclotomicReal.from_rational(1, m)
 
     def __add__(self, other: "Batch") -> "Batch":
-        return _combine(self, other, np.add)
+        return settle(_combine(self, other, np.add))
 
     def __sub__(self, other: "Batch") -> "Batch":
-        return _combine(self, other, np.subtract)
+        return settle(_combine(self, other, np.subtract))
 
     def __mul__(self, x: CyclotomicReal) -> "Batch":
-        """self * x for a fixed x, on lcm(n, x.conductor) as x * y would be."""
-        m = math.lcm(self.n, x.conductor)
-        x = x.to_conductor(m)
-        if x.is_rational and m == self.n:  # such as p = 0 and p = 1: scale the rows
-            c = x._num[0]
-            fits = max(self.num_bits + c.bit_length(), self.den_bits + x._den.bit_length())
-            num, den = _cast(fits <= _INT64_BITS, self.num, self.den)
-            return _normalized(m, num * c, den * x._den)
-        matrix, bits = _multiplier(self.n, x._num, m) or (None, _INT64_BITS)
-        size = self.num_bits + bits + euler_phi(self.n).bit_length() + 1
-        if max(size, self.den_bits + x._den.bit_length()) <= _INT64_BITS:
-            num, den = _cast(True, self.num, self.den)
-            return _normalized(m, num @ matrix, den * x._den)
-        ys = [CyclotomicReal(self.n, tuple(row), 1, _raw=True) * x for row in self.num.tolist()]
-        num = np.array([y._num for y in ys], object).reshape(len(ys), euler_phi(m))
-        return _normalized(m, num, self.den.astype(object) * [y._den for y in ys])
+        return settle(_product(self, x))
 
     def rows(self) -> list[tuple[tuple[int, ...], int]]:  # (numerator, denominator)
         return list(zip(map(tuple, self.num.tolist()), self.den.tolist()))
@@ -768,6 +756,53 @@ class Batch(NamedTuple):
                 known[c] = _ratio_text(c, den)
             out.append(tuple(map(known.__getitem__, row)))
         return out
+
+
+class Deferred(Batch):
+    """Rows of K elements of Q(zeta_n) as a Batch holds them, not normalized:
+    the intermediates of a formula on Batches (defer), normalized only in
+    the results (settle).  +, - and * by a fixed x run in int64 when the
+    bits of their operands bound the result below 2^62, else on Python ints."""
+
+    __slots__ = ()
+
+    def __add__(self, other: Batch) -> "Deferred":
+        return _combine(self, other, np.add)
+
+    def __sub__(self, other: Batch) -> "Deferred":
+        return _combine(self, other, np.subtract)
+
+    def __mul__(self, x: CyclotomicReal) -> "Deferred":
+        return _product(self, x)
+
+
+def _product(b: Batch, x: CyclotomicReal) -> Deferred:
+    """b * x for a fixed x, on lcm(n, x.conductor) as x * y would be."""
+    m = math.lcm(b.n, x.conductor)
+    x = x.to_conductor(m)
+    if x.is_rational and m == b.n:  # such as p = 0 and p = 1: scale the rows
+        c = x._num[0]
+        fits = max(b.num_bits + c.bit_length(), b.den_bits + x._den.bit_length())
+        num, den = _cast(fits <= _INT64_BITS, b.num, b.den)
+        return _rows(Deferred, m, num * c, den * x._den)
+    matrix, bits = _multiplier(b.n, x._num, m) or (None, _INT64_BITS)
+    size = b.num_bits + bits + euler_phi(b.n).bit_length() + 1
+    if max(size, b.den_bits + x._den.bit_length()) <= _INT64_BITS:
+        num, den = _cast(True, b.num, b.den)
+        return _rows(Deferred, m, num @ matrix, den * x._den)
+    ys = [CyclotomicReal(b.n, tuple(row), 1, _raw=True) * x for row in b.num.tolist()]
+    num = np.array([y._num for y in ys], object).reshape(len(ys), euler_phi(m))
+    return _rows(Deferred, m, num, b.den.astype(object) * [y._den for y in ys])
+
+
+def defer(value):
+    """A Batch as Deferred rows; anything else, such as a number, as it is."""
+    return Deferred(*value) if type(value) is Batch else value
+
+
+def settle(value):
+    """Deferred rows normalized into a Batch; anything else as it is."""
+    return _normalized(value.n, value.num, value.den) if isinstance(value, Deferred) else value
 
 
 # Enclosure limbs narrower than this make more int64 products than the
@@ -812,13 +847,13 @@ def _cast(fits: bool, *arrays: np.ndarray) -> list[np.ndarray]:
 def _normalized(n: int, num: np.ndarray, den: np.ndarray) -> Batch:
     """As _normalize, row by row, for positive den; a zero row ends over 1."""
     g = np.gcd(np.gcd.reduce(num, axis=1), den)
-    return _batch(n, num // g[:, None], den // g)
+    return _rows(Batch, n, num // g[:, None], den // g)
 
 
-def _batch(n: int, num: np.ndarray, den: np.ndarray) -> Batch:
-    """Normalized rows as a Batch, int64 when both fit."""
+def _rows(kind, n: int, num: np.ndarray, den: np.ndarray):
+    """num over den as a Batch or Deferred, int64 when both fit."""
     bits = _bits(num), _bits(den)
-    return Batch(n, *_cast(max(bits) <= _INT64_BITS, num, den), *bits)
+    return kind(n, *_cast(max(bits) <= _INT64_BITS, num, den), *bits)
 
 
 def stack(values: Sequence[CyclotomicReal], n: int = 1) -> Batch:
@@ -834,19 +869,21 @@ def concat(batches: Sequence[Batch], n: int = 1) -> Batch:
         return stack([], n)
     n = math.lcm(n, *(b.n for b in batches))
     batches = [b.to_conductor(n) for b in batches]
-    return _batch(n, np.concatenate([b.num for b in batches]),
-                  np.concatenate([b.den for b in batches]))
+    return _rows(Batch, n, np.concatenate([b.num for b in batches]),
+                 np.concatenate([b.den for b in batches]))
 
 
-def _combine(a: Batch, b: Batch, op) -> Batch:
+def _combine(a: Batch, b: Batch, op) -> Deferred:
     """op(a, b) on the lcm of the conductors, over the lcm of the denominators;
     a one-row operand broadcasts against every row of the other."""
     n = math.lcm(a.n, b.n)
-    a, b = a.to_conductor(n), b.to_conductor(n)
+    a, b = defer(a).to_conductor(n), defer(b).to_conductor(n)
     bits = max(a.num_bits + b.den_bits, b.num_bits + a.den_bits, a.den_bits + b.den_bits)
     an, ad, bn, bd = _cast(bits < _INT64_BITS, a.num, a.den, b.num, b.den)
     den = np.lcm(ad, bd)
-    return _normalized(n, op(an * (den // ad)[:, None], bn * (den // bd)[:, None]), den)
+    num = an * (den // ad)[:, None]
+    op(num, bn * (den // bd)[:, None], out=num)
+    return _rows(Deferred, n, num, den)
 
 
 @lru_cache(maxsize=64)  # a 9-slope set's multipliers; one at phi 480 holds 1.8 MB

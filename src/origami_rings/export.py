@@ -4,9 +4,12 @@ Points are exported once each, in the frame of the slope set when the
 document names one and else in the frame of the first point, tagged
 with the first level that produced them, as both a certified decimal
 approximation of geometry.cartesian and the exact coefficient vectors of
-their two coordinates.  The records come from the levels' integer rows
+their two coordinates.  Every export reads one set of columns
+(_point_columns) made from the levels' integer rows
 (LevelSet.row_batches), rows of another frame reframed as Batches, so an
-export builds no PlanePoint.  The JSON document (schema 1) round-trips:
+export builds no PlanePoint, and only point_records builds PointRecords.
+The JSON, CSV and text writers read the columns directly, each distinct
+coordinate's strings once.  The JSON document (schema 1) round-trips:
 it is read back as rows, each distinct coefficient list once, into
 levels whose points equal the originals under exact comparison, and a
 malformed one raises ValueError.
@@ -14,14 +17,18 @@ malformed one raises ValueError.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .angles import Angle
 from .construction import LevelSet, distinct_rows
@@ -45,56 +52,55 @@ class PointRecord:
     s_coeffs: tuple[str, ...]
 
 
-def point_records(
-    levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION, frame: Optional[Frame] = None
-) -> list[PointRecord]:
-    """Flatten levels into one record per point at its birth level, each in
-    frame, by default the frame of the first point.
+def _point_columns(levels: Sequence[LevelSet], precision: int, frame: Optional[Frame]) -> tuple:
+    """The points of levels as columns (level, re, im, conductor, strings, r,
+    s): one entry a point in level, re, im, r and s, in birth order, each
+    point in frame, by default the frame of the first point; r and s index
+    strings, the coefficient strings of each distinct coordinate, on the one
+    conductor.
 
     One keyed pass reads the levels' rows (LevelSet.row_batches), each
     batch once, reframed into frame, on the lcm of their conductors: every
     coordinate, r or s, gets an id by the exact key of its row
     (construction.row_keys), a point is the pair of its coordinates' ids,
-    and its first row is its birth.
-    Each distinct coordinate is written once, and records with an equal
-    coordinate share its strings tuple; the points' Cartesian parts (Re,
-    Im) and their decimals come from one batch.
+    and its first row is its birth.  Each distinct coordinate is written
+    once; the points' Cartesian parts (Re, Im) and their decimals come from
+    one batch.
     """
-    segments, born = {}, []  # id -> (frame, r, s), and each one's level
+    segments = {}  # id -> the level and rows (frame, r, s) of each batch
     for level in levels:
         for rows in level.row_batches():
-            if id(rows) not in segments and len(rows[1].den):
-                segments[id(rows)] = rows
-                born.append(level.level)
+            if len(rows[1].den):
+                segments.setdefault(id(rows), (level.level, rows))
     if not segments:
-        return []
-    frame = frame or next(iter(segments.values()))[0]
-    coords = [reframe(r, s, old, frame) for old, r, s in segments.values()]
+        return [], [], [], 1, [], [], []
+    frame = frame or next(iter(segments.values()))[1][0]
+    coords = [reframe(r, s, old, frame) for _, (old, r, s) in segments.values()]
     both = concat([pair[c] for c in (0, 1) for pair in coords])  # every r, then every s
-    conductor, size = both.n, len(both.den) // 2
+    size = len(both.den) // 2
     distinct, coord = distinct_rows(both)
     r_ids, s_ids = coord[:size], coord[size:]
-    first: dict = {}  # each point -> its first row, the row of its birth
-    for i, point in enumerate(zip(r_ids.tolist(), s_ids.tolist())):
-        first.setdefault(point, i)
-    births = list(first.values())
+    # each point's first row, the row of its birth, in the order of the rows
+    births = np.sort(np.unique(r_ids * len(distinct) + s_ids, return_index=True)[1])
+    born = np.repeat([level for level, _ in segments.values()], [len(r.den) for r, _ in coords])
     r_ids, s_ids = r_ids[births], s_ids[births]
-    row_level = [level for level, (r, _) in zip(born, coords) for _ in range(len(r.den))]
     values = both.take(distinct)
     re, im = cartesian(values.take(r_ids), values.take(s_ids), frame)
-    strings = values.coefficient_strings()
-    columns = zip([row_level[i] for i in births], re.decimals(precision), im.decimals(precision),
-                  r_ids.tolist(), s_ids.tolist())
+    return (born[births].tolist(), re.decimals(precision), im.decimals(precision), both.n,
+            values.coefficient_strings(), r_ids.tolist(), s_ids.tolist())
+
+
+def point_records(
+    levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION, frame: Optional[Frame] = None
+) -> list[PointRecord]:
+    """Flatten levels into one record per point at its birth level, each in
+    frame, by default the frame of the first point (_point_columns); records
+    with an equal coordinate share its strings tuple."""
+    level, re, im, conductor, strings, r, s = _point_columns(levels, precision, frame)
     return [
-        PointRecord(level, re_text, im_text, conductor, strings[r], strings[s])
-        for level, re_text, im_text, r, s in columns
+        PointRecord(k, x, y, conductor, strings[a], strings[b])
+        for k, x, y, a, b in zip(level, re, im, r, s)
     ]
-
-
-def _distinct_strings(records: Sequence[PointRecord]) -> list[tuple[str, ...]]:
-    """The strings tuples of the records, each once (point_records shares
-    one tuple among the records with an equal coordinate)."""
-    return list({id(t): t for r in records for t in (r.r_coeffs, r.s_coeffs)}.values())
 
 
 def to_json_document(
@@ -104,25 +110,19 @@ def to_json_document(
 ) -> dict:
     """The schema-1 document of levels; points with an equal coordinate
     share one list object for it."""
-    records = point_records(levels, precision, u.frame if u is not None else None)
-    # one list per distinct coordinate, keyed by the id of its strings tuple
-    lists = {id(t): list(t) for t in _distinct_strings(records)}
+    level, re, im, conductor, strings, r, s = _point_columns(
+        levels, precision, u.frame if u is not None else None)
+    lists = list(map(list, strings))
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "origami-points",
         "precision": precision,
         "k_max": max((l.level for l in levels), default=0),
         "truncated": any(l.truncated for l in levels),
-        "conductor": records[0].conductor if records else 1,
+        "conductor": conductor,
         "points": [
-            {
-                "level": r.level,
-                "re": r.re,
-                "im": r.im,
-                "r": lists[id(r.r_coeffs)],
-                "s": lists[id(r.s_coeffs)],
-            }
-            for r in records
+            {"level": k, "re": x, "im": y, "r": lists[a], "s": lists[b]}
+            for k, x, y, a, b in zip(level, re, im, r, s)
         ],
     }
     if u is not None:
@@ -221,54 +221,68 @@ def indented_json(doc) -> str:
     with str keys, lists, tuples, strings, numbers, booleans and None.
 
     With an indent CPython's json falls back to its pure-Python encoder;
-    here strings go through json's C escaper, fragments are appended to one
-    list that is joined once, and a list of strings that the document holds
-    more than once at one depth is written once.
+    here strings go through json's C escaper and fragments are appended to
+    one list that is joined once.  A list of strings is one text, memoized
+    per (depth, id), so a list the document holds many times is written
+    once per depth and its text appended by reference.  A dict is written
+    from its key fragments, cached per (key tuple, depth), so the points of
+    an export share one set.
     """
     parts: list[str] = []
-    _write(doc, "\n", parts, {})
+    _write(doc, "\n", parts.append, collections.defaultdict(dict), {})
     return "".join(parts)
 
 
-def _write(value, pad: str, parts: list[str], memo: dict) -> None:
+def _write(value, pad: str, append, lists: dict, keys: dict) -> None:
     """Append value as indented_json writes it, pad being its line's newline
-    and indent.  memo maps (id, pad) of a list of strings to its text: the
-    document outlives the call, so no id is reused, and one list may sit at
-    two depths."""
+    and indent.  lists maps pad to the texts at that depth of lists of
+    strings, by id: the document outlives the call, so no id is reused.
+    keys maps (key tuple, pad) to the fragment that opens each entry."""
     inner = pad + "  "
     if isinstance(value, dict):
-        sep = "{" + inner
-        for k, v in value.items():
-            text = _scalar(v)
-            if text is None:
-                parts.append(f"{sep}{_escape(k)}: ")
-                _write(v, inner, parts, memo)
+        if not value:
+            append("{}")
+            return
+        names = tuple(value)
+        heads = keys.get((names, pad))
+        if heads is None:
+            seps = ["{" + inner] + ["," + inner] * (len(names) - 1)
+            heads = keys[names, pad] = [f"{sep}{_escape(k)}: " for sep, k in zip(seps, names)]
+        known = lists[inner]
+        for head, v in zip(heads, value.values()):
+            append(head)
+            if (scalar := _SCALARS.get(type(v))) is not None:
+                append(scalar(v))
+            elif (text := known.get(id(v))) is not None:
+                append(text)
             else:
-                parts.append(f"{sep}{_escape(k)}: {text}")
-            sep = "," + inner
-        parts.append(pad + "}" if value else "{}")
+                _write(v, inner, append, lists, keys)
+        append(pad + "}")
     elif isinstance(value, (list, tuple)):
-        if (text := memo.get((id(value), pad))) is not None:
-            parts.append(text)
-        elif value and set(map(type, value)) == {str}:
-            text = memo[id(value), pad] = (
-                "[" + inner + ("," + inner).join(map(_escape, value)) + pad + "]")
-            parts.append(text)
-        else:
-            sep = "[" + inner
-            for v in value:
-                parts.append(sep)
-                _write(v, inner, parts, memo)
-                sep = "," + inner
-            parts.append(pad + "]" if value else "[]")
+        if not value:
+            append("[]")
+            return
+        known = lists[pad]
+        if (text := known.get(id(value))) is None and set(map(type, value)) == _STR:
+            text = known[id(value)] = "[" + inner + ("," + inner).join(map(_escape, value)) + pad + "]"
+        if text is not None:
+            append(text)
+            return
+        sep = "[" + inner
+        for v in value:
+            append(sep)
+            _write(v, inner, append, lists, keys)
+            sep = "," + inner
+        append(pad + "]")
     elif (text := _scalar(value)) is not None:
-        parts.append(text)
+        append(text)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _scalar(value) -> Optional[str]:
-    """The text of a string, number, boolean or None; None for anything else."""
+    """The text of a string, number, boolean or None, subclasses included;
+    None for anything else."""
     if isinstance(value, str):
         return _escape(value)
     if value is None:
@@ -284,32 +298,35 @@ def _scalar(value) -> Optional[str]:
     return None
 
 
+# the writers of the exact scalar types, looked up before _scalar's checks
+_SCALARS = {str: _escape, int: int.__repr__, float: _scalar, bool: _scalar, type(None): _scalar}
+_STR = {str}
+
+
 CSV_COLUMNS = ["level", "re", "im", "conductor", "r", "s"]
 
 
 def csv_text(
     levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION
 ) -> str:
+    level, re, im, conductor, strings, r, s = _point_columns(levels, precision, None)
+    cells = [";".join(t) for t in strings]  # one cell per distinct coordinate
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
-    records = point_records(levels, precision)
-    cells = {id(t): ";".join(t) for t in _distinct_strings(records)}
-    for r in records:
-        writer.writerow([r.level, r.re, r.im, r.conductor,
-                         cells[id(r.r_coeffs)], cells[id(r.s_coeffs)]])
+    writer.writerows(zip(level, re, im, itertools.repeat(conductor),
+                         map(cells.__getitem__, r), map(cells.__getitem__, s)))
     return out.getvalue()
 
 
 def text_table(
     levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION
 ) -> str:
-    records = point_records(levels, precision)
+    level, re, im, *_ = _point_columns(levels, precision, None)
     width = precision + 8
     lines = [f"{'level':>5}  {'re':>{width}}  {'im':>{width}}"]
-    for r in records:
-        lines.append(f"{r.level:>5}  {r.re:>{width}}  {r.im:>{width}}")
-    total = len(records)
+    for k, x, y in zip(level, re, im):
+        lines.append(f"{k:>5}  {x:>{width}}  {y:>{width}}")
     flag = " (truncated)" if any(l.truncated for l in levels) else ""
-    lines.append(f"{total} points{flag}")
+    lines.append(f"{len(level)} points{flag}")
     return "\n".join(lines)

@@ -11,6 +11,9 @@ of direction lines are all rational expressions in the projection
 constants p(gamma), so everything stays inside exact arithmetic.  A
 change of frame is two projections, along the new frame's directions
 (reframe); it, line_value, meet and cartesian take numbers or Batches.
+Each formula is written once for both: on Batches its steps run on
+unnormalized rows (cyclotomic.defer), and each returned batch is
+normalized once (settle), so meet and cartesian normalize two.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 from typing import Union
 
 from .angles import Angle, angle_difference
-from .cyclotomic import CyclotomicReal, _power_sum, cos_of, sin_of
+from .cyclotomic import CyclotomicReal, _power_sum, cos_of, defer, settle, sin_of
 
 Scalar = Union[int, Fraction, CyclotomicReal]
 
@@ -228,8 +231,9 @@ def cartesian(r, s, frame: Frame):
     """Cartesian parts (Re, Im) of the point (r, s) of the frame; r and s are
     numbers, or Batches on a conductor that the unit parts' conductors divide."""
     unit_re, unit_im = frame.unit_parts()
+    r, s = defer(r), defer(s)
     gap = s - r
-    return r + gap * unit_re, gap * unit_im
+    return settle(r + gap * unit_re), settle(gap * unit_im)
 
 
 def line_value(r, s, p):
@@ -237,7 +241,8 @@ def line_value(r, s, p):
     or Batches: its projection, or s - r (the height) for a horizontal p None."""
     if p is None:
         return s - r
-    return r + (s - r) * p
+    r, s = defer(r), defer(s)
+    return settle(r + (s - r) * p)
 
 
 def reframe(r, s, old: Frame, new: Frame):
@@ -324,12 +329,13 @@ def meet(v1, v2, p1, p2, gap_inv):
     gap_inv = 1/(p1 - p2); a horizontal first line passes None for both.  v1
     and v2 are numbers or Batches of one conductor (a one-row v1 meets each row).
     """
+    v1, v2 = defer(v1), defer(v2)
     if p1 is None:
-        r = v2 - v1 * p2
-        return r, r + v1
+        r = settle(v2 - v1 * p2)
+        return r, settle(r + v1)
     gap = (v1 - v2) * gap_inv
-    r = v1 - gap * p1
-    return r, r + gap
+    r = settle(v1 - gap * p1)
+    return r, settle(r + gap)
 
 
 def intersect(first: Line, second: Line) -> PlanePoint:

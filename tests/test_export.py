@@ -134,6 +134,21 @@ _SHARED = ["1/2", "-3", "0"]
         [tuple(_SHARED), _SHARED, {"f": tuple(_SHARED)}],
         [{}, {"a": ()}, {"b": [], "c": {}}, [(), [], {}]],
         [{"x": 1, "y": "z"}, {"y": [1, {"z": None}], "w": [{"v": []}]}],
+        # flat dicts, whose key fragments are cached per key tuple and depth
+        {"%s": 1, 'q"': "a", "b\\": None, "\u00e9 \u6f22": True, "": -0.5},
+        [{"%d": k, "": "x", "\u00df": [str(k)]} for k in range(3)] + [{"": "y", "%d": 3}],
+        {"k": {"k": {"k": 1}}, "": {"": {"": ""}}},
+        # one string list at two depths, in flat dicts and in lists
+        [{"r": _SHARED, "s": _SHARED}, {"p": {"r": _SHARED}}, [_SHARED, {"s": _SHARED}]],
+        # empty dicts and lists as the values of flat dicts and in lists
+        {"a": {}, "b": [], "c": (), "d": ""},
+        [{"a": {}, "b": []}, {"a": {}, "b": []}, {}, [], [{}], [[]]],
+        # the membership witness shape: a list of dicts holding an int list
+        {"witness": {"generators": ["p"], "numerator": [
+            {"coefficient": "8", "exponents": [0]},
+            {"coefficient": "-40", "exponents": [1, 2]},
+            {"coefficient": "1/3", "exponents": []},
+        ], "denominator": {"exponent": 2, "factors": [3, -1]}}},
     ],
 )
 def test_indented_json_is_json_dumps_with_indent_2(value):
@@ -159,6 +174,23 @@ def test_equal_coordinates_are_written_once_and_shared(pentagon, monkeypatch):
     doc = to_json_document(pentagon, levels)
     lists = [pt[key] for pt in doc["points"] for key in "rs"]
     assert len({tuple(l) for l in lists}) == len({id(l) for l in lists}) == 1096
+
+
+def test_only_point_records_builds_records(pentagon, monkeypatch):
+    # the writers read the export's columns; a PointRecord is made only for
+    # a caller of point_records
+    levels = generate(pentagon, 2)
+    built = []
+
+    class Counted(export.PointRecord):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(export, "PointRecord", Counted)
+    assert json_text(pentagon, levels) and csv_text(levels) and text_table(levels)
+    assert not built
+    assert len(point_records(levels)) == len(built) == len(levels[-1])
 
 
 def test_each_distinct_cartesian_part_is_rounded_once(pentagon, monkeypatch):

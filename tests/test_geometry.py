@@ -3,10 +3,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import angle_pool
-from origami_rings import geometry, ring_analysis
+from origami_rings import cyclotomic, geometry, ring_analysis
 from origami_rings.angles import Angle, angle_difference
 from origami_rings.cli import main
 from origami_rings.construction import generate
@@ -286,6 +287,132 @@ def test_formulas_on_batches_match_them_row_by_row(pentagon):
         assert (re.n, im.n) == (m, m)
         assert re.values() == [pt.to_cartesian()[0] for pt in pts]
         assert im.values() == [pt.to_cartesian()[1] for pt in pts]
+
+
+# The batch formulas as they were written before their steps were deferred:
+# every Batch operation normalizes its result.
+
+
+def _meet_stepwise(v1, v2, p1, p2, gap_inv):
+    if p1 is None:
+        r = v2 - v1 * p2
+        return r, r + v1
+    gap = (v1 - v2) * gap_inv
+    r = v1 - gap * p1
+    return r, r + gap
+
+
+def _cartesian_stepwise(r, s, frame):
+    unit_re, unit_im = frame.unit_parts()
+    gap = s - r
+    return r + gap * unit_re, gap * unit_im
+
+
+def _batch_fields(b):
+    return b.n, b.rows(), b.num_bits, b.den_bits
+
+
+def _meet_cases(u, rows):
+    """(v1, v2, p1, p2, gap_inv) for every direction pair of u: each line of
+    the first direction through rows against every line of the second, as a
+    level of generate meets them."""
+    table, r, s = u.p_table, *rows
+    for g, d in itertools.combinations(u.slopes, 2):
+        first, second = line_value(r, s, table.get(g)), line_value(r, s, table[d])
+        inverse = geometry._inverse_p_gap(u.frame, g, d) if g in table else None
+        cells = np.arange(len(first.den) * len(second.den))
+        yield (first.take(cells // len(second.den)), second.take(cells % len(second.den)),
+               table.get(g), table[d], inverse)
+
+
+@pytest.fixture
+def int64_limit(monkeypatch):
+    """Sets cyclotomic._INT64_BITS for one test.  _multiplier caches its
+    verdict under the limit it ran at, so the cache starts and ends empty."""
+
+    def set_limit(bits):
+        cyclotomic._multiplier.cache_clear()
+        monkeypatch.setattr(cyclotomic, "_INT64_BITS", bits)
+
+    yield set_limit
+    cyclotomic._multiplier.cache_clear()
+
+
+@pytest.mark.parametrize("int64_bits", [0, 4])
+def test_deferred_meet_and_cartesian_match_the_stepwise_formulas(int64_limit, pentagon, int64_bits):
+    # at 0 bits every kernel runs on Python ints; at 4 some results fit
+    # int64 and some do not, and the deferred intermediates are wider than
+    # the normalized steps of the reference
+    int64_limit(int64_bits)
+    points = generate(pentagon, 1)[-1].points
+    n = pentagon.working_conductor
+    rows = stack([pt.r for pt in points], n), stack([pt.s for pt in points], n)
+    dtypes = set()
+    for v1, v2, p1, p2, inverse in _meet_cases(pentagon, rows):
+        got, want = meet(v1, v2, p1, p2, inverse), _meet_stepwise(v1, v2, p1, p2, inverse)
+        assert [_batch_fields(b) for b in got] == [_batch_fields(b) for b in want]
+        assert [b.num.dtype for b in got] == [b.num.dtype for b in want]
+        dtypes.update(b.num.dtype for b in got if b.num_bits)
+        parts, stepwise = cartesian(*got, pentagon.frame), _cartesian_stepwise(*got, pentagon.frame)
+        assert [_batch_fields(b) for b in parts] == [_batch_fields(b) for b in stepwise]
+    assert np.dtype(object) in dtypes
+    assert (np.dtype(np.int64) in dtypes) == bool(int64_bits)
+
+
+def test_an_intermediate_past_int64_runs_on_python_ints(monkeypatch, int64_limit, pentagon):
+    # rows of 62-bit numerators over 7: each formula's results fit int64,
+    # but v1 - gap * p1 over the product of 7 and the denominators of gap_inv
+    # and p1, 15, has numerators of 66 bits (and v1 + gap * unit_re over
+    # 7 * 2 of 63), so the deferred steps must leave int64 rather than wrap,
+    # and the results must be the exact values
+    int64_limit(cyclotomic._INT64_BITS)
+    n, table, frame = pentagon.working_conductor, pentagon.p_table, pentagon.frame
+    g, d = Angle(1, 5), Angle(1, 4)
+    big = [CyclotomicReal.from_coeffs(n, [Fraction(2**61 + k, 7)] + [0] * 31) for k in (1, 3, 7)]
+    v1 = stack(big, n)
+    assert v1.num.dtype == np.int64 and v1.num_bits == 62
+    inverse = geometry._inverse_p_gap(frame, g, d)
+    seen, normalized = [], cyclotomic._normalized
+    monkeypatch.setattr(cyclotomic, "_normalized", lambda m, num, den: (
+        seen.append(num.dtype), normalized(m, num, den))[1])
+    r, s = meet(v1, v1, table[g], table[d], inverse)  # equal lines: the point is (v1, v1)
+    assert seen == [np.dtype(object)] * 2
+    assert r.num.dtype == np.int64 and r.rows() == s.rows() == v1.rows()
+    third = stack([b + Fraction(1, 3) for b in big], n)
+    for p1, gap_inv in ((table[g], inverse), (None, None)):
+        got = meet(v1, third, p1, table[d], gap_inv)
+        want = [meet(a, b, p1, table[d], gap_inv) for a, b in zip(v1.values(), third.values())]
+        assert [b.values() for b in got] == [list(c) for c in zip(*want)]
+    seen.clear()
+    re, im = cartesian(v1, v1, frame)
+    assert seen[0] == np.dtype(object)
+    assert re.rows() == v1.rows() and not im.num.any()
+    assert [re.values(), im.values()] == [list(c) for c in zip(
+        *(PlanePoint(x, x, frame).to_cartesian() for x in v1.values()))]
+
+
+def test_meet_and_cartesian_normalize_each_result_once(monkeypatch, pentagon):
+    points = generate(pentagon, 2)[-1].points[:40]
+    n, frame = pentagon.working_conductor, pentagon.frame
+    rows = stack([pt.r for pt in points], n), stack([pt.s for pt in points], n)
+    calls, normalized = [], cyclotomic._normalized
+    monkeypatch.setattr(cyclotomic, "_normalized", lambda *args: (
+        calls.append(args[0]), normalized(*args))[1])
+    cases = list(_meet_cases(pentagon, rows))
+    assert {p1 is None for _, _, p1, _, _ in cases} == {True, False}
+    for v1, v2, p1, p2, inverse in cases:
+        calls.clear()
+        meet(v1, v2, p1, p2, inverse)
+        assert len(calls) == 2
+    # the unit parts lie on 24 and these rows on 20: the products promote
+    # them to 120 without a normalization of their own
+    c = cos_of(Angle(1, 5))
+    r = stack([c * k for k in range(1, 5)], 20)
+    s = stack([c * -k + 1 for k in range(1, 5)], 20)
+    for args in (rows, (r, s)):
+        calls.clear()
+        re, im = cartesian(*args, frame)
+        assert len(calls) == 2 and re.n == im.n == math.lcm(args[0].n, 24)
 
 
 # Reference frame constants: one inverse of each whole product, made at the
