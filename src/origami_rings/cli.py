@@ -16,6 +16,7 @@ flag defaults is read from the path in ORIGAMI_RINGS_CONFIG when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -107,23 +108,22 @@ def _parse_slopes(text: str) -> SlopeSet:
         raise
 
 
+_SLICE = 1 << 20  # characters per write of _emit
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     """Write text, ending in one newline, to the file out or else to stdout:
-    the same characters either way."""
-    end = "" if text.endswith("\n") else "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write(end)
-        return
-    # one large write to a pipe whose reader has gone can end short without
-    # an error, so the last newline goes in a write of its own; the flush
-    # then fails here, not at exit
-    if not end:
-        text, end = text[:-1], "\n"
-    sys.stdout.write(text)
-    sys.stdout.write(end)
-    sys.stdout.flush()
+    the same characters either way, in slices of at most _SLICE characters,
+    so no encoded copy of the whole text is made."""
+    body = len(text) - text.endswith("\n")
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for start in range(0, body, _SLICE):
+            fh.write(text[start : min(start + _SLICE, body)])
+        # one large write to a pipe whose reader has gone can end short
+        # without an error, so the last newline goes in a write of its own;
+        # the flush then fails here, not at exit
+        fh.write("\n")
+        fh.flush()
 
 
 def _bounds(args) -> SearchBounds:
@@ -444,7 +444,9 @@ def _build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
 # One parser per config, keyed by its canonical JSON, so that repeated
 # calls in one process do not rebuild the subcommand tree.
-_parsers: dict[str, argparse.ArgumentParser] = {}
+@lru_cache(maxsize=4)
+def _parser(config_json: str) -> argparse.ArgumentParser:
+    return _build_parser(json.loads(config_json))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -453,10 +455,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    key = json.dumps(config, sort_keys=True)
-    if key not in _parsers:
-        _parsers[key] = _build_parser(config)
-    args = _parsers[key].parse_args(argv)
+    args = _parser(json.dumps(config, sort_keys=True)).parse_args(argv)
     # argparse checks choices on the command line only, not on config defaults
     if args.format not in args.formats:
         bad = json.dumps(args.format)

@@ -7,12 +7,12 @@ approximation of geometry.cartesian and the exact coefficient vectors of
 their two coordinates.  Every export reads one set of columns
 (_point_columns) made from the levels' integer rows
 (LevelSet.row_batches), rows of another frame reframed as Batches, so an
-export builds no PlanePoint, and only point_records builds PointRecords.
-The JSON, CSV and text writers read the columns directly, each distinct
-coordinate's strings once.  The JSON document (schema 1) round-trips:
-it is read back as rows, each distinct coefficient list once, into
-levels whose points equal the originals under exact comparison, and a
-malformed one raises ValueError.
+export builds no PlanePoint and no per-point object.  The JSON, CSV and
+text writers read the columns directly, each distinct coordinate's
+strings once.  The JSON document (schema 1) round-trips: it is read back
+as rows, each distinct coefficient list once, into levels whose points
+equal the originals under exact comparison, and a malformed one raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -38,18 +37,6 @@ from .slopes import SlopeSet
 
 SCHEMA_VERSION = 1
 DEFAULT_PRECISION = 12
-
-
-@dataclass(frozen=True)
-class PointRecord:
-    """One exported point: decimals for reading, vectors for exactness."""
-
-    level: int
-    re: str
-    im: str
-    conductor: int
-    r_coeffs: tuple[str, ...]
-    s_coeffs: tuple[str, ...]
 
 
 def _point_columns(levels: Sequence[LevelSet], precision: int, frame: Optional[Frame]) -> tuple:
@@ -88,19 +75,6 @@ def _point_columns(levels: Sequence[LevelSet], precision: int, frame: Optional[F
     re, im = cartesian(values.take(r_ids), values.take(s_ids), frame)
     return (born[births].tolist(), re.decimals(precision), im.decimals(precision), both.n,
             values.coefficient_strings(), r_ids.tolist(), s_ids.tolist())
-
-
-def point_records(
-    levels: Sequence[LevelSet], precision: int = DEFAULT_PRECISION, frame: Optional[Frame] = None
-) -> list[PointRecord]:
-    """Flatten levels into one record per point at its birth level, each in
-    frame, by default the frame of the first point (_point_columns); records
-    with an equal coordinate share its strings tuple."""
-    level, re, im, conductor, strings, r, s = _point_columns(levels, precision, frame)
-    return [
-        PointRecord(k, x, y, conductor, strings[a], strings[b])
-        for k, x, y, a, b in zip(level, re, im, r, s)
-    ]
 
 
 def to_json_document(

@@ -46,6 +46,7 @@ from .cyclotomic import (
     sin_of,
     cos_of,
     split_prime,
+    sum_of,
     units,
 )
 from .geometry import PlanePoint, ZeroSlopeError, _as_cyclotomic, inverse_signed_sin
@@ -122,13 +123,11 @@ class MembershipWitness:
     denominator_factors: tuple[tuple[str, CyclotomicReal, int], ...]
 
     def evaluate(self) -> CyclotomicReal:
-        total = CyclotomicReal.from_rational(0)
-        for coeff, exps in self.numerator_terms:
-            term = CyclotomicReal.from_rational(coeff)
-            for value, e in zip(self.generator_values, exps):
-                if e:
-                    term = term * value**e
-            total = total + term
+        total = sum_of([
+            math.prod((v**e for v, e in zip(self.generator_values, exps) if e),
+                      start=CyclotomicReal.from_rational(coeff))
+            for coeff, exps in self.numerator_terms
+        ])
         for _, value, e in self.denominator_factors:
             if e:
                 total = total * (value**e).inv()
@@ -169,10 +168,10 @@ class MembershipWitness:
         numerator = " ".join(parts) if parts else "0"
         dens = []
         for name, _, e in self.denominator_factors:
+            base = name if "-" not in name else f"({name})"
             if e == 1:
-                dens.append(name if "-" not in name else f"({name})")
+                dens.append(base)
             elif e:
-                base = name if "-" not in name else f"({name})"
                 dens.append(f"{base}^{e}")
         if not dens:
             return numerator
@@ -220,25 +219,8 @@ def p_value(u: SlopeSet, gamma: Angle) -> CyclotomicReal:
     return u.p_table[gamma]
 
 
-@dataclass(frozen=True)
-class DeltaSet:
-    """All differences of projection constants, exactly deduplicated."""
-
-    values: tuple[CyclotomicReal, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __contains__(self, item) -> bool:
-        x = _as_cyclotomic(item)
-        return any(v == x for v in self.values)
-
-
-def delta_set(u: SlopeSet) -> DeltaSet:
-    """The difference set {p(gamma) - p(delta)} over ordered pairs."""
+def delta_set(u: SlopeSet) -> tuple[CyclotomicReal, ...]:
+    """The difference set {p(gamma) - p(delta)} over ordered pairs, ascending."""
     table = u.p_table
     seen: dict[tuple, CyclotomicReal] = {}
     for g in u.nonzero_slopes:
@@ -248,7 +230,7 @@ def delta_set(u: SlopeSet) -> DeltaSet:
             value = table[g] - table[d]
             seen.setdefault((value._num, value._den), value)
     ordered = sorted(seen.values(), key=cmp_to_key(lambda a, b: (a - b).sign()))
-    return DeltaSet(tuple(ordered))
+    return tuple(ordered)
 
 
 def e_closed_form(u: SlopeSet) -> tuple[CyclotomicReal, CyclotomicReal]:
@@ -403,8 +385,8 @@ class _MonomialLattice:
     |1 - zeta^k| and 1 - zeta^k is a unit unless zeta^k has l-power order,
     when its norm is a power of l (Washington, GTM 83, prop. 2.8); so
     l <= n/2 for n = lcm(4, 2 * den), and q = 1 (mod n) exceeds n.  The
-    exact `lattice`, `common_den`, Babai rows `_kernel` and Babai tables
-    `_babai` are built at the first exact query.  With one generator each
+    exact `lattice`, `common_den`, Babai rows and Babai tables `_babai`
+    (`_exact`) are built at the first exact query.  With one generator each
     Hermite row's tracked combination is then divided by the shifts of
     mu(p), so a hit comes back at about 100 bits, not 2,700, before the
     Babai step.  Pivot coordinates come from the lattice's one triangular
@@ -519,7 +501,6 @@ class _MonomialLattice:
 
     lattice = property(lambda self: self._exact[0])
     common_den = property(lambda self: self._exact[1])
-    _kernel = property(lambda self: self._exact[2])
     _babai = property(lambda self: self._exact[3])
 
     def pivot_coordinates(self, y: CyclotomicReal) -> tuple[list[int], int]:
@@ -532,10 +513,9 @@ class _MonomialLattice:
         the rational span of the rows, as it does when the lattice spans
         Q(p) and y lies in Q(p), the converse holds too.
         """
-        lattice, common_den = self._exact[:2]
-        t, den = lattice.coordinates(y._num)
-        g = math.gcd(den * y._den, *(a * common_den for a in t))
-        return [a * common_den // g for a in t], den * y._den // g
+        t, den = self.lattice.coordinates(y._num)
+        g = math.gcd(den * y._den, *(a * self.common_den for a in t))
+        return [a * self.common_den // g for a in t], den * y._den // g
 
     @cached_property
     def _steps(self) -> tuple[list[np.ndarray], int]:
@@ -601,14 +581,13 @@ class _MonomialLattice:
         return [(a, self.exponents[i]) for i, a in enumerate(c) if a]
 
     def membership(self, y: CyclotomicReal) -> Optional[list[tuple[int, tuple[int, ...]]]]:
-        lattice, common_den = self._exact[:2]
-        if common_den % y._den:
+        if self.common_den % y._den:
             return None
-        scale = common_den // y._den
+        scale = self.common_den // y._den
         vec = [c * scale for c in y._num]
-        if lattice.membership(vec) is None:
+        if self.lattice.membership(vec) is None:
             return None
-        return self.combination(lattice.coordinates(vec)[0])
+        return self.combination(self.lattice.coordinates(vec)[0])
 
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -659,15 +638,9 @@ class _Candidates:
         return ((exps, self.forms[exps]) for exps in self.order)
 
     def value(self, form: _Form) -> CyclotomicReal:
-        """x * m(p) as one combination over a common denominator; the
-        representation is canonical, so it equals the product chain's."""
-        powers = [(c, self.powers[e]) for e, c in form.items()]
-        den = math.lcm(*(y._den for _, y in powers))
-        num = [0] * len(powers[0][1]._num)
-        for c, y in powers:
-            f = c * (den // y._den)
-            num = [a + f * b for a, b in zip(num, y._num)]
-        return CyclotomicReal._make(powers[0][1].conductor, num, den)
+        """x * m(p) as one sum of the powers; the representation is
+        canonical, so it equals the product chain's."""
+        return sum_of([c * self.powers[e] for e, c in form.items()])
 
     def excluded(self, form: _Form) -> bool:
         """Whether a fingerprint of x * m(p) is nonzero, which proves its

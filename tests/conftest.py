@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from origami_rings import Angle, SlopeSet
+from origami_rings import Angle, SlopeSet, cyclotomic
 from origami_rings.cyclotomic import cyclotomic_polynomial, euler_phi
 
 
@@ -22,6 +22,19 @@ def four_slopes() -> SlopeSet:
 def pentagon() -> SlopeSet:
     # the worked dense example: frame (pi/3, pi/4), free direction pi/5
     return SlopeSet(["0", "pi/5", "pi/4", "pi/3"])
+
+
+@pytest.fixture
+def int64_limit(monkeypatch):
+    """Sets cyclotomic._INT64_BITS for one test.  _multiplier caches its
+    verdict under the limit it ran at, so the cache starts and ends empty."""
+
+    def set_limit(bits):
+        cyclotomic._multiplier.cache_clear()
+        monkeypatch.setattr(cyclotomic, "_INT64_BITS", bits)
+
+    yield set_limit
+    cyclotomic._multiplier.cache_clear()
 
 
 def angle_pool(denominators) -> list[Angle]:

@@ -15,7 +15,7 @@ def test_parse_accepts_common_spellings():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "pi/0", "one", "0.5", "pi/", "-pi/3", "3pi/2", "pi"]:
+    for bad in ["", "pi/0", "2/0", "one", "0.5", "pi/", "-pi/3", "3pi/2", "pi"]:
         with pytest.raises(ValueError):
             Angle.parse(bad)
 

@@ -257,6 +257,21 @@ def test_config_unknown_key(capsys, tmp_path, monkeypatch):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"),  # no such file
+    ("{slopes", "cannot read config"),
+    ("[1, 2]", "must hold a JSON object"),
+], ids=["missing", "not-json", "not-an-object"])
+def test_config_that_is_not_a_readable_json_object(capsys, tmp_path, monkeypatch, content, message):
+    cfg = tmp_path / "config.json"
+    if content is not None:
+        cfg.write_text(content)
+    monkeypatch.setenv("ORIGAMI_RINGS_CONFIG", str(cfg))
+    code, out, err = run(capsys, "classify", "--slopes", TRIANGLE)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_each_config_gets_its_own_cached_parser(capsys, tmp_path, monkeypatch):
     # the parser is cached per config, so a second config in the same
     # process must not see the first one's defaults
@@ -370,6 +385,34 @@ def test_closed_stdout_is_seen_when_the_text_ends_in_a_newline():
     assert err == b""
 
 
+class _Recording(io.StringIO):
+    """A text stream that keeps each string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_emit_writes_slices_then_the_last_newline_alone(monkeypatch, tmp_path):
+    # about 3 MiB: no write holds more than 1 MiB, the last one is the
+    # final newline alone, and a file gets the same characters as stdout
+    text = ("0123456789" * 6 + "abc\n") * 50_000
+    for body in (text[:-1], text):
+        stream = _Recording()
+        monkeypatch.setattr(sys, "stdout", stream)
+        cli._emit(body, None)
+        assert len(stream.writes) > 3
+        assert max(map(len, stream.writes)) <= 1 << 20
+        assert stream.writes[-1] == "\n"
+        assert stream.getvalue() == text  # one newline, never a second
+        cli._emit(body, str(tmp_path / "out.txt"))
+        assert (tmp_path / "out.txt").read_bytes() == text.encode()
+
+
 def test_negative_precision_is_an_error(capsys, monkeypatch):
     # rejected right after parsing, before any of the work is done
     def never(*args, **kwargs):
@@ -415,6 +458,7 @@ def test_float_preview_rejects_nonpositive_eps(capsys):
     (("--slopes", "0,0.5,1,inf"), "slope inf is not a finite number"),
     (("--slopes", "0,0.5,1", "--eps", "nan"), "eps must be a positive finite number, got nan"),
     (("--slopes", "0,0.5,1", "--eps", "inf"), "eps must be a positive finite number, got inf"),
+    (("--slopes", "0,0.5,one"), "cannot read slope 'one' as radians or a pi fraction"),
 ])
 def test_float_preview_rejects_non_finite_input(capsys, argv, message):
     code, out, err = run(capsys, "generate", "--float-preview", *argv)

@@ -203,9 +203,9 @@ def test_generate_matches_per_pair_reference(slopes, frame, k_max, cap):
     assert _exact_levels(got) == _exact_levels(_generate_reference(u, k_max, cap))
 
 
-def test_generate_python_int_kernels_match(monkeypatch, pentagon):
+def test_generate_python_int_kernels_match(monkeypatch, int64_limit, pentagon):
     # with no room in int64, every batch kernel runs on Python ints
-    monkeypatch.setattr(cyclotomic, "_INT64_BITS", 0)
+    int64_limit(0)
     dtypes, normalized = set(), cyclotomic._normalized
 
     def recording_normalized(n, num, den):
@@ -221,11 +221,12 @@ def test_generate_python_int_kernels_match(monkeypatch, pentagon):
 
 
 @pytest.mark.parametrize("int64_bits", [0, 4])
-def test_generate_keys_a_point_alike_whatever_its_batch_dtype(monkeypatch, pentagon, int64_bits):
+def test_generate_keys_a_point_alike_whatever_its_batch_dtype(monkeypatch, int64_limit, pentagon,
+                                                              int64_bits):
     # at 0 bits every batch of rows is on Python ints; at 4 some are and
     # some are int64, so one point can reach the dedup from batches of
     # either dtype and must get one key from both
-    monkeypatch.setattr(cyclotomic, "_INT64_BITS", int64_bits)
+    int64_limit(int64_bits)
     dtypes, row_keys = set(), construction.row_keys
 
     def recording_row_keys(*batches):

@@ -172,6 +172,8 @@ def test_conductor_promotion_preserves_value():
     assert promoted.conductor == 60
     assert promoted == s3
     assert promoted * promoted == 3
+    with pytest.raises(ValueError, match="not a multiple"):
+        s3.to_conductor(25)
 
 
 def test_inverse():
@@ -228,6 +230,9 @@ def test_interval_encloses_value():
     assert box.lo > 0
     assert box.lo * box.lo <= 3 <= box.hi * box.hi
     assert box.width <= Fraction(1, 10**20)
+    for width in (0, -1):
+        with pytest.raises(ValueError, match="max_width must be positive"):
+            s3.interval(width)
 
 
 def test_interval_midpoint_tracks_float():

@@ -9,13 +9,12 @@ import pytest
 from origami_rings import cyclotomic, export
 from origami_rings.angles import Angle
 from origami_rings.construction import LevelSet, generate
-from origami_rings.cyclotomic import CyclotomicReal, cos_of
+from origami_rings.cyclotomic import CyclotomicReal, cos_of, euler_phi
 from origami_rings.export import (
     csv_text,
     from_json_document,
     indented_json,
     json_text,
-    point_records,
     text_table,
     to_json_document,
 )
@@ -24,11 +23,20 @@ from origami_rings.geometry import Frame, PlanePoint
 
 def test_point_records_tag_birth_level(triangle):
     levels = generate(triangle, 2)
-    records = point_records(levels)
+    doc = to_json_document(None, levels)
+    records = doc["points"]
     assert len(records) == 8
-    assert sorted(r.level for r in records) == [0, 0, 1, 1, 2, 2, 2, 2]
-    # one shared conductor for the whole document
-    assert len({r.conductor for r in records}) == 1
+    assert sorted(r["level"] for r in records) == [0, 0, 1, 1, 2, 2, 2, 2]
+    # every coordinate on the one conductor of the whole document
+    assert {len(r[key]) for r in records for key in "rs"} == {euler_phi(doc["conductor"])}
+
+
+def test_levels_without_points_export_no_rows():
+    levels = [LevelSet(0, [], False)]
+    assert csv_text(levels) == "level,re,im,conductor,r,s\r\n"
+    assert text_table(levels).endswith("\n0 points")
+    doc = to_json_document(None, levels)
+    assert (doc["conductor"], doc["points"]) == (1, [])
 
 
 def test_json_document_shape(four_slopes):
@@ -165,32 +173,12 @@ def test_equal_coordinates_are_written_once_and_shared(pentagon, monkeypatch):
         return ratio_text(num, den)
 
     monkeypatch.setattr(cyclotomic, "_ratio_text", counted)
-    records = point_records(levels)
-    # 4,186 points: 8,372 coordinates with 1,096 distinct values
-    coords = [t for r in records for t in (r.r_coeffs, r.s_coeffs)]
-    assert len(coords) == 8372
-    assert len({t for t in coords}) == len({id(t) for t in coords}) == 1096
-    assert calls and len(calls) == len(set(calls))
     doc = to_json_document(pentagon, levels)
+    # 4,186 points: 8,372 coordinates with 1,096 distinct values
     lists = [pt[key] for pt in doc["points"] for key in "rs"]
+    assert len(lists) == 8372
     assert len({tuple(l) for l in lists}) == len({id(l) for l in lists}) == 1096
-
-
-def test_only_point_records_builds_records(pentagon, monkeypatch):
-    # the writers read the export's columns; a PointRecord is made only for
-    # a caller of point_records
-    levels = generate(pentagon, 2)
-    built = []
-
-    class Counted(export.PointRecord):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(export, "PointRecord", Counted)
-    assert json_text(pentagon, levels) and csv_text(levels) and text_table(levels)
-    assert not built
-    assert len(point_records(levels)) == len(built) == len(levels[-1])
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_each_distinct_cartesian_part_is_rounded_once(pentagon, monkeypatch):
@@ -205,9 +193,9 @@ def test_each_distinct_cartesian_part_is_rounded_once(pentagon, monkeypatch):
         return decimal_text(*args)
 
     monkeypatch.setattr(cyclotomic, "_decimal_text", counted)
-    records = point_records(levels)
-    assert len(records) == len({r.re for r in records}) == 4186
-    assert len({r.im for r in records}) == 837
+    records = to_json_document(None, levels)["points"]
+    assert len(records) == len({r["re"] for r in records}) == 4186
+    assert len({r["im"] for r in records}) == 837
     assert len(calls) == 4186 + 837
 
 
@@ -218,21 +206,21 @@ def test_point_records_of_mixed_conductors_match_each_point(pentagon):
     generated = generate(pentagon, 1)[-1].points
     points = [PlanePoint(0, 1, frame), PlanePoint(Fraction(1, 3), -2, frame), *generated]
     levels = [LevelSet(0, points[:2], False), LevelSet(1, points, False)]
-    records = point_records(levels, precision=9)
-    conductor = max(pt.r.conductor for pt in points)
+    doc = to_json_document(None, levels, precision=9)
+    records, conductor = doc["points"], doc["conductor"]
+    assert conductor == max(pt.r.conductor for pt in points)
     assert {pt.r.conductor for pt in points} == {1, conductor}
     # the unit (0, 1) is a generated point of level 1 as well: one value on
     # two conductors is one point, written once, at level 0
     distinct = list(dict.fromkeys(points))
     assert len(distinct) == len(points) - 1
-    assert [r.level for r in records] == [0, 0] + [1] * (len(generated) - 1)
+    assert [r["level"] for r in records] == [0, 0] + [1] * (len(generated) - 1)
     assert len(records) == len(distinct)
     for record, pt in zip(records, distinct):
         re, im = pt.to_cartesian()
-        assert (record.re, record.im) == (re.decimal(9), im.decimal(9))
-        assert record.conductor == conductor
-        assert record.r_coeffs == pt.r.to_conductor(conductor).coefficient_strings()
-        assert record.s_coeffs == pt.s.to_conductor(conductor).coefficient_strings()
+        assert (record["re"], record["im"]) == (re.decimal(9), im.decimal(9))
+        assert tuple(record["r"]) == pt.r.to_conductor(conductor).coefficient_strings()
+        assert tuple(record["s"]) == pt.s.to_conductor(conductor).coefficient_strings()
 
 
 def test_json_document_conductor_covers_every_coordinate(pentagon):
@@ -251,14 +239,15 @@ def test_point_records_keep_points_of_other_frames(pentagon):
     a, b = pentagon.alpha, pentagon.beta
     points = [PlanePoint(0, 1, Frame(a, b)), PlanePoint(0, 1, Frame(b, a))]
     assert points[0] != points[1]
-    records = point_records([LevelSet(0, points, False)], precision=9)
+    doc = to_json_document(None, [LevelSet(0, points, False)], precision=9)
+    records, conductor = doc["points"], doc["conductor"]
     assert len(records) == 2
     for record, pt in zip(records, points):
         re, im = pt.to_cartesian()
-        assert (record.re, record.im) == (re.decimal(9), im.decimal(9))
+        assert (record["re"], record["im"]) == (re.decimal(9), im.decimal(9))
         moved = pt.in_frame(points[0].frame)
-        assert record.r_coeffs == moved.r.to_conductor(record.conductor).coefficient_strings()
-        assert record.s_coeffs == moved.s.to_conductor(record.conductor).coefficient_strings()
+        assert tuple(record["r"]) == moved.r.to_conductor(conductor).coefficient_strings()
+        assert tuple(record["s"]) == moved.s.to_conductor(conductor).coefficient_strings()
     _, back = from_json_document(to_json_document(pentagon, [LevelSet(0, points, False)]))
     assert back[0].points == tuple(points)
 

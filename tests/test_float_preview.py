@@ -56,6 +56,18 @@ def test_folds_slopes_into_half_turn():
     a = generate_float([0.0, math.pi / 3, 2 * math.pi / 3], 2)
     b = generate_float([math.pi, math.pi / 3 + math.pi, 2 * math.pi / 3], 2)
     assert [len(p) for p, _ in a] == [len(p) for p, _ in b]
+    # a negative slope folds up by pi: -pi/3 is 2pi/3
+    c = generate_float([0.0, math.pi / 3, -math.pi / 3], 2)
+    assert [len(p) for p, _ in a] == [len(p) for p, _ in c]
+
+
+@pytest.mark.parametrize("slopes, message", [
+    ([0.0, math.pi, 0.5], "need at least three distinct directions"),
+    ([0.5, 1.0, 1.5], "the horizontal direction 0 must be included"),
+], ids=["two-after-folding", "no-horizontal"])
+def test_direction_sets_that_cannot_seed_are_rejected(slopes, message):
+    with pytest.raises(ValueError, match=message):
+        generate_float(slopes, 1)
 
 
 def test_seed_points():

@@ -98,6 +98,8 @@ def test_projection_recovers_coordinates():
     # projecting a real point along any direction returns the point
     w = PlanePoint(Fraction(4, 3), Fraction(4, 3), f)
     assert project(w, A4) == Fraction(4, 3)
+    with pytest.raises(ZeroSlopeError):
+        project(z, Angle.zero())
 
 
 def test_projection_is_linear():
@@ -323,19 +325,6 @@ def _meet_cases(u, rows):
         cells = np.arange(len(first.den) * len(second.den))
         yield (first.take(cells // len(second.den)), second.take(cells % len(second.den)),
                table.get(g), table[d], inverse)
-
-
-@pytest.fixture
-def int64_limit(monkeypatch):
-    """Sets cyclotomic._INT64_BITS for one test.  _multiplier caches its
-    verdict under the limit it ran at, so the cache starts and ends empty."""
-
-    def set_limit(bits):
-        cyclotomic._multiplier.cache_clear()
-        monkeypatch.setattr(cyclotomic, "_INT64_BITS", bits)
-
-    yield set_limit
-    cyclotomic._multiplier.cache_clear()
 
 
 @pytest.mark.parametrize("int64_bits", [0, 4])

@@ -25,11 +25,13 @@ from origami_rings.cyclotomic import (
     sqrt_rational,
     units,
 )
+from origami_rings.geometry import ZeroSlopeError
 from origami_rings.linalg import IntegerLattice, RowSpace
 from origami_rings.polynomials import RationalPolynomial
 from origami_rings.ring_analysis import (
     DEFAULT_MAX_NUM_DEG,
     MembershipKind,
+    MembershipWitness,
     RingStatus,
     SearchBounds,
     SetKind,
@@ -62,6 +64,10 @@ from origami_rings.slopes import SlopeSet
 def test_p_value_frame_normalization(pentagon):
     assert p_value(pentagon, pentagon.alpha).is_zero
     assert p_value(pentagon, pentagon.beta) == 1
+    with pytest.raises(ZeroSlopeError):
+        p_value(pentagon, Angle.zero())
+    with pytest.raises(ValueError, match="is not a member"):
+        p_value(pentagon, Angle(1, 6))
 
 
 def test_free_p_value_decimal(pentagon):
@@ -88,6 +94,22 @@ def test_free_p_value_minimal_polynomial(pentagon):
         ]
     )
     assert mu(p).is_zero
+
+
+def test_witness_text_and_value_with_coefficients_above_199_bits(pentagon):
+    # a coefficient of more than 199 bits is written by its magnitude; a
+    # denominator factor of exponent 1 keeps its parentheses and no power
+    p = p_value(pentagon, Angle(1, 5))
+    witness = MembershipWitness(
+        generator_names=("p",),
+        generator_values=(p,),
+        numerator_terms=((2**200, (1,)), (-(2**199), ()), (2**198, (2,))),
+        denominator_factors=(("p-1", p - 1, 1), ("p", p, 2)),
+    )
+    assert str(witness) == f"({2**198}*p^2 + ~10^60*p - ~10^60) / ((p-1) * p^2)"
+    expected = (2**198 * p * p + 2**200 * p - 2**199) / ((p - 1) * p**2)
+    assert witness.evaluate() == expected
+    assert MembershipWitness((), (), (), ()).evaluate() == 0
 
 
 def test_delta_three_slopes(triangle):
@@ -261,6 +283,8 @@ def test_search_bounds_validation():
         SearchBounds(max_den_exp=-1)
     with pytest.raises(ValueError):
         SearchBounds(max_num_deg=0)
+    with pytest.raises(ValueError, match="max_candidates"):
+        SearchBounds(max_candidates=0)
 
 
 def _tracked_combinations(lattice):
@@ -508,8 +532,9 @@ def test_first_kernel_row_is_the_primitive_minimal_polynomial(pentagon):
         lattice = _monomial_lattice(u, DEFAULT_MAX_NUM_DEG)
         relation = _primitive_minimal_polynomial(lattice.values[0])
         width = len(relation)
-        assert len(lattice._kernel) == len(lattice.exponents) - width + 1, str(u)
-        for j, (row, _, _) in enumerate(lattice._kernel):
+        kernel = lattice._exact[2]
+        assert len(kernel) == len(lattice.exponents) - width + 1, str(u)
+        for j, (row, _, _) in enumerate(kernel):
             assert not any(row[:j]) and not any(row[j + width:])
             assert row[j:j + width] in (relation, [-c for c in relation]), str(u)
 
@@ -565,10 +590,11 @@ def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
     # the integer Gram-Schmidt rows w of the kernel round as the Fraction
     # ones do
     lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG)
-    rows = [row for row, _, _ in lattice._kernel]
+    kernel = lattice._exact[2]
+    rows = [row for row, _, _ in kernel]
     moved = 0
     for combo in _size_reduce_combos(lattice, pentagon):
-        reduced, _ = _size_reduce(lattice._kernel, combo)
+        reduced, _ = _size_reduce(kernel, combo)
         assert reduced == _size_reduce_reference(rows, combo)
         moved += reduced != combo
     assert moved
@@ -577,7 +603,7 @@ def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
 def _babai_matches_the_combination_route(lattice, t, terms) -> bool:
     """Whether the quotients from the tables, and the witness terms made
     from them, are the combination route's on the tracked combination of t."""
-    reduced, quotients = _size_reduce(lattice._kernel, lattice.lattice.combination(t))
+    reduced, quotients = _size_reduce(lattice._exact[2], lattice.lattice.combination(t))
     expected = [(c, e) for c, e in zip(reduced, lattice.exponents) if c]
     return lattice._quotients(t) == quotients and terms == expected
 
@@ -659,7 +685,7 @@ def test_size_reduction_depends_only_on_the_kernel_coset(pentagon):
     # moving a combination by an integer combination of kernel rows moves
     # each nearest-plane quotient by an integer, so the output is the same
     lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG)
-    kernel = lattice._kernel
+    kernel = lattice._exact[2]
     rng = random.Random(5)
     checked = 0
     for combo in _size_reduce_combos(lattice, pentagon):

@@ -10,6 +10,11 @@ def test_accepts_strings_and_angles():
     assert u.slopes == (Angle.zero(), Angle(1, 3), Angle(2, 3))
 
 
+def test_rejects_a_direction_that_is_neither_text_nor_angle():
+    with pytest.raises(InvalidSlopeSetError, match="not a direction: 0.5"):
+        SlopeSet(["0", 0.5, "pi/3"])
+
+
 def test_requires_zero_and_three_members():
     with pytest.raises(InvalidSlopeSetError):
         SlopeSet(["pi/4", "pi/3", "pi/2"])  # no horizontal
