@@ -9,7 +9,7 @@ optional preview generator and in printed approximations.
 """
 
 from .angles import Angle
-from .construction import LevelSet, contains, generate
+from .construction import LevelSet, generate
 from .cyclotomic import (
     CyclotomicReal,
     cos_of,
@@ -41,8 +41,6 @@ from .ring_analysis import (
     SetKind,
     classify,
     delta_set,
-    e_closed_form,
-    e_norm_sq,
     extension_check,
     integral_relation,
     membership_in_MR,
@@ -79,11 +77,8 @@ __all__ = [
     "SlopeSet",
     "ZeroSlopeError",
     "classify",
-    "contains",
     "cos_of",
     "delta_set",
-    "e_closed_form",
-    "e_norm_sq",
     "extension_check",
     "from_json_document",
     "generate",

@@ -141,10 +141,18 @@ def _witness_json(witness) -> Optional[dict]:
             {"coefficient": str(c), "exponents": list(e)}
             for c, e in witness.numerator_terms
         ],
-        "denominator": {
-            name: e for name, _, e in witness.denominator_factors if e
-        },
+        "denominator": witness.denominator_exponents,
     }
+
+
+def _document(kind: str, u: SlopeSet, frame: bool = False, **fields) -> dict:
+    """A JSON document: schema, kind and slopes, then alpha and beta when
+    frame is set, then the fields in their order."""
+    doc = {"schema": SCHEMA_VERSION, "kind": kind, "slopes": [str(s) for s in u.slopes]}
+    if frame:
+        doc.update(alpha=str(u.alpha), beta=str(u.beta))
+    doc.update(fields)
+    return doc
 
 
 def _verdict_json(verdict) -> dict:
@@ -159,13 +167,7 @@ def _run_classify(args) -> int:
     u = _parse_slopes(args.slopes)
     result = classify(u)
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "kind": "classification",
-            "slopes": [str(s) for s in u.slopes],
-            "result": result.kind.value,
-            "reason": result.reason,
-        }
+        doc = _document("classification", u, result=result.kind.value, reason=result.reason)
         _emit(indented_json(doc), args.out)
     else:
         _emit(f"{u}: {result}", args.out)
@@ -176,15 +178,11 @@ def _run_ring(args) -> int:
     u = _parse_slopes(args.slopes)
     report = ring_check(u, bounds=_bounds(args))
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "kind": "ring-report",
-            "slopes": [str(s) for s in u.slopes],
-            "alpha": str(u.alpha),
-            "beta": str(u.beta),
-            "status": report.status.value,
-            "decided_by": report.decided_by,
-            "criteria": [
+        doc = _document(
+            "ring-report", u, frame=True,
+            status=report.status.value,
+            decided_by=report.decided_by,
+            criteria=[
                 {
                     "name": c.name,
                     "status": c.status.value,
@@ -199,8 +197,8 @@ def _run_ring(args) -> int:
                 }
                 for c in report.criteria
             ],
-            "frame_scan": [],  # schema 1 keeps the key; ring_check runs no frame scan
-        }
+            frame_scan=[],  # schema 1 keeps the key; ring_check runs no frame scan
+        )
         _emit(indented_json(doc), args.out)
     else:
         lines = [f"{u} with frame ({u.alpha}, {u.beta}): {report.status.value}"]
@@ -289,14 +287,12 @@ def _run_member(args) -> int:
     value = parse_expression(args.value)
     verdict = membership_in_MR(value, u, bounds=_bounds(args))
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "kind": "membership",
-            "slopes": [str(s) for s in u.slopes],
-            "value": args.value,
-            "decimal": value.decimal(args.precision),
+        doc = _document(
+            "membership", u,
+            value=args.value,
+            decimal=value.decimal(args.precision),
             **_verdict_json(verdict),
-        }
+        )
         if verdict.bounds is not None:
             doc["bounds"] = {
                 "max_den_exp": verdict.bounds.max_den_exp,
@@ -325,14 +321,10 @@ def _run_pvalues(args) -> int:
     table = u.p_table
     deltas = delta_set(u)
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "kind": "p-values",
-            "slopes": [str(s) for s in u.slopes],
-            "alpha": str(u.alpha),
-            "beta": str(u.beta),
-            "conductor": u.working_conductor,
-            "values": [
+        doc = _document(
+            "p-values", u, frame=True,
+            conductor=u.working_conductor,
+            values=[
                 {
                     "slope": str(g),
                     "decimal": table[g].decimal(args.precision),
@@ -340,8 +332,8 @@ def _run_pvalues(args) -> int:
                 }
                 for g in u.nonzero_slopes
             ],
-            "delta": [v.decimal(args.precision) for v in deltas],
-        }
+            delta=[v.decimal(args.precision) for v in deltas],
+        )
         _emit(indented_json(doc), args.out)
     else:
         lines = [

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -221,8 +221,3 @@ def generate(
         levels.append(LevelSet._grown(level, levels[-1], rows, truncated))
     return levels
 
-
-def contains(levels: Iterable[LevelSet], point: PlanePoint) -> bool:
-    """Exact membership of a point in the deepest generated level."""
-    last = next(reversed(list(levels)), None)
-    return last is not None and point in last

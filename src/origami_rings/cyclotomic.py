@@ -996,14 +996,12 @@ def sqrt_rational(value: Rational) -> CyclotomicReal:
         return CyclotomicReal.from_rational(0)
     # sqrt(a/b) = sqrt(a*b)/b = t * sqrt(s)/b, s the squarefree part of a*b
     m = s = q.numerator * q.denominator
-    for p in _primes(m):
+    primes = _primes(m)
+    for p in primes:
         while s % (p * p) == 0:
             s //= p * p
-    result = CyclotomicReal.from_rational(Fraction(math.isqrt(m // s), q.denominator))
-    for p in _primes(m):
-        if s % p == 0:
-            result = result * _sqrt_prime(p)
-    return result
+    start = CyclotomicReal.from_rational(Fraction(math.isqrt(m // s), q.denominator))
+    return math.prod((_sqrt_prime(p) for p in primes if s % p == 0), start=start)
 
 
 def minimal_polynomial(x: CyclotomicReal):

@@ -14,7 +14,9 @@ parentheses and the four arithmetic operations:
 
 A pi fraction is the argument's tokens read by angles.pi_multiple: 0,
 pi, pi/4, 2pi/15 or 2*pi/15, any multiple, folded mod 2pi.  Parse errors
-carry the offending text and its position.
+carry the offending text and its position.  Each parenthesis or unary
+minus is one recursive call deeper, so nesting past the interpreter's
+recursion limit is an ExpressionError too.
 """
 
 from __future__ import annotations
@@ -157,4 +159,7 @@ def parse_expression(text: str) -> CyclotomicReal:
     """Evaluate a value expression to an exact cyclotomic real."""
     if not text.strip():
         raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None

@@ -1,9 +1,9 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""The value `cyclotomic.minimal_polynomial` returns.
 
-Coefficients are stored lowest degree first and trailing zeros are
-trimmed, so equal polynomials compare equal structurally.  Evaluation
-is generic Horner: anything supporting + and * with the coefficients
-works, which covers Fractions as well as cyclotomic reals.
+A dense univariate polynomial with exact rational coefficients, stored
+lowest degree first with trailing zeros trimmed, so equal polynomials
+compare equal structurally.  Horner evaluation takes anything with + and
+* against Fractions, cyclotomic reals among them, so mu(x) checks exactly.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class RationalPolynomial:
             _trim(tuple(Fraction(c) for c in coefficients)),
         )
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient: Rational = 1) -> "RationalPolynomial":
-        return cls([0] * degree + [coefficient])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
@@ -45,55 +41,6 @@ class RationalPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coefficients) and self.coefficients[-1] == 1
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coefficients)
-
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
-
-    def __add__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return RationalPolynomial(merged)
-
-    def __neg__(self):
-        return RationalPolynomial([-c for c in self.coefficients])
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial([c * other for c in self.coefficients])
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RationalPolynomial()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    if b:
-                        out[i + j] += a * b
-        return RationalPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x):
         """Horner evaluation at x (rational or cyclotomic)."""

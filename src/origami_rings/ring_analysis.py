@@ -233,19 +233,6 @@ def delta_set(u: SlopeSet) -> tuple[CyclotomicReal, ...]:
     return tuple(ordered)
 
 
-def e_closed_form(u: SlopeSet) -> tuple[CyclotomicReal, CyclotomicReal]:
-    """Cartesian parts of the distinguished unit point (0, 1)."""
-    return u.frame.unit_parts()
-
-
-def e_norm_sq(u: SlopeSet) -> CyclotomicReal:
-    """Squared distance of the unit point from the origin.
-
-    Closed form sin(beta)^2 / sin(alpha-beta)^2, the second ratio element.
-    """
-    return ratio_elements(u)[1]
-
-
 def trace_element(u: SlopeSet) -> CyclotomicReal:
     """The mixed element 2*cos(alpha)*sin(beta) / sin(alpha-beta)."""
     return 2 * cos_of(u.alpha) * sin_of(u.beta) * inverse_signed_sin(u.alpha, u.beta)
@@ -920,7 +907,6 @@ class SetKind(Enum):
 class Classification:
     kind: SetKind
     reason: str
-    lattice_unit: Optional[PlanePoint] = None
 
     def __str__(self) -> str:
         return f"{self.kind.value}: {self.reason}"
@@ -935,11 +921,7 @@ def classify(u: SlopeSet) -> Classification:
     whose powers make the real points dense.
     """
     if u.size == 3:
-        return Classification(
-            SetKind.DISCRETE,
-            "lattice Z + Z*e over the unit point e",
-            lattice_unit=u.frame.unit(),
-        )
+        return Classification(SetKind.DISCRETE, "lattice Z + Z*e over the unit point e")
     return Classification(
         SetKind.DENSE,
         "four or more directions make the real points dense",

@@ -217,6 +217,15 @@ def test_member_bad_expression(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"],
+                         ids=["parentheses", "unary-minuses"])
+def test_member_nested_too_deeply_is_one_error_line(capsys, value):
+    # "--" keeps argparse from reading the minuses as an option
+    code, out, err = run(capsys, "member", "--slopes", PENTAGON, "--", value)
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: expression nested too deeply\n"
+
+
 def test_pvalues(capsys):
     code, out, _ = run(capsys, "pvalues", "--slopes", PENTAGON, "--precision", "6")
     assert code == EXIT_OK
@@ -555,11 +564,39 @@ RING_ARGS = ("ring", "--slopes", PENTAGON, "--max-den-exp", "0", "--max-num-deg"
             EXIT_OK,
             "81fdc2d1190e57db605704c06128677cb73588c341570d4a4ebd779b19944706",
         ),
+        (
+            ("classify", "--slopes", TRIANGLE, "--format", "json"),
+            EXIT_OK,
+            "791affeb6801b4bd4cf1a598f425b6615e51c73672c4dc424db7548ee2de19e3",
+        ),
+        (
+            ("classify", "--slopes", PENTAGON),
+            EXIT_OK,
+            "675f6fd34d8d1e4adea2e4c9fb9774d8169caed707b6ecdf25a20239d4598667",
+        ),
+        (
+            ("pvalues", "--slopes", PENTAGON),
+            EXIT_OK,
+            "396d1e3b9f4e75f39f80274158a6b53008e80516c54da0b5b083869972253a06",
+        ),
+        (
+            ("member", "sqrt(3)", "--slopes", PENTAGON),
+            EXIT_OK,
+            "8fcea19991f09620cef51ec4aa89eac85a190a601087e51dd2580247e847eb51",
+        ),
+        (
+            # Unknown: the document carries the "bounds" searched
+            ("member", "1/3", "--slopes", PENTAGON, "--max-den-exp", "0",
+             "--max-num-deg", "1", "--format", "json"),
+            EXIT_UNKNOWN,
+            "430713f34ae5793591fbbefb87068c8cf83225b4d37d308d6b12629da75d9743",
+        ),
     ],
     ids=["generate-json", "generate-csv", "ring-json", "ring-text",
          "pvalues-json", "member-json", "generate-capped-csv", "generate-1980-json",
          "ring-default-json", "member-third-json", "generate-level-3-json",
-         "generate-cap-2500-csv"],
+         "generate-cap-2500-csv", "classify-json", "classify-text", "pvalues-text",
+         "member-text", "member-unknown-json"],
 )
 def test_output_bytes_are_stable(capsys, tmp_path, argv, exit_code, digest):
     target = tmp_path / "out"

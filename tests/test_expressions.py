@@ -187,3 +187,14 @@ def test_n_ary_sum_is_the_left_fold():
         fold = functools.reduce(operator.add, terms)
         total = sum_of(terms)
         assert (total.conductor, total._num, total._den) == (fold.conductor, fold._num, fold._den)
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"],
+                         ids=["parentheses", "unary-minuses"])
+def test_nesting_past_the_recursion_limit_is_an_expression_error(text):
+    with pytest.raises(ExpressionError, match="^expression nested too deeply$"):
+        parse_expression(text)
+
+
+def test_two_hundred_nested_parentheses_still_parse():
+    assert parse_expression("(" * 200 + "1" + ")" * 200).as_rational() == 1

@@ -12,34 +12,6 @@ def test_trimming_and_degree():
     assert RationalPolynomial([3]).coefficients == (Fraction(3),)
 
 
-def test_monomial():
-    x3 = RationalPolynomial.monomial(3)
-    assert x3.coefficients == (0, 0, 0, 1)
-    assert RationalPolynomial.monomial(0, Fraction(1, 2)).coefficients == (
-        Fraction(1, 2),
-    )
-
-
-def test_arithmetic():
-    # (1 + x)(1 - x) = 1 - x^2
-    p = RationalPolynomial([1, 1])
-    q = RationalPolynomial([1, -1])
-    assert (p * q).coefficients == (1, 0, -1)
-    assert (p + q).coefficients == (2,)
-    assert (p - q).coefficients == (0, 2)
-    zero = RationalPolynomial([])
-    assert (p * zero).is_zero
-    assert p + zero == p
-
-
-def test_flags():
-    p = RationalPolynomial([Fraction(1, 2), 0, 1])
-    assert p.is_monic and not p.is_integral
-    q = RationalPolynomial([-2, 0, 3])
-    assert q.is_integral and not q.is_monic
-    assert q.leading_coefficient() == 3
-
-
 def test_evaluation_on_rationals():
     # x^2 - 2 at 3/2 is 1/4
     p = RationalPolynomial([-2, 0, 1])

@@ -47,8 +47,6 @@ from origami_rings.ring_analysis import (
     _round_half_even,
     classify,
     delta_set,
-    e_closed_form,
-    e_norm_sq,
     extension_check,
     integral_relation,
     membership_in_MR,
@@ -139,12 +137,6 @@ def test_delta_set_membership_compares_exact_values(pentagon):
     assert p + 1 not in differences and 2 not in differences and 0 not in differences
 
 
-def test_e_closed_form(pentagon):
-    x, y = e_closed_form(pentagon)
-    ex, ey = pentagon.frame.unit_parts()
-    assert x == ex and y == ey
-
-
 def test_ratio_elements_worked_example(pentagon):
     qa, qb = ratio_elements(pentagon)
     s3 = sqrt_rational(3)
@@ -161,8 +153,8 @@ def test_trace_identity_links_criteria(pentagon):
 def test_norm_links_criteria(pentagon):
     # |e|^2 equals the beta ratio, and the negated constant coefficient
     # of the monic quadratic for e
-    x, y = e_closed_form(pentagon)
-    n = e_norm_sq(pentagon)
+    x, y = pentagon.frame.unit_parts()
+    n = ratio_elements(pentagon)[1]
     assert n == x * x + y * y
     _, qb = ratio_elements(pentagon)
     assert n == qb
@@ -173,7 +165,7 @@ def test_norm_links_criteria(pentagon):
 def test_integral_relation_describes_e_squared(pentagon):
     # e^2 = s*e + r as complex numbers
     r, s = integral_relation(pentagon)
-    x, y = e_closed_form(pentagon)
+    x, y = pentagon.frame.unit_parts()
     e_sq_re = x * x - y * y
     e_sq_im = 2 * x * y
     assert e_sq_re == s * x + r
