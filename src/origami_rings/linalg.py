@@ -197,14 +197,16 @@ class IntegerLattice:
         generators, given in echelon order (each one's last nonzero entry
         after the one before), last relation first: one whose last nonzero
         entry is at i takes floor(c[i] / relation[i]) times itself off the
-        combination c.  Each row stays the same combination of the
-        generators, so its entries do not change."""
-        d = self.dimension
-        leads = [max(i for i, a in enumerate(relation) if a) for relation in relations]
+        combination c, on the relation's nonzero span.  The rows stay the
+        same combinations of the generators: their entries do not change."""
+        d, spans = self.dimension, []
+        for relation in reversed(relations):
+            nonzero = [i for i, a in enumerate(relation) if a]
+            spans.append((d + nonzero[0], d + nonzero[-1] + 1, relation[nonzero[0] : nonzero[-1] + 1]))
         for row in self._rows:
-            for i, relation in reversed(list(zip(leads, relations))):
-                if q := row[d + i] // relation[i]:
-                    row[d:] = [c - q * r for c, r in zip(row[d:], relation)]
+            for lo, hi, part in spans:
+                if q := row[hi - 1] // part[-1]:
+                    row[lo:hi] = [c - q * r for c, r in zip(row[lo:hi], part)]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

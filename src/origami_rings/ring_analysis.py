@@ -376,12 +376,13 @@ class _MonomialLattice:
     (`_exact`) are built at the first exact query.  With one generator each
     Hermite row's tracked combination is then divided by the shifts of
     mu(p), so a hit comes back at about 100 bits, not 2,700, before the
-    Babai step.  Pivot coordinates come from the lattice's one triangular
-    solve.  Once the rows mod q, and so the Hermite rows, span Q(p)
-    (`spans`), `_steps` holds multiplication by each delta generator as a
-    d x d matrix on pivot coordinates, and `coordinates` walks a query's
-    candidates with one vector-matrix product each.  Otherwise a candidate
-    that passes the mod-q screen is decided by one exact test, `membership`.
+    Babai step, whose tables come from the shifts' banded integral
+    Gram-Schmidt data.  Pivot coordinates come from one triangular solve.
+    Once the rows mod q, and so the Hermite rows, span Q(p) (`spans`),
+    `_steps` holds multiplication by each delta generator as a d x d matrix
+    on pivot coordinates, and `coordinates` walks a query's candidates with
+    one vector-matrix product each.  Otherwise a candidate that passes the
+    mod-q screen is decided by one exact test, `membership`.
 
     The screen reads two fingerprints residual(E) . v_k mod q of an image
     E, for two fixed pseudo-random vectors v_k drawn from random.Random(q)
@@ -440,51 +441,61 @@ class _MonomialLattice:
         return tuple(_dot_mod(image, self.z, self.q).tolist())
 
     @cached_property
-    def _exact(self) -> tuple[IntegerLattice, int, list[tuple[list[int], list[int], int]], tuple]:
+    def _exact(self) -> tuple[IntegerLattice, int, list[list[int]], tuple]:
         chain = _Chain(CyclotomicReal.from_rational(1, self.n), self.values)
         monomials = [chain[e] for e in self.exponents]
         common_den = math.lcm(*(v._den for v in monomials))
         lattice = IntegerLattice(euler_phi(self.n))
         relations = [lattice.add([c * (common_den // v._den) for c in v._num]) for v in monomials]
         # With one generator the first relation the lattice closes is
-        # +-mu(p), cleared to content 1, and its shifts span the kernel of
-        # the monomial family.  Babai steps against those rows keep
-        # certificates small.  Each w is a primitive integer multiple of
-        # its row's Gram-Schmidt vector, reached by the same sweep with
-        # exact coefficients (Cohen, GTM 138, section 2.6).
+        # +-mu(p), cleared to content 1, and its shifts r_j span the kernel
+        # of the monomial family.  Babai steps against them keep
+        # certificates small.
         first = next((r for r in relations if r is not None), None)
-        rows = []
+        shifts: list[list[int]] = []
         if len(self.values) == 1 and first is not None:
             length, width = len(self.exponents), len(first)
             for j in range(length - width + 1):
-                rows.append([0] * j + first + [0] * (length - j - width))
+                shifts.append([0] * j + first + [0] * (length - j - width))
             # Hermite reduction leaves the tracked combinations at
             # thousands of bits.  Dividing each by the shifts of mu(p)
             # moves it by kernel rows only: the Hermite rows stay, each
             # Babai quotient of a hit moves by an integer, and the reduced
             # witness is the same unless a step rounds an exact half.
-            lattice.reduce_combinations(rows)
-        kernel: list[tuple[list[int], list[int], int]] = []
-        for row in rows:
-            w = row
-            for b, v, bv in reversed(kernel):
-                a = sum(map(operator.mul, w, v))
-                if a:
-                    w = [bv * x - a * y for x, y in zip(w, b)]
-                    g = math.gcd(*w)
-                    w = [x // g for x in w]
-            kernel.append((row, w, sum(map(operator.mul, row, w))))
-        # Babai tables: <tail_k, w_j> for the tracked combination tail_k of
-        # each Hermite row, and <row_i, w_j> for i > j.  Row i is zero
-        # before column i and w_j after column j + width - 1, so only the
-        # next width - 1 rows meet w_j.
+            lattice.reduce_combinations(shifts)
+        # Babai tables from the integral Gram-Schmidt data of the shifts
+        # (Cohen, GTM 138, algorithm 2.6.7), forming no r_j*: d[j + 1] =
+        # det Gram(r_0..r_j), lam[i][j] = d[j] <r_i, r_j*> and table[k][j] =
+        # d[j] <x, r_j*> for the tracked combination x of Hermite row k,
+        # each from <., r_j> by u <- (d[l + 1] u - lam_.l lam_jl) / d[l].
+        # <r_i, r_j> is mu's autocorrelation, zero for |i - j| >= width,
+        # and so is lam[i][j]: the steps before l = j - width + 1 collapse
+        # into one product by d[l].  `bands` keeps the next width - 1
+        # shifts' lam[i][j], and each quotient is the nearest-plane one.
+        width, d, lam = len(first or ()), [1], []
+
+        def gram_schmidt(out: dict[int, int], dots: dict[int, int]) -> dict[int, int]:
+            lo = next(iter(dots), 0)  # keys ascend
+            for j, u in dots.items():
+                start, lam_j = max(lo, j - width + 1), lam[j]
+                u *= d[start]
+                for l in range(start, j):
+                    u = (d[l + 1] * u - out[l] * lam_j[l]) // d[l]
+                out[j] = u
+            return out
+
+        auto = [sum(map(operator.mul, first, first[k:])) for k in range(width)]
+        for i in range(len(shifts)):
+            lam.append({})  # built in place: row i reads its own entries as lam[i]
+            gram_schmidt(lam[i], {j: auto[i - j] for j in range(max(0, i - width + 1), i + 1)})
+            d.append(lam[i][i])
         tails = [lattice.combination([int(i == k) for i in range(lattice.rank)])
                  for k in range(lattice.rank)]
-        table = np.array([[sum(map(operator.mul, tail, w)) for _, w, _ in kernel]
+        table = np.array([list(gram_schmidt({}, {j: sum(map(operator.mul, tail[j:j + width], first))
+                                                  for j in range(len(shifts))}).values())
                           for tail in tails], dtype=object)
-        bands = [[sum(map(operator.mul, row, w)) for row, _, _ in kernel[j + 1 : j + len(first)]]
-                 for j, (_, w, _) in enumerate(kernel)]
-        return lattice, common_den, kernel, (table, bands, [bw for _, _, bw in kernel], first)
+        bands = [[lam[i][j] for i in range(j + 1, min(len(shifts), j + width))] for j in range(len(shifts))]
+        return lattice, common_den, shifts, (table, bands, d[1:], first)
 
     lattice = property(lambda self: self._exact[0])
     common_den = property(lambda self: self._exact[1])
@@ -544,10 +555,10 @@ class _MonomialLattice:
         """Babai's nearest-plane quotients against the kernel rows, last row
         first, for the lattice element with integer pivot coordinates t.
 
-        Row j's quotient rounds <c, w_j> / <row_j, w_j>, c being the tracked
-        combination of t less the later rows times their quotients, so
-        <c, w_j> is t against the tails' column of the table less the band
-        of later quotients: the same integers, from d + width - 1 products.
+        Row j's quotient rounds <c, r_j*> / |r_j*|^2, c being the tracked
+        combination of t less the later rows times their quotients: times
+        d[j], t against the tails' column of the table less the band of
+        later quotients, over d[j + 1], from d + width - 1 products.
         """
         table, bands, norms, _ = self._babai
         tops = np.array(t, dtype=object).dot(table)

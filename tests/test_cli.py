@@ -488,6 +488,19 @@ def test_point_cap_below_two_is_an_error(capsys):
 
 
 RING_ARGS = ("ring", "--slopes", PENTAGON, "--max-den-exp", "0", "--max-num-deg", "1")
+# (slopes, exit code, sha256) of `ring --format json` at default bounds on
+# the benchmark's other ring-cold sets; the conductor-1980 set is Unknown
+RING_COLD_PINS = (
+    ("0,pi/3,2pi/3", EXIT_OK, "4c3d27aacd1e45286964ebe154eec5881ae4405ca464f36dd1fd05e857c0d2f4"),
+    ("0,pi/4,pi/3", EXIT_OK, "bcf86a888942f56dd98d651f9b1b1149e7392f4b79731b47546b02d4602b6c38"),
+    ("0,pi/5,pi/7", EXIT_OK, "c4e20ad7f8f889a95796f22b0d93ea67f05ce132b3e0a53a3a56e2c4ceeb751d"),
+    ("0,pi/7,pi/3,pi/2,2pi/3", EXIT_OK,
+     "241065bb98068174fd48984507024f746e0473f01863e3bf88e488cf160b4103"),
+    ("0,pi/4,pi/3,2pi/3", EXIT_OK, "945c9397503867e72a9a73ee899bf3fddccd8e605f1a9220074e2205f4db871a"),
+    ("0,pi/5,2pi/5,pi/2", EXIT_OK, "b38920c24fd369ecd36160d77dfa2ba2490a5f35eb00934b773c23f89e39d544"),
+    ("0,pi/11,5pi/9,7pi/10", EXIT_UNKNOWN,
+     "8d22a31b21585f17f232df800143de57085a15cb7b45186c5be8e78e4e174aa2"),
+)
 
 
 @pytest.mark.parametrize(
@@ -591,12 +604,14 @@ RING_ARGS = ("ring", "--slopes", PENTAGON, "--max-den-exp", "0", "--max-num-deg"
             EXIT_UNKNOWN,
             "430713f34ae5793591fbbefb87068c8cf83225b4d37d308d6b12629da75d9743",
         ),
-    ],
+    ] + [(("ring", "--slopes", slopes, "--format", "json"), code, digest)
+         for slopes, code, digest in RING_COLD_PINS],
     ids=["generate-json", "generate-csv", "ring-json", "ring-text",
          "pvalues-json", "member-json", "generate-capped-csv", "generate-1980-json",
          "ring-default-json", "member-third-json", "generate-level-3-json",
          "generate-cap-2500-csv", "classify-json", "classify-text", "pvalues-text",
-         "member-text", "member-unknown-json"],
+         "member-text", "member-unknown-json"]
+    + [f"ring-default-json-{slopes}" for slopes, _, _ in RING_COLD_PINS],
 )
 def test_output_bytes_are_stable(capsys, tmp_path, argv, exit_code, digest):
     target = tmp_path / "out"

@@ -382,6 +382,49 @@ def test_reduce_combinations_keeps_the_rows():
     assert lat.membership([7]) == [-28, 7, 7] == _membership_reference(lat, [7])
 
 
+def _reduce_combinations_reference(combos, relations):
+    """The former loop: each relation, last first, subtracted over the
+    whole length of every combination."""
+    out = []
+    for c in combos:
+        c = list(c)
+        for relation in reversed(relations):
+            i = max(k for k, a in enumerate(relation) if a)
+            if q := c[i] // relation[i]:
+                c = [a - q * r for a, r in zip(c, relation)]
+        out.append(c)
+    return out
+
+
+def test_reduce_combinations_matches_the_dense_loop():
+    # relations in echelon order, zero outside a span [lo, lead] that may
+    # start anywhere at or before the lead
+    rng = random.Random(17)
+    moved = 0
+    for _ in range(60):
+        dim, count = rng.randint(1, 4), rng.randint(2, 12)
+        lat, _ = _random_lattice(rng, dim, count)
+        leads = sorted(rng.sample(range(count), rng.randint(1, count)))
+        relations = []
+        for lead in leads:
+            lo = rng.randint(0, lead)
+            relation = [0] * count
+            for k in range(lo, lead + 1):
+                relation[k] = rng.randint(-9, 9)
+            relation[lo] = relation[lo] or 1
+            relation[lead] = rng.choice([-1, 1]) * rng.randint(1, 9)
+            relations.append(relation)
+        units = [[int(i == k) for i in range(lat.rank)] for k in range(lat.rank)]
+        combos = [lat.combination(t) for t in units]
+        basis = lat.basis()
+        lat.reduce_combinations(relations)
+        expected = _reduce_combinations_reference(combos, relations)
+        assert [lat.combination(t) for t in units] == expected
+        assert lat.basis() == basis
+        moved += expected != combos
+    assert moved
+
+
 def test_integer_lattice_refuses_entries_that_are_not_integers():
     # int() once truncated them: 3/2 and 1.7 were members of Z as 1, and
     # [2.9, 1] was stored as [2, 1]

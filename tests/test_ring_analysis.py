@@ -524,11 +524,30 @@ def test_first_kernel_row_is_the_primitive_minimal_polynomial(pentagon):
         lattice = _monomial_lattice(u, DEFAULT_MAX_NUM_DEG)
         relation = _primitive_minimal_polynomial(lattice.values[0])
         width = len(relation)
-        kernel = lattice._exact[2]
-        assert len(kernel) == len(lattice.exponents) - width + 1, str(u)
-        for j, (row, _, _) in enumerate(kernel):
+        shifts = lattice._exact[2]
+        assert len(shifts) == len(lattice.exponents) - width + 1, str(u)
+        for j, row in enumerate(shifts):
             assert not any(row[:j]) and not any(row[j + width:])
             assert row[j:j + width] in (relation, [-c for c in relation]), str(u)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_kernel(lattice):
+    """The former Babai rows of a lattice: (row, w, <row, w>) for each
+    shift of mu(p), w a primitive integer multiple of its Gram-Schmidt
+    vector, reached by a dense fraction-free sweep over all pairs of
+    shifts (Cohen, GTM 138, section 2.6)."""
+    kernel = []
+    for row in lattice._exact[2]:
+        w = row
+        for b, v, bv in reversed(kernel):
+            a = sum(map(operator.mul, w, v))
+            if a:
+                w = [bv * x - a * y for x, y in zip(w, b)]
+                g = math.gcd(*w)
+                w = [x // g for x in w]
+        kernel.append((row, w, sum(map(operator.mul, row, w))))
+    return kernel
 
 
 def _size_reduce_reference(rows, combo):
@@ -582,7 +601,7 @@ def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
     # the integer Gram-Schmidt rows w of the kernel round as the Fraction
     # ones do
     lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG)
-    kernel = lattice._exact[2]
+    kernel = _dense_kernel(lattice)
     rows = [row for row, _, _ in kernel]
     moved = 0
     for combo in _size_reduce_combos(lattice, pentagon):
@@ -595,7 +614,7 @@ def test_integer_size_reduction_matches_fraction_gram_schmidt(pentagon):
 def _babai_matches_the_combination_route(lattice, t, terms) -> bool:
     """Whether the quotients from the tables, and the witness terms made
     from them, are the combination route's on the tracked combination of t."""
-    reduced, quotients = _size_reduce(lattice._exact[2], lattice.lattice.combination(t))
+    reduced, quotients = _size_reduce(_dense_kernel(lattice), lattice.lattice.combination(t))
     expected = [(c, e) for c, e in zip(reduced, lattice.exponents) if c]
     return lattice._quotients(t) == quotients and terms == expected
 
@@ -677,7 +696,7 @@ def test_size_reduction_depends_only_on_the_kernel_coset(pentagon):
     # moving a combination by an integer combination of kernel rows moves
     # each nearest-plane quotient by an integer, so the output is the same
     lattice = _monomial_lattice(pentagon, DEFAULT_MAX_NUM_DEG)
-    kernel = lattice._exact[2]
+    kernel = _dense_kernel(lattice)
     rng = random.Random(5)
     checked = 0
     for combo in _size_reduce_combos(lattice, pentagon):
@@ -691,6 +710,43 @@ def test_size_reduction_depends_only_on_the_kernel_coset(pentagon):
             assert _size_reduce(kernel, moved)[0] == _size_reduce(kernel, combo)[0]
             checked += 1
     assert checked >= 60
+
+
+def test_banded_babai_tables_match_the_dense_kernel(pentagon):
+    # each column of the banded tables is a positive multiple of the dense
+    # route's <., w_j>, so every quotient is the dense one, exact halves
+    # included
+    ties = 0
+    for u in _one_free_constant_sets(pentagon) + [SlopeSet(["0", "pi/5", "2pi/5", "pi/2"])]:
+        lattice = _monomial_lattice(u, DEFAULT_MAX_NUM_DEG)
+        kernel = _dense_kernel(lattice)
+        table, bands, norms, mu = lattice._babai
+        tails = [lattice.lattice.combination([int(i == k) for i in range(lattice.lattice.rank)])
+                 for k in range(lattice.lattice.rank)]
+        assert len(norms) == len(bands) == len(kernel) > 0, str(u)
+        for j, (_, w, bw) in enumerate(kernel):
+            assert norms[j] > 0, str(u)
+            for k, tail in enumerate(tails):
+                assert table[k][j] * bw == sum(map(operator.mul, tail, w)) * norms[j], (str(u), k, j)
+            rows = [row for row, _, _ in kernel[j + 1 : j + len(mu)]]
+            assert len(bands[j]) == len(rows), (str(u), j)
+            for band, row in zip(bands[j], rows):
+                assert band * bw == sum(map(operator.mul, row, w)) * norms[j], (str(u), j)
+        rng = random.Random(13)
+        points = [[rng.randint(-2**bits, 2**bits) for _ in range(lattice.lattice.rank)]
+                  for bits in (1, 8, 64, 400) for _ in range(10)]
+        # and the pivot coordinates of the monomials p^e themselves
+        (p,) = lattice.values
+        for (e,) in lattice.exponents:
+            y = p**e
+            t, den = lattice.lattice.coordinates([c * (lattice.common_den // y._den) for c in y._num])
+            assert den == 1, str(u)
+            points.append(t)
+        for t in points:
+            combo = lattice.lattice.combination(t)
+            ties += _has_tie(kernel, combo)
+            assert lattice._quotients(t) == _size_reduce(kernel, combo)[1], (str(u), t)
+    assert ties
 
 
 # (verdict, numerator terms, denominator exponents) of each query below,
