@@ -356,81 +356,68 @@ def _build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json")):
-        p.add_argument(
-            "--slopes",
-            required="slopes" not in config,
-            help="comma separated directions, e.g. 0,pi/5,pi/4,pi/3",
-        )
-        p.add_argument("--format", choices=formats, default="text")
-        p.set_defaults(formats=formats)
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument(
-            "--precision",
-            type=int,
-            default=DEFAULT_PRECISION,
-            help="decimal digits in approximations",
-        )
-
-    def search_bounds(p):
-        p.add_argument(
-            "--max-den-exp",
-            type=int,
-            default=SearchBounds().max_den_exp,
-            help="largest exponent per delta generator in the denominator",
-        )
-        p.add_argument(
-            "--max-num-deg",
-            type=int,
-            default=SearchBounds().max_num_deg,
-            help="largest numerator monomial degree",
-        )
-
-    p = sub.add_parser("classify", help="discrete lattice or dense point set")
-    common(p)
-    p.set_defaults(run=_run_classify)
-
-    p = sub.add_parser("ring", help="decide the ring property")
-    common(p)
-    search_bounds(p)
-    p.set_defaults(run=_run_ring)
-
-    p = sub.add_parser("generate", help="construct and export point levels")
-    common(p, formats=("text", "json", "csv"))
-    p.add_argument("--levels", type=int, default=3, help="construction rounds")
-    p.add_argument(
+    # Each option is built once, on a parent parser, and every subcommand
+    # that lists it shares its action.
+    shared, bounds, construct, value = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    shared.add_argument(
+        "--slopes",
+        required="slopes" not in config,
+        help="comma separated directions, e.g. 0,pi/5,pi/4,pi/3",
+    )
+    shared.add_argument("--out", help="write output to a file instead of stdout")
+    shared.add_argument(
+        "--precision",
+        type=int,
+        default=DEFAULT_PRECISION,
+        help="decimal digits in approximations",
+    )
+    bounds.add_argument(
+        "--max-den-exp",
+        type=int,
+        default=SearchBounds().max_den_exp,
+        help="largest exponent per delta generator in the denominator",
+    )
+    bounds.add_argument(
+        "--max-num-deg",
+        type=int,
+        default=SearchBounds().max_num_deg,
+        help="largest numerator monomial degree",
+    )
+    construct.add_argument("--levels", type=int, default=3, help="construction rounds")
+    construct.add_argument(
         "--cap",
         type=int,
         default=DEFAULT_POINT_CAP,
         help="stop a level at this many points",
     )
-    p.add_argument(
+    construct.add_argument(
         "--float-preview",
         action="store_true",
         help="fast floating point mode; slopes may be plain radians",
     )
-    p.add_argument(
+    construct.add_argument(
         "--eps",
         type=float,
         default=1e-9,
         help="dedup distance in float preview mode",
     )
-    p.set_defaults(run=_run_generate)
+    value.add_argument("value", help="exact value expression, e.g. 'sqrt(3)'; a negative "
+                       "value such as '-3/4' goes last, after '--'")
 
-    p = sub.add_parser("member", help="membership in the real subring")
-    p.add_argument("value", help="exact value expression, e.g. 'sqrt(3)'")
-    common(p)
-    search_bounds(p)
-    p.set_defaults(run=_run_member)
-
-    p = sub.add_parser("pvalues", help="projection constants of the set")
-    common(p)
-    p.set_defaults(run=_run_pvalues)
-
-    # Subcommands parse into a fresh namespace, so config defaults must
-    # land on every subparser, not just the root.
-    for sub_parser in sub.choices.values():
-        sub_parser.set_defaults(**config)
+    # name, handler, help, parent parsers and the formats beyond text and json
+    for name, run, summary, parents, more in (
+        ("classify", _run_classify, "discrete lattice or dense point set", [shared], ()),
+        ("ring", _run_ring, "decide the ring property", [shared, bounds], ()),
+        ("generate", _run_generate, "construct and export point levels", [shared, construct], ("csv",)),
+        ("member", _run_member, "membership in the real subring", [value, shared, bounds], ()),
+        ("pvalues", _run_pvalues, "projection constants of the set", [shared], ()),
+    ):
+        formats = ("text", "json") + more
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.add_argument("--format", choices=formats, default="text")
+        # Subcommands parse into a fresh namespace, so config defaults must
+        # land on every subparser, not just the root.
+        p.set_defaults(run=run, formats=formats, **config)
     return parser
 
 

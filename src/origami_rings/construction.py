@@ -172,10 +172,6 @@ def generate(
         raise ValueError("point_cap must be at least 2, the size of level 0")
     cap = point_cap if point_cap is not None else math.inf
     frame, n, table = u.frame, u.working_conductor, u.p_table
-    gap_inv = {
-        (g, d): _inverse_p_gap(frame, g, d)
-        for g, d in itertools.combinations(u.nonzero_slopes, 2)
-    }
 
     seed = stack([CyclotomicReal.from_rational(c, n) for c in (0, 1)], n)
     ids = {key: i for i, key in enumerate(row_keys(seed))}  # coordinate row key -> id
@@ -195,7 +191,8 @@ def generate(
         truncated = len(seen) >= cap
         for g, d in itertools.combinations(u.slopes, 2):
             first_lines, second_lines = line_values[g], line_values[d]
-            p1, inverse = table.get(g), gap_inv.get((g, d))
+            p1 = table.get(g)
+            inverse = None if p1 is None else _inverse_p_gap(frame, g, d)
             lines, width = len(first_lines.den), len(second_lines.den)
             i = 0
             while i < lines and not truncated:

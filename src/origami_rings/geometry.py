@@ -44,8 +44,6 @@ class ParallelLinesError(ValueError):
 def signed_sin(a: Angle, b: Angle) -> CyclotomicReal:
     """Exact sin(a - b) for directions a, b in [0, pi)."""
     sgn, diff = angle_difference(a, b)
-    if sgn == 0:
-        return CyclotomicReal.from_rational(0)
     value = sin_of(diff)
     return value if sgn > 0 else -value
 

@@ -402,13 +402,13 @@ class _MonomialLattice:
         self.names = tuple(name for name, _ in gens)
         self.values = tuple(v for _, v in gens)
         self.den_names, self.den_values = zip(*_deltas(gens, 1))
-        group = _fixing_group(u)
+        self.images = _images(u)
+        group = _fixing_group(u, self.images)
         self.galois = _generators_mod_sign(group, n)
         count = len(gens)
         self.degree = max_num_deg if count <= 1 else max(4, max_num_deg // count)
         self.exponents = list(_graded_exponents(count, self.degree, self.degree))
         self.q = q = split_prime(n)
-        self.images = _images(u)
         ones = np.ones(euler_phi(n), np.int64)
         self.rows, self.pivots = np.zeros((0, len(ones)), np.int64), []
         images = _Chain(ones, self.images, self.mul_mod)
@@ -652,22 +652,19 @@ class _Candidates:
         return any(sum(map(operator.mul, form.values(), f)) % self.lattice.q for f in columns)
 
 
-# A set's lattice and fixing group serve only the queries on that set, so
-# each cache keeps the most recently used few.
+# A set's lattice serves only the queries on that set, so the cache keeps
+# the most recently used few; it is the one place a set's mod-q state lives.
 @lru_cache(maxsize=4)
 def _monomial_lattice(u: SlopeSet, max_num_deg: int) -> _MonomialLattice:
     return _MonomialLattice(u, max_num_deg)
 
 
-@lru_cache(maxsize=4)
 def _images(u: SlopeSet) -> tuple[np.ndarray, ...]:
-    """The free p-values at the roots of Phi_n mod q = split_prime(n), read
-    by both the fixing group and the lattice."""
+    """The free p-values at the roots of Phi_n mod q = split_prime(n)."""
     return tuple(evaluate(v, u.working_conductor) for _, v in _numerator_generators(u))
 
 
-@lru_cache(maxsize=4)
-def _fixing_group(u: SlopeSet) -> tuple[int, ...]:
+def _fixing_group(u: SlopeSet, images: Sequence[np.ndarray]) -> tuple[int, ...]:
     """The units a mod n whose sigma_a fixes every projection constant.
 
     By Galois theory this group H fixes exactly the field Q(p) the
@@ -675,13 +672,13 @@ def _fixing_group(u: SlopeSet) -> tuple[int, ...]:
     ch. 2).  sigma_a(g) takes at the root w^b the value g takes at w^(ab),
     so where g's images mod q = split_prime(n) differ from their
     permutation b -> ab, sigma_a moves g.  Every g has images, as
-    `_MonomialLattice` shows.  The units that pass form a group containing
-    H, and it is H once its generators modulo +-1 fix every g exactly;
-    otherwise every unit is tested exactly.
+    `_MonomialLattice` shows; `images` holds them, as `_images(u)` returns
+    them.  The units that pass form a group containing H, and it is H once
+    its generators modulo +-1 fix every g exactly; otherwise every unit is
+    tested exactly.
     """
     n = u.working_conductor
     gens = [v for _, v in _numerator_generators(u)]
-    images = _images(u)
     at = {b % n: k for k, b in enumerate(units(n))}  # the entry of each root w^b
     # the entry at b = 1 first: sigma_a(g) = g needs g(w^a) = g(w)
     group = tuple(a for k, a in enumerate(units(n)) if all(

@@ -173,6 +173,18 @@ def test_member_not_in(capsys):
     assert "ProvenNotIn" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_member_value_with_a_leading_minus_goes_last_after_dashes(capsys, fmt):
+    # argparse reads "-3/4" as an option, so it goes last, after "--"
+    code, out, _ = run(capsys, "member", "--slopes", TRIANGLE, "--format", fmt, "--", "-3/4")
+    assert code == EXIT_OK
+    if fmt == "json":
+        doc = json.loads(out)
+        assert (doc["value"], doc["verdict"]) == ("-3/4", "ProvenNotIn")
+    else:
+        assert out.startswith("-3/4 in M_R({0, pi/3, 2pi/3}): ProvenNotIn\n")
+
+
 def test_square_root_of_a_large_prime(capsys):
     # its Gauss sum lies at conductor 40028, outside the working field
     code, out, _ = run(capsys, "member", "sqrt(10007)", "--slopes", PENTAGON)
@@ -237,6 +249,19 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["ring"])  # --slopes is required
     assert info.value.code == EXIT_USAGE
+
+
+def test_subcommands_share_each_option_built_once():
+    parser = cli._build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+
+    def action(command, dest):
+        (found,) = [a for a in commands[command]._actions if a.dest == dest]
+        return found
+
+    assert len(commands) == 5
+    assert action("ring", "max_den_exp") is action("member", "max_den_exp")
+    assert len({id(action(command, "slopes")) for command in commands}) == 1
 
 
 def test_config_defaults(capsys, tmp_path, monkeypatch):

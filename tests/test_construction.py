@@ -76,6 +76,9 @@ def test_contains(triangle):
     assert f.unit() in levels[-1]
     far = PlanePoint(200, 200, f)
     assert far not in levels[-1]
+    # a non-point is in no level, and no point is in an empty one
+    assert (1, 1) not in levels[-1]
+    assert f.unit() not in LevelSet(0, [], False)
     # a point from a different frame still matches through projections
     g = SlopeSet(["0", "pi/4", "pi/2"]).frame
     one_again = PlanePoint(1, 1, g)

@@ -122,6 +122,11 @@ def test_rational_round_trip():
     assert x.is_rational and not x.is_integer
     assert x.as_rational() == Fraction(-7, 3)
     assert CyclotomicReal.from_rational(5).is_integer
+    with pytest.raises(ValueError, match="is not rational"):
+        sqrt_rational(2).as_rational()
+    # values come from the named constructors only
+    with pytest.raises(TypeError, match="use from_rational"):
+        CyclotomicReal(1, (1,), 1)
 
 
 def test_field_operations_match_rationals():
@@ -250,6 +255,8 @@ def test_decimal_digits():
     assert sqrt_rational(3).decimal(12) == "1.732050807569"
     assert CyclotomicReal.from_rational(HALF).decimal(4) == "0.5000"
     assert (-sqrt_rational(2)).decimal(6) == "-1.414214"
+    with pytest.raises(ValueError, match="digits must be nonnegative"):
+        sqrt_rational(3).decimal(-1)
 
 
 def test_realness_guard():

@@ -163,6 +163,13 @@ def test_indented_json_is_json_dumps_with_indent_2(value):
     assert indented_json(value) == json.dumps(value, indent=2)
 
 
+def test_indented_json_refuses_a_set_as_json_dumps_does():
+    message = "Object of type set is not JSON serializable"
+    for write in (json.dumps, indented_json):
+        with pytest.raises(TypeError, match=message):
+            write({"a": [1, {2}]})
+
+
 def test_equal_coordinates_are_written_once_and_shared(pentagon, monkeypatch):
     levels = generate(pentagon, 3)
     calls = []

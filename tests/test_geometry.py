@@ -491,7 +491,7 @@ def test_1980_pvalues_and_ring_invert_only_single_sines(monkeypatch, capsys):
     sines = {(s.conductor, s._num, s._den) for s in map(sin_of, slopes + gaps)}
     for cached in (geometry._p_value, geometry._unit_parts, geometry._inverse_p_gap,
                    geometry._inverse_sin, geometry._inverse_unit_im,
-                   ring_analysis._monomial_lattice, ring_analysis._fixing_group):
+                   ring_analysis._monomial_lattice):
         cached.cache_clear()
     inverted = []
     inverse = CyclotomicReal.inv

@@ -31,3 +31,4 @@ def test_str():
     text = str(p)
     assert "X^3" in text and "16/25" in text
     assert "—" not in text
+    assert str(RationalPolynomial([])) == "0"

@@ -42,6 +42,7 @@ from origami_rings.ring_analysis import (
     _fixing_group,
     _generators_mod_sign,
     _graded_exponents,
+    _images,
     _monomial_lattice,
     _numerator_generators,
     _round_half_even,
@@ -220,6 +221,9 @@ def test_ring_check_triangle(triangle):
     assert report.status is RingStatus.RING
     for c in report.criteria:
         assert c.status is RingStatus.RING
+        assert report.criterion(c.name) is c
+    with pytest.raises(KeyError):
+        report.criterion("nope")
     qa, qb = ratio_elements(triangle)
     assert qa == 1 and qb == 1
 
@@ -385,7 +389,7 @@ def test_frame_scan_pentagon_stays_unknown(pentagon):
 
 def _in_field(u: SlopeSet, x: CyclotomicReal) -> bool:
     x_n = rewrite_in_conductor(x, u.working_conductor)
-    return x_n is not None and all(x_n.is_fixed_by(a) for a in _fixing_group(u))
+    return x_n is not None and all(x_n.is_fixed_by(a) for a in _fixing_group(u, _images(u)))
 
 
 def test_frame_ratios_share_the_field_of_the_default_ratios():
@@ -440,7 +444,7 @@ def test_fixing_group_matches_breadth_first_field_basis():
     for u in sets:
         n = u.working_conductor
         basis = _field_basis_reference(u)
-        assert euler_phi(n) // len(_fixing_group(u)) == basis.rank, str(u)
+        assert euler_phi(n) // len(_fixing_group(u, _images(u))) == basis.rank, str(u)
         values = list(integral_relation(u)) + extras
         values += [cos_of(g) for g in u.nonzero_slopes]
         for a, b in itertools.permutations(u.nonzero_slopes, 2):
@@ -470,7 +474,7 @@ def test_conductor_1980_set_builds_no_rowspace_of_full_degree(monkeypatch):
     monkeypatch.setattr(RowSpace, "__init__", guarded)
     u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
     assert euler_phi(u.working_conductor) == 480
-    assert len(_fixing_group(u)) == 4
+    assert len(_fixing_group(u, _images(u))) == 4
     for q in ratio_elements(u):
         assert membership_in_MR(q, u, TIGHT_BOUNDS).is_unknown
     v = membership_in_MR(cos_of(Angle(1, 990)), u, TIGHT_BOUNDS)
@@ -492,7 +496,7 @@ def test_minimal_polynomial_matches_the_galois_degree(pentagon):
         for c in reversed(coefficients):
             value = value * p + c
         assert value.is_zero, str(u)
-        degree = euler_phi(u.working_conductor) // len(_fixing_group(u))
+        degree = euler_phi(u.working_conductor) // len(_fixing_group(u, _images(u)))
         assert len(coefficients) - 1 == degree, str(u)
 
 
@@ -963,7 +967,7 @@ def test_one_product_per_monomial_and_per_candidate(pentagon, monkeypatch):
     lattice = _MonomialLattice(pentagon, bounds.max_num_deg)
     lattice.lattice  # the exact monomials are made at the first exact query
     assert 0 < products <= len(lattice.exponents) - 1
-    degree = euler_phi(pentagon.working_conductor) // len(_fixing_group(pentagon))
+    degree = euler_phi(pentagon.working_conductor) // len(_fixing_group(pentagon, lattice.images))
     assert len(lattice.rows) == lattice.lattice.rank == degree == 8
     products = 0
     steps, _ = lattice._steps
@@ -1056,7 +1060,7 @@ def test_span_filter_never_rejects_a_lattice_member():
     checked = accepted = rejected = 0
     for u in _seeded_sets(31, (4, 5), 4):
         lattice = _monomial_lattice(u, bounds.max_num_deg)
-        degree = euler_phi(u.working_conductor) // len(_fixing_group(u))
+        degree = euler_phi(u.working_conductor) // len(_fixing_group(u, _images(u)))
         if lattice.lattice.rank >= degree:
             continue  # membership_in_MR runs no filter here
         checked += 1
@@ -1112,7 +1116,7 @@ def test_coordinate_chain_matches_the_exact_sweep():
     for u in _seeded_sets(43, (4, 5), 6):
         n = u.working_conductor
         lattice = _monomial_lattice(u, bounds.max_num_deg)
-        if len(lattice.rows) < euler_phi(n) // len(_fixing_group(u)):
+        if len(lattice.rows) < euler_phi(n) // len(_fixing_group(u, _images(u))):
             continue
         free.add(len(lattice.values))
         members = [_member_by_construction(rng, u, lattice) for _ in range(2)]
@@ -1164,7 +1168,7 @@ def test_span_filter_spares_the_1980_ratios_the_exact_sweep(monkeypatch):
     u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
     ratios = ratio_elements(u)
     _monomial_lattice(u, TIGHT_BOUNDS.max_num_deg)
-    assert len(_fixing_group(u)) == 4
+    assert len(_fixing_group(u, _images(u))) == 4
     products = galois = 0
     multiply = CyclotomicReal.__mul__
     fixed = CyclotomicReal.is_fixed_by
@@ -1207,7 +1211,7 @@ def test_generators_mod_sign_generate_the_fixing_group():
     sets.append(SlopeSet(["0", "pi/5", "pi/2", "4pi/5"]))  # |H| = 8
     for u in sets:
         n = u.working_conductor
-        group = _fixing_group(u)
+        group = _fixing_group(u, _images(u))
         gens = _generators_mod_sign(group, n)
         assert _closure(gens, n) == {a % n for a in group}, str(u)
         assert len(gens) < len(group)
@@ -1272,18 +1276,14 @@ def test_fixing_group_matches_the_exact_route_on_every_unit(monkeypatch):
         checks += 1
         return fixed(self, a)
 
-    def fixing_groups(some):
+    def fixing_groups(some, image=evaluate):
         nonlocal checks
         checks = 0
-        ring_analysis._images.cache_clear()
-        _fixing_group.cache_clear()
-        return [_fixing_group(u) for u in some]
+        images = [[image(v, u.working_conductor) for _, v in _numerator_generators(u)]
+                  for u in some]
+        return [_fixing_group(u, e) for u, e in zip(some, images)]
 
     monkeypatch.setattr(CyclotomicReal, "is_fixed_by", counting)
-    # the group reads the images of a set from their own cache, so the
-    # planted images below go to a fresh one, dropped after the test
-    fresh = functools.lru_cache(maxsize=4)(ring_analysis._images.__wrapped__)
-    monkeypatch.setattr(ring_analysis, "_images", fresh)
     # only the survivors' generators modulo +-1 are checked exactly
     assert fixing_groups(sets) == expected
     assert checks == sum(
@@ -1303,12 +1303,11 @@ def test_fixing_group_matches_the_exact_route_on_every_unit(monkeypatch):
             e[units.index(a * b % n)] = e[units.index(b)]
         return e
 
-    monkeypatch.setattr(ring_analysis, "evaluate", planted)
-    assert fixing_groups([u]) == [h] and checks == 1
+    assert fixing_groups([u], planted) == [h] and checks == 1
     # images that every unit leaves in place, so the survivors fail the
     # exact check: it falls back to testing every unit exactly
-    monkeypatch.setattr(ring_analysis, "evaluate", lambda x, m: np.ones(euler_phi(m), np.int64))
-    assert fixing_groups(sets[-2:]) == expected[-2:]
+    ones = lambda x, m: np.ones(euler_phi(m), np.int64)
+    assert fixing_groups(sets[-2:], ones) == expected[-2:]
     assert checks >= euler_phi(n)
 
 
@@ -1320,7 +1319,6 @@ def test_cold_1980_ring_check_builds_no_integer_lattice(monkeypatch):
 
     monkeypatch.setattr(IntegerLattice, "__init__", no_lattice)
     _monomial_lattice.cache_clear()
-    _fixing_group.cache_clear()
     report = ring_check(SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"]))
     assert report.status is RingStatus.UNKNOWN and report.decided_by == ""
     verdicts = [str(v) for c in report.criteria for v in c.verdicts]
@@ -1329,27 +1327,24 @@ def test_cold_1980_ring_check_builds_no_integer_lattice(monkeypatch):
 
 
 def test_lattice_and_field_caches_keep_the_last_few_sets(monkeypatch):
-    # a set's lattice and fixing group serve only that set's queries, so
-    # ring_check of 12 sets leaves 4 of each, and a second ring_check of
-    # the last set hits the lattice cache and builds no new lattice or group
+    # a set's lattice, which holds its fixing group's generators, serves
+    # only that set's queries, so ring_check of 12 sets leaves 4, and a
+    # second ring_check of the last set hits the lattice cache and builds
+    # no new lattice
     _monomial_lattice.cache_clear()
-    _fixing_group.cache_clear()
     bounds = SearchBounds(max_den_exp=2, max_num_deg=8, max_candidates=300)
     sets = _seeded_sets(61, (4,), 12)
     for u in sets:
         report = ring_check(u, bounds)
     assert _monomial_lattice.cache_info().currsize == 4
-    assert _fixing_group.cache_info().currsize == 4
 
     def no_build(self, u, max_num_deg):
         raise AssertionError(f"lattice of {u} built again")
 
     monkeypatch.setattr(_MonomialLattice, "__init__", no_build)
-    # a warm query reads the fixing group's generators off the lattice
-    hits, groups = _monomial_lattice.cache_info().hits, _fixing_group.cache_info()
+    hits = _monomial_lattice.cache_info().hits
     again = ring_check(sets[-1], bounds)
     assert _monomial_lattice.cache_info().hits > hits
-    assert _fixing_group.cache_info() == groups
     assert [str(v) for c in again.criteria for v in c.verdicts] == [
         str(v) for c in report.criteria for v in c.verdicts
     ]
@@ -1439,7 +1434,6 @@ def test_cold_1980_ring_check_reduces_each_power_once(monkeypatch):
     # one per candidate
     u = SlopeSet(["0", "pi/11", "5pi/9", "7pi/10"])
     _monomial_lattice.cache_clear()
-    _fixing_group.cache_clear()
     reductions, at_query, dots = 0, [], []
     residual, fingerprint = _MonomialLattice.residual, _MonomialLattice.fingerprint
     init = _Candidates.__init__

@@ -74,6 +74,7 @@ def test_membership_and_equality():
     u = SlopeSet(["0", "pi/3", "2pi/3"])
     assert Angle(1, 3) in u
     assert Angle(1, 4) not in u
+    assert object() not in u
     assert u == SlopeSet([Angle.zero(), Angle(2, 3), Angle(1, 3)])
     assert u != SlopeSet(["0", "pi/4", "pi/3"])
     assert len({u, SlopeSet(["0", "pi/3", "2pi/3"])}) == 1
