@@ -358,6 +358,33 @@ def _search_order(count: int, top: int, budget: int) -> tuple[tuple[int, ...], .
     return tuple(itertools.islice(_graded_exponents(count, count * top, top), budget))
 
 
+class _PackedMatrix:
+    """An integer matrix M that multiplies integer row vectors by Kronecker
+    substitution: row i is packed into one integer with entry j in the
+    w-bit field j, from bit j * w on, so t times the packed rows is one
+    integer whose field j holds entry j of t * M.  An offset lifts every
+    field by 2^(w - 1), so each signed entry reads back by one shift and
+    mask.  w exceeds the bits of t, of M's largest entry and of its row
+    count by one, so no field carries into the next, and is rounded up to
+    a multiple of 32, so that a few packings serve a whole walk."""
+
+    def __init__(self, rows: list[list[int]]):
+        self.rows = rows
+        self.spread = max(abs(a) for row in rows for a in row).bit_length() + len(rows).bit_length() + 1
+        self.packed: dict[int, tuple[range, list[int], int, int]] = {}  # by w
+
+    def times(self, t: list[int]) -> list[int]:
+        width = max(map(int.bit_length, t)) + self.spread
+        width += -width % 32
+        if width not in self.packed:
+            fields = range(0, len(self.rows[0]) * width, width)
+            self.packed[width] = (fields, [sum(a << j for j, a in zip(fields, row)) for row in self.rows],
+                                  sum(1 << j for j in fields) << width - 1, (1 << width) - 1)
+        fields, rows, offset, mask = self.packed[width]
+        total, half = sum(map(operator.mul, t, rows), offset), 1 << width - 1
+        return [(total >> j & mask) - half for j in fields]
+
+
 class _MonomialLattice:
     """Z-span of bounded monomials in the numerator generators.
 
@@ -380,9 +407,10 @@ class _MonomialLattice:
     Gram-Schmidt data.  Pivot coordinates come from one triangular solve.
     Once the rows mod q, and so the Hermite rows, span Q(p) (`spans`),
     `_steps` holds multiplication by each delta generator as a d x d matrix
-    on pivot coordinates, and `coordinates` walks a query's candidates with
-    one vector-matrix product each.  Otherwise a candidate that passes the
-    mod-q screen is decided by one exact test, `membership`.
+    on pivot coordinates, packed, and `coordinates` walks a query's
+    candidates with one vector-matrix product each.  Otherwise a
+    candidate that passes the mod-q screen is decided by one exact test,
+    `membership`.
 
     The screen reads two fingerprints residual(E) . v_k mod q of an image
     E, for two fixed pseudo-random vectors v_k drawn from random.Random(q)
@@ -465,12 +493,13 @@ class _MonomialLattice:
             lattice.reduce_combinations(shifts)
         # Babai tables from the integral Gram-Schmidt data of the shifts
         # (Cohen, GTM 138, algorithm 2.6.7), forming no r_j*: d[j + 1] =
-        # det Gram(r_0..r_j), lam[i][j] = d[j] <r_i, r_j*> and table[k][j] =
-        # d[j] <x, r_j*> for the tracked combination x of Hermite row k,
-        # each from <., r_j> by u <- (d[l + 1] u - lam_.l lam_jl) / d[l].
+        # det Gram(r_0..r_j), lam[i][j] = d[j] <r_i, r_j*> and entry k of
+        # column j is d[j] <x, r_j*> for the tracked combination x of
+        # Hermite row k, each from <., r_j> by
+        # u <- (d[l + 1] u - lam_.l lam_jl) / d[l].
         # <r_i, r_j> is mu's autocorrelation, zero for |i - j| >= width,
         # and so is lam[i][j]: the steps before l = j - width + 1 collapse
-        # into one product by d[l].  `bands` keeps the next width - 1
+        # into one product by d[l].  Column j's band is the next width - 1
         # shifts' lam[i][j], and each quotient is the nearest-plane one.
         width, d, lam = len(first or ()), [1], []
 
@@ -491,11 +520,19 @@ class _MonomialLattice:
             d.append(lam[i][i])
         tails = [lattice.combination([int(i == k) for i in range(lattice.rank)])
                  for k in range(lattice.rank)]
-        table = np.array([list(gram_schmidt({}, {j: sum(map(operator.mul, tail[j:j + width], first))
-                                                  for j in range(len(shifts))}).values())
-                          for tail in tails], dtype=object)
-        bands = [[lam[i][j] for i in range(j + 1, min(len(shifts), j + width))] for j in range(len(shifts))]
-        return lattice, common_den, shifts, (table, bands, d[1:], first)
+        rows = [list(gram_schmidt({}, {j: sum(map(operator.mul, tail[j:j + width], first))
+                                       for j in range(len(shifts))}).values())
+                for tail in tails]
+        # Quotient j is one fraction: t and the band's quotients against
+        # column j followed by its band negated, over d[j + 1]; each such
+        # column and its norm are kept divided by their gcd.
+        columns, norms = [], []
+        for j, column in enumerate(zip(*rows)):
+            column = [*column, *(-lam[i][j] for i in range(j + 1, min(len(shifts), j + width)))]
+            g = math.gcd(d[j + 1], *column)
+            columns.append([a // g for a in column])
+            norms.append(d[j + 1] // g)
+        return lattice, common_den, shifts, (columns, norms, first)
 
     lattice = property(lambda self: self._exact[0])
     common_den = property(lambda self: self._exact[1])
@@ -516,7 +553,7 @@ class _MonomialLattice:
         return [a * self.common_den // g for a in t], den * y._den // g
 
     @cached_property
-    def _steps(self) -> tuple[list[np.ndarray], int]:
+    def _steps(self) -> tuple[list[_PackedMatrix], int]:
         """(matrices, den): multiplication by each delta generator, in the
         order of `_deltas`, as an integer matrix over den acting on pivot
         coordinates, for a lattice whose Hermite rows h_k span Q(p).
@@ -533,46 +570,46 @@ class _MonomialLattice:
         matrices = [np.array([[a * (den // d) for a in t] for t, d in matrix], dtype=object)
                     for matrix in coords]
         one = np.identity(len(basis), dtype=object) * den
-        return [m for _, m in _deltas([("", m) for m in matrices], one)], den
+        return [_PackedMatrix(m.tolist()) for _, m in _deltas([("", m) for m in matrices], one)], den
 
     def coordinates(self, x: CyclotomicReal) -> _Chain:
         """The pivot coordinates (t, den) of x * m(p), in lowest terms, by
         the exponents of the denominator monomial m in the delta generators;
-        each is one vector-matrix product from its neighbour's.  Exact once
-        the Hermite rows span Q(p) and x lies in Q(p), and then x * m(p)
-        lies in the lattice exactly when den is 1."""
+        each is one packed vector-matrix product from its neighbour's.
+        Exact once the Hermite rows span Q(p) and x lies in Q(p), and then
+        x * m(p) lies in the lattice exactly when den is 1."""
         steps, step_den = self._steps
 
-        def step(value: tuple[np.ndarray, int], matrix: np.ndarray) -> tuple[np.ndarray, int]:
-            t, den = value[0].dot(matrix), value[1] * step_den
-            g = math.gcd(den, *t)
-            return t // g, den // g
+        def step(value: tuple[list[int], int], matrix: _PackedMatrix) -> tuple[list[int], int]:
+            t, den = matrix.times(value[0]), value[1] * step_den
+            if (g := math.gcd(den, *t)) > 1:
+                return [a // g for a in t], den // g
+            return t, den
 
-        t, den = self.pivot_coordinates(x)
-        return _Chain((np.array(t, dtype=object), den), steps, step)
+        return _Chain(self.pivot_coordinates(x), steps, step)
 
-    def _quotients(self, t: Sequence[int]) -> list[int]:
+    def _quotients(self, t: list[int]) -> list[int]:
         """Babai's nearest-plane quotients against the kernel rows, last row
         first, for the lattice element with integer pivot coordinates t.
 
         Row j's quotient rounds <c, r_j*> / |r_j*|^2, c being the tracked
         combination of t less the later rows times their quotients: times
         d[j], t against the tails' column of the table less the band of
-        later quotients, over d[j + 1], from d + width - 1 products.
+        later quotients, over d[j + 1], one dot product of d + width - 1
+        terms.
         """
-        table, bands, norms, _ = self._babai
-        tops = np.array(t, dtype=object).dot(table)
-        q = [0] * len(bands)
-        for j in reversed(range(len(bands))):
-            q[j] = _round_half_even(tops[j] - sum(map(operator.mul, q[j + 1 :], bands[j])), norms[j])
+        columns, norms, mu = self._babai
+        q = [0] * len(norms)
+        for j in reversed(range(len(norms))):
+            q[j] = _round_half_even(sum(map(operator.mul, t + q[j + 1 : j + len(mu)], columns[j])), norms[j])
         return q
 
-    def combination(self, t: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    def combination(self, t: list[int]) -> list[tuple[int, tuple[int, ...]]]:
         """(coefficient, exponents) of the witness terms of the lattice
         element with integer pivot coordinates t: its tracked combination
         less each kernel row, a shift of mu(p), times its Babai quotient."""
         c = self.lattice.combination(t)
-        mu = self._babai[3]
+        mu = self._babai[2]
         for j, q in enumerate(self._quotients(t)):
             if q:
                 c[j:j + len(mu)] = [a - q * b for a, b in zip(c[j:j + len(mu)], mu)]

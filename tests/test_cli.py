@@ -90,6 +90,7 @@ def test_stdout_carries_the_bytes_of_the_out_file(capsys, tmp_path, fmt):
     # read a trailing empty row from stdout but not from the file
     argv = ("generate", "--slopes", TRIANGLE, "--levels", "2", "--format", fmt)
     target = tmp_path / "out"
+    target.write_bytes(b"old content\n" * 10_000)  # replaced whole
     code, _, _ = run(capsys, *argv, "--out", str(target))
     assert code == EXIT_OK
     code, out, _ = run(capsys, *argv)
@@ -381,6 +382,12 @@ def test_out_path_that_cannot_be_written(capsys, tmp_path, argv):
     assert code == EXIT_ERROR and out == ""
     assert err.startswith(f"error: cannot write '{argv[-1]}': ")
     assert len(err.splitlines()) == 1
+
+
+def test_out_to_dev_null(capsys):
+    # a character device takes the output like a file
+    code, out, err = run(capsys, "classify", "--slopes", TRIANGLE, "--out", os.devnull)
+    assert (code, out, err) == (EXIT_OK, "", "")
 
 
 def _read_64_bytes_and_close(fmt):

@@ -38,6 +38,7 @@ from origami_rings.ring_analysis import (
     _Candidates,
     _Chain,
     _MonomialLattice,
+    _PackedMatrix,
     _deltas,
     _fixing_group,
     _generators_mod_sign,
@@ -719,23 +720,23 @@ def test_size_reduction_depends_only_on_the_kernel_coset(pentagon):
 def test_banded_babai_tables_match_the_dense_kernel(pentagon):
     # each column of the banded tables is a positive multiple of the dense
     # route's <., w_j>, so every quotient is the dense one, exact halves
-    # included
+    # included; and each column, with its band and norm, is primitive
     ties = 0
     for u in _one_free_constant_sets(pentagon) + [SlopeSet(["0", "pi/5", "2pi/5", "pi/2"])]:
         lattice = _monomial_lattice(u, DEFAULT_MAX_NUM_DEG)
         kernel = _dense_kernel(lattice)
-        table, bands, norms, mu = lattice._babai
-        tails = [lattice.lattice.combination([int(i == k) for i in range(lattice.lattice.rank)])
-                 for k in range(lattice.lattice.rank)]
-        assert len(norms) == len(bands) == len(kernel) > 0, str(u)
+        columns, norms, mu = lattice._babai
+        rank = lattice.lattice.rank
+        tails = [lattice.lattice.combination([int(i == k) for i in range(rank)]) for k in range(rank)]
+        assert len(norms) == len(columns) == len(kernel) > 0, str(u)
         for j, (_, w, bw) in enumerate(kernel):
-            assert norms[j] > 0, str(u)
+            assert norms[j] > 0 and math.gcd(norms[j], *columns[j]) == 1, str(u)
             for k, tail in enumerate(tails):
-                assert table[k][j] * bw == sum(map(operator.mul, tail, w)) * norms[j], (str(u), k, j)
+                assert columns[j][k] * bw == sum(map(operator.mul, tail, w)) * norms[j], (str(u), k, j)
             rows = [row for row, _, _ in kernel[j + 1 : j + len(mu)]]
-            assert len(bands[j]) == len(rows), (str(u), j)
-            for band, row in zip(bands[j], rows):
-                assert band * bw == sum(map(operator.mul, row, w)) * norms[j], (str(u), j)
+            assert len(columns[j]) == rank + len(rows), (str(u), j)
+            for band, row in zip(columns[j][rank:], rows):
+                assert -band * bw == sum(map(operator.mul, row, w)) * norms[j], (str(u), j)
         rng = random.Random(13)
         points = [[rng.randint(-2**bits, 2**bits) for _ in range(lattice.lattice.rank)]
                   for bits in (1, 8, 64, 400) for _ in range(10)]
@@ -972,7 +973,8 @@ def test_one_product_per_monomial_and_per_candidate(pentagon, monkeypatch):
     products = 0
     steps, _ = lattice._steps
     assert products == degree * len(lattice.values)
-    assert len(steps) == 2 and all(m.shape == (degree, degree) for m in steps)  # p and p-1
+    assert len(steps) == 2 and all(len(m.rows) == degree and {len(r) for r in m.rows} == {degree}
+                                   for m in steps)  # p and p-1
     warm = _monomial_lattice(pentagon, bounds.max_num_deg)
     warm._steps  # built here, not in the count
     for text in ("sqrt(3)", "sqrt(15)", "cos(pi/5)", "7/3"):
@@ -1134,6 +1136,104 @@ def test_coordinate_chain_matches_the_exact_sweep():
                     hits += 1
     assert free == {1, 2}
     assert hits and misses
+
+
+def _steps_reference(lattice):
+    """The former step matrices: object-dtype arrays, row k the pivot
+    coordinates of the k-th Hermite row times a delta generator."""
+    basis = [CyclotomicReal._make(lattice.n, h, lattice.common_den) for h in lattice.lattice.basis()]
+    coords = [[lattice.pivot_coordinates(b * p) for b in basis] for p in lattice.values]
+    den = math.lcm(*(d for matrix in coords for _, d in matrix))
+    matrices = [np.array([[a * (den // d) for a in t] for t, d in matrix], dtype=object)
+                for matrix in coords]
+    one = np.identity(len(basis), dtype=object) * den
+    return [m for _, m in _deltas([("", m) for m in matrices], one)], den
+
+
+def _coordinates_reference(lattice, steps, x):
+    """The former walk: one ndarray.dot and one gcd per candidate."""
+    matrices, step_den = steps
+
+    def step(value, matrix):
+        t, den = value[0].dot(matrix), value[1] * step_den
+        g = math.gcd(den, *t)
+        return t // g, den // g
+
+    t, den = lattice.pivot_coordinates(x)
+    return _Chain((np.array(t, dtype=object), den), matrices, step)
+
+
+def _quotients_reference(lattice, t):
+    """The former quotient step: the tops as one object-dtype product, each
+    then less its band of later quotients."""
+    columns, norms, _ = lattice._babai
+    rank = lattice.lattice.rank
+    table = np.array([c[:rank] for c in columns], dtype=object).reshape(len(columns), rank)
+    bands = [[-b for b in c[rank:]] for c in columns]
+    tops = np.array(t, dtype=object).dot(table.T)
+    q = [0] * len(bands)
+    for j in reversed(range(len(bands))):
+        q[j] = _round_half_even(tops[j] - sum(map(operator.mul, q[j + 1 :], bands[j])), norms[j])
+    return q
+
+
+def test_packed_candidate_walk_matches_the_object_array_walk(pentagon):
+    # (t, den) at every exponent of the search order, hits or not, and the
+    # quotients of every hit, on the pentagon's 120 seeded queries and on a
+    # spanning set with two free constants
+    small = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
+    two = []
+    for u in _seeded_sets(43, (4, 5), 6):
+        lattice = _monomial_lattice(u, small.max_num_deg)
+        if len(lattice.values) == 2 and lattice.spans:
+            rng = random.Random(67)
+            two = [(u, small, [*ratio_elements(u), *(_member_by_construction(rng, u, lattice)
+                                                    for _ in range(3))])]
+            break
+    assert two
+    queries = [parse_expression(text) for text in _seeded_pentagon_queries(53, 120)]
+    hits = {}
+    for u, bounds, values in [(pentagon, SearchBounds(), queries)] + two:
+        n = u.working_conductor
+        lattice = _monomial_lattice(u, bounds.max_num_deg)
+        assert lattice.spans, str(u)
+        steps = _steps_reference(lattice)
+        assert [m.rows for m in lattice._steps[0]] == [m.tolist() for m in steps[0]]
+        assert lattice._steps[1] == steps[1]
+        order = ring_analysis._search_order(len(lattice.den_values), bounds.max_den_exp,
+                                            bounds.max_candidates)
+        hits[str(u)] = 0
+        for x in values:
+            x_n = rewrite_in_conductor(x, n)
+            if x_n is None:
+                continue
+            walk, reference = lattice.coordinates(x_n), _coordinates_reference(lattice, steps, x_n)
+            for exps in order:
+                (t, den), (t_ref, den_ref) = walk[exps], reference[exps]
+                assert (t, den) == (t_ref.tolist(), den_ref), (str(u), str(x), exps)
+                assert all(type(a) is int for a in t), (str(u), str(x), exps)
+                if den == 1:
+                    assert lattice._quotients(t) == _quotients_reference(lattice, t), (str(x), exps)
+                    hits[str(u)] += 1
+    assert all(hits.values()), hits
+
+
+def test_packed_matrix_product_matches_the_plain_product():
+    # fields at their extremes: the largest entries, all of one sign, so
+    # each product entry comes within a factor 2 of its field's bound
+    rng = random.Random(71)
+    for size, columns in ((1, 1), (2, 2), (3, 3), (8, 8), (9, 9), (2, 5), (5, 2)):
+        for bits in (1, 16, 70):
+            top = 2**bits - 1
+            rows = [[rng.choice((-top, top, rng.randint(-top, top), 0)) for _ in range(columns)]
+                    for _ in range(size)]
+            matrix = _PackedMatrix(rows)
+            vectors = [[0] * size, [2**200 - 1] * size, [-(2**63)] * size]
+            vectors += [[rng.randint(-2**t, 2**t) for _ in range(size)] for t in (1, 51, 63, 64, 300)]
+            vectors += [[top * (-1) ** (rows[i][j] < 0) for i in range(size)] for j in range(columns)]
+            for t in vectors:
+                assert matrix.times(t) == [sum(map(operator.mul, t, col)) for col in zip(*rows)], (rows, t)
+    assert len(matrix.packed) > 1  # a width per size of t
 
 
 def test_round_half_even_matches_fraction_round():
