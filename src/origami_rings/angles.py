@@ -26,18 +26,18 @@ _ANGLE_RE = re.compile(
 )
 
 
-def pi_multiple(text: str) -> Fraction:
-    """The rational k/n of a text '0', 'pi', 'pi/4', '2pi/15' or '2*pi/15'
-    for k*pi/n; any nonnegative multiple, so '3pi/2' gives 3/2."""
+def pi_ratio(text: str) -> tuple[int, int]:
+    """(k, n), as written, of a text '0', 'pi', 'pi/4', '2pi/15' or
+    '2*pi/15' for k*pi/n; any nonnegative multiple, so '3pi/2' gives (3, 2)."""
     if text.strip() == "0":
-        return Fraction(0)
+        return 0, 1
     m = _ANGLE_RE.match(text)
     if m is None:
         raise ValueError(f"cannot parse angle {text!r}")
     den = int(m.group("den") or 1)
     if den == 0:
         raise ValueError("angle denominator must be nonzero")
-    return Fraction(int(m.group("num") or 1), den)
+    return int(m.group("num") or 1), den
 
 
 @total_ordering
@@ -67,11 +67,11 @@ class Angle:
 
     @classmethod
     def parse(cls, text: str) -> "Angle":
-        """Parse a bare fraction '2/3' (meaning 2*pi/3) or a pi_multiple text."""
+        """Parse a bare fraction '2/3' (meaning 2*pi/3) or a pi_ratio text."""
         m = re.match(r"^\s*(\d+)\s*/\s*(\d+)\s*$", text)
         if m:
             return cls(int(m.group(1)), int(m.group(2)))
-        frac = pi_multiple(text)
+        frac = Fraction(*pi_ratio(text))
         return cls(frac.numerator, frac.denominator)
 
     @classmethod

@@ -19,8 +19,9 @@ exact certificates in both directions:
 
 The search is bounded (exponents and degrees), so a third verdict
 Unknown reports exhaustion without claiming anything.  Every value the
-search builds is a graded product start * prod factor_i^e_i, made by one
-memoized chain from its neighbour with one exponent lowered.
+search builds is a graded product start * prod factor_i^e_i, made from
+its parent, the product with one exponent lowered: by a memoized chain, or
+on a lattice that spans the field by a walk over a list in search order.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 from .angles import Angle
 from .cyclotomic import (
     CyclotomicReal,
+    _convolve,
     euler_phi,
     evaluate,
     rewrite_in_conductor,
@@ -304,10 +306,15 @@ class _Chain(dict):
         self.factors, self.mul = factors, mul
 
     def __missing__(self, exps: tuple[int, ...]):
-        i = next(k for k, e in enumerate(exps) if e)
-        lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+        i, lower = _parent(exps)
         self[exps] = value = self.mul(self[lower], self.factors[i])
         return value
+
+
+def _parent(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(i, exps with entry i, its first nonzero one, lowered by one)."""
+    i = next(k for k, e in enumerate(exps) if e)
+    return i, exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
 
 
 def _graded_exponents(count: int, top: int, per_max: int):
@@ -358,6 +365,16 @@ def _search_order(count: int, top: int, budget: int) -> tuple[tuple[int, ...], .
     return tuple(itertools.islice(_graded_exponents(count, count * top, top), budget))
 
 
+@lru_cache(maxsize=8)
+def _walk_plan(count: int, top: int, budget: int) -> tuple[tuple[int, int], ...]:
+    """(index in the search order of the parent, i) for each vector of
+    _search_order(count, top, budget) after the first, its parent and i as
+    _Chain makes them: an earlier vector, since the order is graded."""
+    order = _search_order(count, top, budget)
+    index = {exps: k for k, exps in enumerate(order)}
+    return tuple((index[lower], i) for i, lower in map(_parent, order[1:]))
+
+
 class _PackedMatrix:
     """An integer matrix M that multiplies integer row vectors by Kronecker
     substitution: row i is packed into one integer with entry j in the
@@ -404,13 +421,16 @@ class _MonomialLattice:
     Hermite row's tracked combination is then divided by the shifts of
     mu(p), so a hit comes back at about 100 bits, not 2,700, before the
     Babai step, whose tables come from the shifts' banded integral
-    Gram-Schmidt data.  Pivot coordinates come from one triangular solve.
-    Once the rows mod q, and so the Hermite rows, span Q(p) (`spans`),
-    `_steps` holds multiplication by each delta generator as a d x d matrix
-    on pivot coordinates, packed, and `coordinates` walks a query's
-    candidates with one vector-matrix product each.  Otherwise a
-    candidate that passes the mod-q screen is decided by one exact test,
-    `membership`.
+    Gram-Schmidt data.  Pivot coordinates come from one triangular solve,
+    and a hit's witness from them (`combination`): the Hermite rows'
+    tracked combinations, packed, times the coordinates, less the Babai
+    quotients convolved with mu(p).  Once the rows mod q, and so the
+    Hermite rows, span Q(p) (`spans`), `_steps` holds multiplication by
+    each delta generator as a d x d matrix on pivot coordinates, packed,
+    and `walk` visits a query's candidates in search order, each one
+    vector-matrix product from the coordinates of its parent in
+    `_walk_plan`, kept in a list.  Otherwise a candidate that passes
+    the mod-q screen is decided by one exact test, `membership`.
 
     The screen reads two fingerprints residual(E) . v_k mod q of an image
     E, for two fixed pseudo-random vectors v_k drawn from random.Random(q)
@@ -469,7 +489,7 @@ class _MonomialLattice:
         return tuple(_dot_mod(image, self.z, self.q).tolist())
 
     @cached_property
-    def _exact(self) -> tuple[IntegerLattice, int, list[list[int]], tuple]:
+    def _exact(self) -> tuple[IntegerLattice, int, list[list[int]], tuple, _PackedMatrix]:
         chain = _Chain(CyclotomicReal.from_rational(1, self.n), self.values)
         monomials = [chain[e] for e in self.exponents]
         common_den = math.lcm(*(v._den for v in monomials))
@@ -532,11 +552,12 @@ class _MonomialLattice:
             g = math.gcd(d[j + 1], *column)
             columns.append([a // g for a in column])
             norms.append(d[j + 1] // g)
-        return lattice, common_den, shifts, (columns, norms, first)
+        return lattice, common_den, shifts, (columns, norms, first), _PackedMatrix(tails)
 
     lattice = property(lambda self: self._exact[0])
     common_den = property(lambda self: self._exact[1])
     _babai = property(lambda self: self._exact[3])
+    _tails = property(lambda self: self._exact[4])
 
     def pivot_coordinates(self, y: CyclotomicReal) -> tuple[list[int], int]:
         """(t, den), in lowest terms, with t / den the rational coordinates
@@ -572,21 +593,24 @@ class _MonomialLattice:
         one = np.identity(len(basis), dtype=object) * den
         return [_PackedMatrix(m.tolist()) for _, m in _deltas([("", m) for m in matrices], one)], den
 
-    def coordinates(self, x: CyclotomicReal) -> _Chain:
-        """The pivot coordinates (t, den) of x * m(p), in lowest terms, by
-        the exponents of the denominator monomial m in the delta generators;
-        each is one packed vector-matrix product from its neighbour's.
-        Exact once the Hermite rows span Q(p) and x lies in Q(p), and then
+    def walk(self, x: CyclotomicReal, bounds: SearchBounds):
+        """(exps, t, den) for each denominator monomial m in the search
+        order: the pivot coordinates t / den of x * m(p), in lowest terms,
+        each one packed vector-matrix product from its parent's.  Exact
+        once the Hermite rows span Q(p) and x lies in Q(p), and then
         x * m(p) lies in the lattice exactly when den is 1."""
         steps, step_den = self._steps
-
-        def step(value: tuple[list[int], int], matrix: _PackedMatrix) -> tuple[list[int], int]:
-            t, den = matrix.times(value[0]), value[1] * step_den
+        search = len(self.den_values), bounds.max_den_exp, bounds.max_candidates
+        order, plan = _search_order(*search), _walk_plan(*search)
+        coords = [self.pivot_coordinates(x)]
+        yield order[0], *coords[0]
+        for exps, (parent, i) in zip(order[1:], plan):
+            t, den = coords[parent]
+            t, den = steps[i].times(t), den * step_den
             if (g := math.gcd(den, *t)) > 1:
-                return [a // g for a in t], den // g
-            return t, den
-
-        return _Chain(self.pivot_coordinates(x), steps, step)
+                t, den = [a // g for a in t], den // g
+            coords.append((t, den))
+            yield exps, t, den
 
     def _quotients(self, t: list[int]) -> list[int]:
         """Babai's nearest-plane quotients against the kernel rows, last row
@@ -606,13 +630,12 @@ class _MonomialLattice:
 
     def combination(self, t: list[int]) -> list[tuple[int, tuple[int, ...]]]:
         """(coefficient, exponents) of the witness terms of the lattice
-        element with integer pivot coordinates t: its tracked combination
-        less each kernel row, a shift of mu(p), times its Babai quotient."""
-        c = self.lattice.combination(t)
-        mu = self._babai[2]
-        for j, q in enumerate(self._quotients(t)):
-            if q:
-                c[j:j + len(mu)] = [a - q * b for a, b in zip(c[j:j + len(mu)], mu)]
+        element with integer pivot coordinates t: its tracked combination,
+        t times the rows' tails, less each kernel row, a shift of mu(p),
+        times its Babai quotient, all at once as the convolution q * mu."""
+        c = self._tails.times(t)
+        if any(q := self._quotients(t)):
+            c = list(map(operator.sub, c, _convolve(q, self._babai[2])))
         return [(a, self.exponents[i]) for i, a in enumerate(c) if a]
 
     def membership(self, y: CyclotomicReal) -> Optional[list[tuple[int, tuple[int, ...]]]]:
@@ -788,10 +811,7 @@ def membership_in_MR(
     if lattice.spans:
         # the Hermite rows span Q(p), which holds x: a candidate is a
         # member exactly when its pivot coordinates are integers
-        coords = lattice.coordinates(x_n)
-        order = _search_order(len(lattice.den_values), bounds.max_den_exp, bounds.max_candidates)
-        hits = ((exps, lattice.combination(coords[exps][0]))
-                for exps in order if coords[exps][1] == 1)
+        hits = ((exps, lattice.combination(t)) for exps, t, den in lattice.walk(x_n, bounds) if den == 1)
     else:
         candidates = _Candidates(x_n, lattice, bounds)
         hits = ((exps, lattice.membership(candidates.value(form)))

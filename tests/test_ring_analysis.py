@@ -1109,8 +1109,8 @@ def test_warm_pentagon_sweeps_only_the_witness(pentagon, monkeypatch):
 
 def test_coordinate_chain_matches_the_exact_sweep():
     # on spanning lattices with one and with two free constants, every
-    # candidate's chain verdict is the exact sweep's, and on a hit the
-    # combination read off the pivot coordinates is the sweep's
+    # candidate's verdict on the flat walk is the exact sweep's, and on a
+    # hit the combination read off the pivot coordinates is the sweep's
     bounds = SearchBounds(max_den_exp=3, max_num_deg=4, max_candidates=150)
     rng = random.Random(59)
     hits = misses = 0
@@ -1123,7 +1123,7 @@ def test_coordinate_chain_matches_the_exact_sweep():
         free.add(len(lattice.values))
         members = [_member_by_construction(rng, u, lattice) for _ in range(2)]
         for x in [rewrite_in_conductor(y, n) for y in [*ratio_elements(u), *members]]:
-            coords = lattice.coordinates(x)
+            coords = {exps: (t, den) for exps, t, den in lattice.walk(x, bounds)}
             stream = _candidates(x, u, bounds)
             for exps, form in stream:
                 t, den = coords[exps]
@@ -1207,7 +1207,9 @@ def test_packed_candidate_walk_matches_the_object_array_walk(pentagon):
             x_n = rewrite_in_conductor(x, n)
             if x_n is None:
                 continue
-            walk, reference = lattice.coordinates(x_n), _coordinates_reference(lattice, steps, x_n)
+            walk = {exps: (t, den) for exps, t, den in lattice.walk(x_n, bounds)}
+            reference = _coordinates_reference(lattice, steps, x_n)
+            assert tuple(walk) == order
             for exps in order:
                 (t, den), (t_ref, den_ref) = walk[exps], reference[exps]
                 assert (t, den) == (t_ref.tolist(), den_ref), (str(u), str(x), exps)
@@ -1216,6 +1218,40 @@ def test_packed_candidate_walk_matches_the_object_array_walk(pentagon):
                     assert lattice._quotients(t) == _quotients_reference(lattice, t), (str(x), exps)
                     hits[str(u)] += 1
     assert all(hits.values()), hits
+
+
+def _correction_reference(lattice, combo, quotients):
+    """The former Babai correction: one slice rewrite of the tracked
+    combination per nonzero quotient, by that quotient times mu(p)."""
+    mu = lattice._babai[2]
+    c = list(combo)
+    for j, q in enumerate(quotients):
+        if q:
+            c[j:j + len(mu)] = [a - q * b for a, b in zip(c[j:j + len(mu)], mu)]
+    return c
+
+
+def test_one_convolution_correction_matches_the_per_shift_loop(pentagon, monkeypatch):
+    # seeded pivot coordinates and quotient vectors, all-zero and all-negative
+    # among them: the packed tails less q convolved with mu are the tracked
+    # combination less each shift of mu times its quotient
+    rng = random.Random(73)
+    for u in (pentagon, SlopeSet(["0", "pi/5", "2pi/5", "pi/2"])):
+        lattice = _MonomialLattice(u, SearchBounds().max_num_deg)
+        rank, count = lattice.lattice.rank, len(lattice._exact[2])
+        assert rank and count
+        quotients = [[0] * count, [-rng.randint(1, 2**90) for _ in range(count)]]
+        for bits in (1, 8, 64, 200):
+            quotients.append([rng.choice((0, rng.randint(-2**bits, 2**bits))) for _ in range(count)])
+            quotients.append([rng.randint(-2**bits, 0) for _ in range(count)])
+        for q in quotients:
+            monkeypatch.setattr(lattice, "_quotients", lambda t: q)
+            for bits in (0, 1, 40, 100):
+                t = [rng.randint(-2**bits, 2**bits) for _ in range(rank)]
+                expected = _correction_reference(lattice, lattice.lattice.combination(t), q)
+                assert lattice.combination(t) == [
+                    (a, lattice.exponents[i]) for i, a in enumerate(expected) if a
+                ], (str(u), q, t)
 
 
 def test_packed_matrix_product_matches_the_plain_product():
